@@ -44,8 +44,8 @@ FLAT_VALUE_BAND_FD = 1e-4  # finite-difference curvature carries ~1e-6 noise
 FLAT_INTERVAL_LENGTH = 1e-3  # near-inf set at least this long -> non_gibbs
 ISOLATED_EXTENT = 5e-4  # near-inf set at most this long -> gibbs
 
-PHI2_BASE_POINTS = 256
 PHI2_MIN_SPACING = 1e-4  # smaller triples amplify rounding in the quotient
+MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the curvature and Phi2 scans
 
 
 def _curvature_values(spec: pot.PotentialSpec, xs: np.ndarray) -> np.ndarray:
@@ -107,7 +107,7 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
     for _ in range(7):
         # resolve oscillations whose local period shrinks like 1/r
         spacing = math.pi / (10.0 * radius)
-        n_grid = int(min(4_194_305, max(32769, 2.0 * radius / spacing)))
+        n_grid = int(min(MAX_SCAN_POINTS, max(32769, 2.0 * radius / spacing)))
         n_grid = n_grid if n_grid % 2 == 1 else n_grid + 1
         inf_v, arg = _scan_curvature_infimum(spec, radius, n_grid)
         if inf_v < -2.0 * UNBOUNDED_SENTINEL:
@@ -119,75 +119,33 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
     return prev, arg
 
 
-def _phi2_on_triples(vals: np.ndarray, xs: np.ndarray):
-    """Minimum of the second difference quotient over all ordered triples of
-    the given grid, evaluated in chunks to bound memory."""
-    m = xs.size
-    best = math.inf
-    best_triple = None
-    idx = np.arange(m)
-    for i in range(m - 2):
-        j = idx[i + 1 : m - 1]
-        k = idx[i + 2 : m]
-        jj, kk = np.meshgrid(j, k, indexing="ij")
-        valid = kk > jj
-        x, y, z = xs[i], xs[jj], xs[kk]
-        fy, fz = vals[jj], vals[kk]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = ((fz - fy) / (z - y) - (fy - vals[i]) / (y - x)) / (z - x)
-        q = np.where(valid, q, np.inf)
-        pos = np.unravel_index(int(np.argmin(q)), q.shape)
-        if q[pos] < best:
-            best = float(q[pos])
-            best_triple = (float(x), float(xs[jj[pos]]), float(xs[kk[pos]]))
-    return best, best_triple
+def _min_consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> float:
+    """Minimum of the second difference quotient over the consecutive triples
+    (x_l, x_{l+1}, x_{l+2}) of an increasing grid with values vals.
 
-
-def _phi2_refine(spec: pot.PotentialSpec, triple, spacing: float):
-    """Shrink local grids around a candidate triple; spacing floors at
-    PHI2_MIN_SPACING to keep rounding off the quotient."""
-    best = math.inf
-    x0, y0, z0 = triple
-    for _ in range(24):
-        if spacing < PHI2_MIN_SPACING:
-            break
-        offs = np.linspace(-4 * spacing, 4 * spacing, 9)
-        xc = x0 + offs
-        yc = y0 + offs
-        zc = z0 + offs
-        X, Y, Z = np.meshgrid(xc, yc, zc, indexing="ij")
-        valid = (X < Y - PHI2_MIN_SPACING / 4) & (Y < Z - PHI2_MIN_SPACING / 4)
-        FX = np.asarray(pot.eval(spec, X))
-        FY = np.asarray(pot.eval(spec, Y))
-        FZ = np.asarray(pot.eval(spec, Z))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = ((FZ - FY) / (Z - Y) - (FY - FX) / (Y - X)) / (Z - X)
-        q = np.where(valid, q, np.inf)
-        pos = np.unravel_index(int(np.argmin(q)), q.shape)
-        if not np.isfinite(q[pos]):
-            break
-        best = min(best, float(q[pos]))
-        x0, y0, z0 = float(X[pos]), float(Y[pos]), float(Z[pos])
-        spacing /= 4.0
-    return best, (x0, y0, z0)
+    This is also the minimum over all triples of the grid: the quotient of
+    any triple x_i < x_j < x_k is a positive-weight average of the consecutive
+    quotients with i <= l <= k - 2."""
+    slopes = np.diff(vals) / np.diff(xs)
+    return float(np.min(np.diff(slopes) / (xs[2:] - xs[:-2])))
 
 
 def phi2_infimum(spec: pot.PotentialSpec, radius: float | None = None):
-    """Infimum of Phi2(V) by a stratified triple scan: a coarse full triple
-    grid, local refinement of the best candidates, and a dense symmetric-
-    triple sweep (which approximates V''/2 and catches shrinking-triple
-    infima the coarse grid misses)."""
-    radius = radius if radius is not None else pot.window_radius(spec)
-    xs = np.linspace(-radius, radius, PHI2_BASE_POINTS)
-    vals = np.asarray(pot.eval(spec, xs))
-    best_coarse, triple = _phi2_on_triples(vals, xs)
-    best, _ = _phi2_refine(spec, triple, spacing=float(xs[1] - xs[0]))
-    best = min(best, best_coarse)
+    """Infimum of Phi2(V): the smaller of the minimum over the triples of a
+    uniform grid on [-radius, radius] and half the growth-checked infimum of
+    V'' (the limit of shrinking symmetric triples).
 
-    # dense symmetric triples (r-h, r, r+h) approximate V''(r)/2
+    By the consecutive-triple identity (see _min_consecutive_phi2) one pass
+    over the consecutive triples gives the exact minimum over all triples of
+    the grid. The grid spacing is PHI2_MIN_SPACING, unless the point count
+    would exceed MAX_SCAN_POINTS."""
+    radius = radius if radius is not None else pot.window_radius(spec)
     inf_curv, _ = _curvature_infimum_with_growth_check(spec)
     if inf_curv == -math.inf:
         return -math.inf
+    n_grid = min(MAX_SCAN_POINTS, int(2.0 * radius / PHI2_MIN_SPACING) + 1)
+    xs = np.linspace(-radius, radius, n_grid)
+    best = _min_consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs)
     return min(best, inf_curv / 2.0)
 
 
@@ -375,25 +333,26 @@ def supporting_point(f, y: float, triple_grid) -> bool:
 
 
 def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int = 201):
-    """Brute-force evaluation of the two equivalent statements:
+    """Grid evaluation of the two equivalent statements:
 
         tilt side    some alpha gives f(x) + beta x^2 - alpha x multiple
                      global minimisers on the grid;
         triple side  some grid triple has Phi2 f <= -beta.
 
-    Returns (tilt_side, triple_side). Grid multiplicity means the near-minimal
-    set splits into clusters separated by at least three grid steps; the value
-    band scales with the local second difference, the sampling offset a grid
-    makes when it straddles a true minimum."""
+    Returns (tilt_side, triple_side). The triple side is exact over all
+    triples of the grid_n-point grid in one linear pass: every triple's
+    quotient is a positive-weight average of consecutive-triple quotients, so
+    their minimum is the minimum over all triples. The tilt side walks the
+    lower convex hull of a grid 8x finer. Grid multiplicity means the
+    near-minimal set splits into clusters separated by at least three grid
+    steps; the value band scales with the local second difference, the
+    sampling offset a grid makes when it straddles a true minimum."""
     lo, hi = float(window[0]), float(window[1])
     xs_triple = np.linspace(lo, hi, int(grid_n))
     fv_triple = np.asarray([float(f(x)) for x in xs_triple])
 
-    min_phi2, _ = _phi2_on_triples(fv_triple, xs_triple)
-    side_triple = bool(min_phi2 <= -beta + 1e-12)
+    side_triple = bool(_min_consecutive_phi2(fv_triple, xs_triple) <= -beta + 1e-12)
 
-    # the hull walk is linear in the grid size, so the tilt side can afford a
-    # much finer grid than the cubic triple scan
     xs = np.linspace(lo, hi, 8 * int(grid_n) + 1)
     fv = np.asarray([float(f(x)) for x in xs])
     g = fv + beta * xs**2

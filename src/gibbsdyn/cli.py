@@ -133,7 +133,7 @@ def _cmd_tc(args, spec, outdir):
 def _cmd_bad_scan(args, spec, outdir):
     window = _parse_window(args.window)
     tol, _ = _tolerances(args)
-    result = tilted.bad_set_scan(spec, args.t, window, args.grid, tol=tol, threads=args.threads)
+    result = tilted.bad_set_scan(spec, args.t, window, args.grid, tol=tol)
     doc = _envelope(args, spec, {"t": args.t, "window": list(window), "grid": args.grid})
     doc["results"] = {
         "intervals": [list(iv) for iv in result.intervals],
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--potential", required=True, help="path to a potential spec JSON")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--format", choices=FORMAT_CHOICES, default="both")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for scans")
         p.add_argument(
             "--eps-val-rel", type=float, default=tilted.DEFAULT_TOL.eps_val_rel,
             help="relative tie band for minimiser values (default: %(default)g)",

@@ -8,7 +8,6 @@ only scalar iteration and converges linearly with ratio 1/phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +40,6 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 
     return d, fd
 
 
-@dataclass(frozen=True)
-class GridMinimum:
-    """A refined local minimum found by scan_minima."""
-
-    x: float
-    value: float
-    bracket: tuple[float, float]
-
-
 def local_minima_indices(values: np.ndarray) -> np.ndarray:
     """Indices of interior grid points that are <= both neighbours, plus the
     endpoints when they are below their single neighbour."""
@@ -63,49 +53,32 @@ def local_minima_indices(values: np.ndarray) -> np.ndarray:
     return np.asarray(sorted(set(out)), dtype=int)
 
 
-def scan_minima(
-    f,
-    lo: float,
-    hi: float,
-    n_grid: int,
-    *,
-    keep_band: float | None = None,
-    refine_tol: float = 1e-12,
-) -> list[GridMinimum]:
-    """Find all near-global local minima of f on [lo, hi].
+def global_minimum(f, lo: float, hi: float, n_grid: int = 4096, refine_tol: float = 1e-12):
+    """The global minimum of f on [lo, hi] as (x, value).
 
     f must accept a numpy array. Every grid local minimum whose value lies
-    within keep_band of the grid minimum is refined by golden section inside
-    its one-spacing bracket. keep_band defaults to a discretisation bound
-    estimated from second differences, so true ties are never dropped.
+    within a keep band of the grid minimum is refined by golden section inside
+    its one-spacing bracket; the band is a discretisation bound estimated from
+    second differences, so true ties are never dropped. Among equal refined
+    values the smallest x wins.
     """
     xs = np.linspace(lo, hi, int(n_grid))
     vs = np.asarray(f(xs), dtype=float)
     if not np.isfinite(vs).any():
         raise ValueError("objective is nowhere finite on the scan window")
     vmin = np.nanmin(vs)
-    dx = xs[1] - xs[0]
-    if keep_band is None:
-        d2 = np.abs(np.diff(vs[np.isfinite(vs)], 2)) if np.isfinite(vs).all() else np.array([0.0])
-        curv = float(d2.max()) if d2.size else 0.0
-        keep_band = max(1e-6 * max(1.0, abs(vmin)), 0.75 * curv)
+    d2 = np.abs(np.diff(vs, 2)) if np.isfinite(vs).all() else np.array([0.0])
+    curv = float(d2.max()) if d2.size else 0.0
+    keep_band = max(1e-6 * max(1.0, abs(vmin)), 0.75 * curv)
     cand = [i for i in local_minima_indices(vs) if np.isfinite(vs[i]) and vs[i] <= vmin + keep_band]
 
-    found: list[GridMinimum] = []
+    found = []
     for i in cand:
         a = xs[max(i - 1, 0)]
         b = xs[min(i + 1, xs.size - 1)]
         if a == b:
-            found.append(GridMinimum(float(xs[i]), float(vs[i]), (float(a), float(b))))
+            found.append((float(xs[i]), float(vs[i])))
             continue
         x, v = golden_section(lambda s: float(f(np.asarray([s]))[0]), a, b, tol=refine_tol)
-        found.append(GridMinimum(float(x), float(v), (float(a), float(b))))
-    found.sort(key=lambda m: m.x)
-    return found
-
-
-def global_minimum(f, lo: float, hi: float, n_grid: int = 4096, refine_tol: float = 1e-12):
-    """Convenience wrapper: the single best refined minimum as (x, value)."""
-    minima = scan_minima(f, lo, hi, n_grid, refine_tol=refine_tol)
-    best = min(minima, key=lambda m: m.value)
-    return best.x, best.value
+        found.append((float(x), float(v)))
+    return min(found, key=lambda m: (m[1], m[0]))

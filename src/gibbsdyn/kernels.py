@@ -29,7 +29,7 @@ import numpy as np
 
 from gibbsdyn import potential as pot
 from gibbsdyn import tilted
-from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
+from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError, NotDifferentiableError
 from gibbsdyn.quadrature import (
     DEFAULT_DROP,
     expanding_localize,
@@ -53,7 +53,6 @@ SEQ_PLUS = "plus_inv_sqrt"
 class QuadratureConfig:
     truncation_mass: float = 1e-12
     grid_n: int = 4096
-    log_space: bool = True  # informational; the pipeline is always log-space
 
     def __post_init__(self):
         if not (0.0 < self.truncation_mass <= 1e-6):
@@ -310,19 +309,6 @@ class _GMachine:
         )
 
 
-def _log_g(
-    spec: pot.PotentialSpec,
-    n: int,
-    t: float,
-    alpha: float,
-    s_arr: np.ndarray,
-    cfg: QuadratureConfig,
-    tol: tilted.ToleranceConfig,
-):
-    """log g_{n,t}(alpha, s) for an array of s values on a shared r-grid."""
-    return _GMachine(spec, n, t, alpha, cfg, tol).log_g(np.asarray(s_arr, dtype=float))
-
-
 def g_factor(
     spec: pot.PotentialSpec,
     n: int,
@@ -342,7 +328,7 @@ def g_factor(
     if not (t > 0):
         raise DomainError("g_factor requires t > 0")
     n = _capped(n)
-    out = _log_g(spec, n, t, alpha, np.asarray([float(s)]), cfg, tol)
+    out = _GMachine(spec, n, t, alpha, cfg, tol).log_g(np.asarray([float(s)]))
     return float(np.exp(out[0]))
 
 
@@ -374,7 +360,7 @@ def evolved_kernel(
         for q in machine.ms.locations:
             try:
                 anchors.append(-float(pot.deriv(spec, q, 1)))
-            except Exception:
+            except NotDifferentiableError:
                 pass
     pad = math.sqrt(2.0 * cfg.drop) + 2.0
     s_lo, s_hi, _ = expanding_localize(
@@ -564,18 +550,3 @@ def write_ladder_csv(rows, path):
         writer.writerow(["n", "alpha_n", "mean", "variance", "w1_to_limit"])
         for row in rows:
             writer.writerow([row.n, repr(row.alpha_n), repr(row.mean), repr(row.variance), repr(row.w1_to_limit)])
-
-
-def selection_limits(
-    spec: pot.PotentialSpec,
-    t: float,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-    tol: tilted.ToleranceConfig = tilted.DEFAULT_TOL,
-) -> tuple[KernelEstimate, KernelEstimate]:
-    """The two selection-limit kernels at a bad alpha (q_min and q_max branches)."""
-    try:
-        k = limit_kernel(spec, t, alpha, cfg, tol)
-    except BadMagnetisationError as err:
-        return err.kernel_min, err.kernel_max
-    return k, k

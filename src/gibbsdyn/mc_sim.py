@@ -108,7 +108,6 @@ class _MagnetisationTable:
     density: np.ndarray
     grid: np.ndarray
     cdf: np.ndarray
-    log_norm: float
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return np.interp(u, self.cdf, self.grid)
@@ -118,15 +117,14 @@ def _tabulate(log_density, lo: float, hi: float, n_grid: int = 32769) -> _Magnet
     lo2, hi2, _ = localize(log_density, lo, hi, 16385)
     x = simpson_grid(lo2, hi2, n_grid)
     L = np.asarray(log_density(x), dtype=float)
-    log_norm = float(log_integral(x, L))
-    dens = np.exp(L - log_norm)
+    dens = np.exp(L - float(log_integral(x, L)))
     inc = 0.5 * (dens[1:] + dens[:-1]) * np.diff(x)
     cdf = np.concatenate(([0.0], np.cumsum(inc)))
     cdf /= cdf[-1]
     # strictly increasing cdf for a well-defined inverse
     cdf = np.maximum.accumulate(cdf)
     keep = np.concatenate(([True], np.diff(cdf) > 0))
-    return _MagnetisationTable(quad_grid=x, density=dens, grid=x[keep], cdf=cdf[keep], log_norm=log_norm)
+    return _MagnetisationTable(quad_grid=x, density=dens, grid=x[keep], cdf=cdf[keep])
 
 
 def _initial_magnetisation_table(spec: pot.PotentialSpec, n: int) -> _MagnetisationTable:
@@ -215,7 +213,9 @@ def _evolve_reject(spec: pot.PotentialSpec, config: SimConfig) -> EmpiricalKerne
     )
 
 
-def _evolve_exact(spec: pot.PotentialSpec, config: SimConfig) -> EmpiricalKernel:
+def _evolve_exact(spec: pot.PotentialSpec, config: SimConfig, rate: float) -> EmpiricalKernel:
+    """The exact sampler; rate is estimate_acceptance(spec, config), reported
+    as the acceptance rate."""
     n, t = config.n, config.t
     a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
@@ -253,7 +253,6 @@ def _evolve_exact(spec: pot.PotentialSpec, config: SimConfig) -> EmpiricalKernel
     x1_0 = s0 + slope * (m_comp - s0) + math.sqrt(max(cond_var, 0.0)) * rng.standard_normal(R)
     x1_t = x1_0 + math.sqrt(t) * rng.standard_normal(R)
 
-    rate = estimate_acceptance(spec, config)
     return EmpiricalKernel(
         samples=x1_t,
         accepted_count=int(R),
@@ -266,13 +265,12 @@ def _evolve_exact(spec: pot.PotentialSpec, config: SimConfig) -> EmpiricalKernel
 def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> EmpiricalKernel:
     """Empirical conditional law of the first spin at time t given that the
     other spins' magnetisation fell in [alpha - h, alpha + h]."""
-    method = config.method
-    if method == METHOD_AUTO:
-        expected = estimate_acceptance(spec, config) * config.replicas
-        method = METHOD_REJECT if expected >= 10.0 * MIN_ACCEPTED else METHOD_EXACT
-    if method == METHOD_REJECT:
+    if config.method == METHOD_REJECT:
         return _evolve_reject(spec, config)
-    return _evolve_exact(spec, config)
+    rate = estimate_acceptance(spec, config)
+    if config.method == METHOD_AUTO and rate * config.replicas >= 10.0 * MIN_ACCEPTED:
+        return _evolve_reject(spec, config)
+    return _evolve_exact(spec, config, rate)
 
 
 def simulate_joint_magnetisation(

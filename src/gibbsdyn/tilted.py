@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gibbsdyn import potential as pot
-from gibbsdyn.errors import ConfigError, DomainError
+from gibbsdyn.errors import ConfigError, DomainError, NotDifferentiableError
 from gibbsdyn.gridmin import golden_section, local_minima_indices
 
 COARSE_GRID_N = 32768  # coarse scan resolution on the truncation window
@@ -147,7 +147,7 @@ def _newton_polish(tr: TiltedRate, q: float, bracket: tuple[float, float]) -> fl
     x = q
     try:
         f_start = _foc_residual(tr, q)
-    except Exception:
+    except NotDifferentiableError:
         return q
     f = f_start
     for _ in range(8):
@@ -156,7 +156,7 @@ def _newton_polish(tr: TiltedRate, q: float, bracket: tuple[float, float]) -> fl
         h = 1e-7 * max(1.0, abs(x))
         try:
             fp = (_foc_residual(tr, x + h) - _foc_residual(tr, x - h)) / (2 * h)
-        except Exception:
+        except NotDifferentiableError:
             return q
         if fp <= 0 or not math.isfinite(fp):
             break
@@ -166,7 +166,7 @@ def _newton_polish(tr: TiltedRate, q: float, bracket: tuple[float, float]) -> fl
         x = min(max(x - step, lo), hi)
         try:
             f = _foc_residual(tr, x)
-        except Exception:
+        except NotDifferentiableError:
             return q
     return x if abs(f) <= abs(f_start) else q
 
@@ -211,10 +211,7 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
             continue
         x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi, tol=tol.refine_tol)
         if pot.has_analytic_deriv(tr.potential, 1):
-            try:
-                x = _newton_polish(tr, x, (lo, hi))
-            except Exception:
-                pass
+            x = _newton_polish(tr, x, (lo, hi))
         refined.append((float(x), float(eval_rate(tr, x))))
     refined.sort(key=lambda p: p[0])
 
@@ -297,7 +294,6 @@ def bad_set_scan(
     window: tuple[float, float],
     grid_n: int,
     tol: ToleranceConfig = DEFAULT_TOL,
-    threads: int = 1,
 ) -> BadScanResult:
     """Scan alpha over the window, merge adjacent bad grid points into
     intervals, and refine interval endpoints by bisection to width <= 1e-6.
@@ -313,18 +309,7 @@ def bad_set_scan(
         raise DomainError("bad_set_scan requires t > 0")
 
     alphas = np.linspace(lo, hi, int(grid_n))
-
-    def probe(a):
-        bad, ms = is_bad(potential_spec, t, float(a), tol)
-        return bad, ms
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(probe, alphas))
-    else:
-        results = [probe(a) for a in alphas]
+    results = [is_bad(potential_spec, t, float(a), tol) for a in alphas]
 
     rows = tuple(
         BadScanRow(

@@ -84,6 +84,22 @@ def brute_force_minimisers(spec, t, alpha, n_grid=1_000_000, value_tol=1e-7, gap
     return m, sorted(locations)
 
 
+def all_triples_phi2_min(vals, xs):
+    """Independent oracle: minimum of the second difference quotient over
+    every triple i < j < k of an increasing grid, by the literal O(m^3) scan
+    (one vectorised j-k plane per i)."""
+    m = xs.size
+    best = np.inf
+    idx = np.arange(m)
+    for i in range(m - 2):
+        jj, kk = np.meshgrid(idx[i + 1 : m - 1], idx[i + 2 : m], indexing="ij")
+        valid = kk > jj
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = pot.phi2_grid(vals, xs, np.full(jj.shape, i), jj, kk)
+        best = min(best, float(np.min(np.where(valid, q, np.inf))))
+    return best
+
+
 def bin_averaged_kernel(spec, n, t, alpha, h):
     """Independent oracle for the binned Monte Carlo law: spin 1 at time t
     given that the companions' magnetisation m_{n-1}(t) lies in

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import all_triples_phi2_min
 from gibbsdyn import classify, potential as pot, tilted
 from gibbsdyn.errors import DomainError, InconclusiveError
 
@@ -106,6 +109,18 @@ def test_gibbs_at_tc(builtin_specs):
         classify.gibbs_at_tc(builtin_specs["zero"])  # t_c = inf
     with pytest.raises(DomainError):
         classify.gibbs_at_tc(builtin_specs["cos_of_square"])  # t_c = 0
+
+
+@given(st.integers(3, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_consecutive_triples_give_the_all_triples_minimum(m, uniform, seed):
+    rng = np.random.default_rng(seed)
+    if uniform:
+        xs = np.linspace(-rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0), m)
+    else:
+        xs = np.cumsum(rng.uniform(1e-3, 1.0, m)) - rng.uniform(0.0, 10.0)
+    vals = rng.normal(0.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.uniform(-2.0, 2.0) * xs**2
+    want = all_triples_phi2_min(vals, xs)
+    assert classify._min_consecutive_phi2(vals, xs) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_custom_table_edge_inconclusive():

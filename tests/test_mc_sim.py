@@ -156,6 +156,24 @@ def test_estimate_acceptance_in_trough(double_well):
     assert math.log(mc_sim.estimate_acceptance(double_well, cfg)) == pytest.approx(want, abs=0.01)
 
 
+def test_auto_fallback_builds_magnetisation_table_once(double_well, monkeypatch):
+    # at the criterion-6 bin "auto" falls back to the exact sampler, which
+    # reuses the acceptance estimate instead of tabulating the time-0 law again
+    build = mc_sim._initial_magnetisation_table
+    builds = []
+
+    def counted(spec, n):
+        builds.append(n)
+        return build(spec, n)
+
+    monkeypatch.setattr(mc_sim, "_initial_magnetisation_table", counted)
+    cfg = mc_sim.SimConfig(n=64, t=0.1, alpha_target=0.0, replicas=1000, seed=3, bin_halfwidth=0.05)
+    emp = mc_sim.evolve_and_condition(cfg, double_well)
+    assert emp.method == mc_sim.METHOD_EXACT
+    assert builds == [64]
+    assert emp.acceptance_rate == mc_sim.estimate_acceptance(double_well, cfg)
+
+
 def test_insufficient_statistics_error(double_well):
     cfg = mc_sim.SimConfig(
         n=64, t=0.1, alpha_target=0.0, replicas=10_000, seed=1, bin_halfwidth=0.05, method="reject"

@@ -178,10 +178,10 @@ def test_flat_envelope_gives_minimiser_continuum(glued1):
     assert len(ms.locations) > 10
 
 
-def test_bad_set_scan_threads_deterministic(double_well):
-    a = tilted.bad_set_scan(double_well, 0.5, (-2, 2), 41, threads=1)
-    b = tilted.bad_set_scan(double_well, 0.5, (-2, 2), 41, threads=4)
-    assert a.intervals == b.intervals
+def test_newton_polish_at_kink_returns_start():
+    # V' does not exist at the kink of |r|: the polish keeps the golden-section point
+    tr = tilted.TiltedRate(pot.absolute(), 1.0, 0.0)
+    assert tilted._newton_polish(tr, 0.0, (-0.1, 0.1)) == 0.0
 
 
 def test_bad_set_scan_validation(zero):
