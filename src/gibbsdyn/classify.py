@@ -27,7 +27,7 @@ import numpy as np
 
 from gibbsdyn import potential as pot
 from gibbsdyn import tilted
-from gibbsdyn.errors import DomainError, InconclusiveError
+from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 from gibbsdyn.gridmin import golden_section
 from gibbsdyn.kernels import initial_kernel
 
@@ -348,6 +348,12 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
     steps; the value band scales with the local second difference, the
     sampling offset a grid makes when it straddles a true minimum."""
     lo, hi = float(window[0]), float(window[1])
+    if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("equivalence window must be finite with lo < hi")
+    if grid_n < 3:
+        raise ConfigError("equivalence_sides needs grid_n >= 3 (one triple)")
+    if not math.isfinite(beta):
+        raise DomainError("beta must be finite")
     xs_triple = np.linspace(lo, hi, int(grid_n))
     fv_triple = np.asarray([float(f(x)) for x in xs_triple])
 

@@ -11,9 +11,12 @@ Commands:
     limitpot  the limiting evolved potential (inf-convolution)
     oracle    brute-force agreement check of the tilt/curvature equivalence
 
-Exit status: 0 success, 1 IO or parse failure, 2 domain error. Reports embed
-the potential spec, parameters, tolerances, seed, and tool version; rerunning
-a deterministic command from its embedded config reproduces the numbers.
+Every command prints its results as one JSON line on stdout and writes a
+`<command>.json` report and/or CSV side files, as `--format` asks. Exit
+status: 0 success, 1 IO or potential-spec parse failure, 2 malformed
+arguments (rejected by argparse) or domain error. Reports embed the potential
+spec, parameters, tolerances, seed, and tool version; rerunning a
+deterministic command from its embedded config reproduces the numbers.
 """
 
 from __future__ import annotations
@@ -35,21 +38,13 @@ from gibbsdyn.errors import GibbsDynError
 log = logging.getLogger("gibbsdyn")
 
 FORMAT_CHOICES = ("csv", "json", "both")
+# parsed arguments every command has; the others are the command's own params
+_SHARED = ("command", "potential", "out", "format", "eps_val_rel", "delta_cluster", "truncation_mass", "quad_grid")
 
 
 def _configure_logging():
     level = os.environ.get("GIBBS_DYN_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(f"not JSON serialisable: {type(obj)}")
 
 
 def _sanitise(value):
@@ -62,144 +57,95 @@ def _sanitise(value):
     return value
 
 
-def _write_report(outdir: Path, name: str, report: dict, fmt: str):
-    if fmt == "csv":
-        return None
-    path = outdir / f"{name}.json"
-    path.write_text(
-        json.dumps(_sanitise(report), indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
-    log.debug("wrote %s", path)
-    return path
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _write_csv(outdir: Path, name: str, header, rows, fmt: str):
-    if fmt == "json":
-        return None
-    path = outdir / f"{name}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    log.debug("wrote %s", path)
-    return path
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _window(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"window must be 'a,b', got {text!r}")
+    a, b = (_finite_float(part) for part in parts)
+    if not a < b:
+        raise argparse.ArgumentTypeError(f"window must satisfy a < b, got {text!r}")
+    return a, b
 
 
 def _tolerances(args):
     """ToleranceConfig and QuadratureConfig from the override flags."""
-    tol = tilted.ToleranceConfig(
-        eps_val_rel=args.eps_val_rel, delta_cluster=args.delta_cluster
+    return (
+        tilted.ToleranceConfig(eps_val_rel=args.eps_val_rel, delta_cluster=args.delta_cluster),
+        kernels.QuadratureConfig(truncation_mass=args.truncation_mass, grid_n=args.quad_grid),
     )
-    quad = kernels.QuadratureConfig(
-        truncation_mass=args.truncation_mass, grid_n=args.quad_grid
-    )
-    return tol, quad
 
 
-def _envelope(args, spec, params: dict) -> dict:
-    return {
-        "tool": {"name": "gibbs-dyn", "version": __version__},
-        "command": args.command,
-        "potential": spec.to_json_dict(),
-        "params": params,
-        "tolerances": {
-            "eps_val_rel": args.eps_val_rel,
-            "delta_cluster": args.delta_cluster,
-            "truncation_mass": args.truncation_mass,
-            "grid_n": args.quad_grid,
-        },
-    }
+# Each command calls the library and returns (results, [(csv_name, header, rows), ...]).
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"window must be 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _cmd_tc(args, spec, outdir):
+def _cmd_tc(args, spec):
     tol, _ = _tolerances(args)
-    report = classify.crossover_time(spec, tol)
-    doc = _envelope(args, spec, {})
-    doc["results"] = report.to_json_dict()
-    _write_report(outdir, "tc", doc, args.format)
-    print(json.dumps(_sanitise(report.to_json_dict()), sort_keys=True))
-    return 0
+    return classify.crossover_time(spec, tol).to_json_dict(), []
 
 
-def _cmd_bad_scan(args, spec, outdir):
-    window = _parse_window(args.window)
+def _cmd_bad_scan(args, spec):
     tol, _ = _tolerances(args)
-    result = tilted.bad_set_scan(spec, args.t, window, args.grid, tol=tol)
-    doc = _envelope(args, spec, {"t": args.t, "window": list(window), "grid": args.grid})
-    doc["results"] = {
+    result = tilted.bad_set_scan(spec, args.t, args.window, args.grid, tol=tol)
+    results = {
         "intervals": [list(iv) for iv in result.intervals],
         "n_bad_intervals": len(result.intervals),
     }
-    _write_report(outdir, "bad_scan", doc, args.format)
-    _write_csv(
-        outdir,
-        "bad_scan",
-        ["alpha", "n_minimisers", "q_min", "q_max", "value"],
-        [(r.alpha, r.n_minimisers, r.q_min, r.q_max, r.value) for r in result.rows],
-        args.format,
-    )
-    print(f"bad intervals: {[list(iv) for iv in result.intervals]}")
-    return 0
+    rows = [(r.alpha, r.n_minimisers, r.q_min, r.q_max, r.value) for r in result.rows]
+    return results, [("bad_scan", ["alpha", "n_minimisers", "q_min", "q_max", "value"], rows)]
 
 
-def _kernel_csv_rows(k: kernels.KernelEstimate):
-    return zip(k.grid.tolist(), k.density.tolist())
+def _kernel_table(name: str, k: kernels.KernelEstimate):
+    return name, ["x", "density"], zip(k.grid.tolist(), k.density.tolist())
 
 
-def _cmd_kernel(args, spec, outdir):
+def _cmd_kernel(args, spec):
     tol, quad = _tolerances(args)
     if args.t == 0.0:
-        k = kernels.initial_kernel(spec, args.n, args.alpha, quad)
-        kind = "initial"
+        k, kind = kernels.initial_kernel(spec, args.n, args.alpha, quad), "initial"
     else:
-        k = kernels.evolved_kernel(spec, args.n, args.t, args.alpha, quad, tol)
-        kind = "evolved"
-    doc = _envelope(args, spec, {"n": args.n, "t": args.t, "alpha": args.alpha})
-    doc["results"] = {"kind": kind, **k.moment_summary()}
-    _write_report(outdir, "kernel", doc, args.format)
-    _write_csv(outdir, "kernel", ["x", "density"], _kernel_csv_rows(k), args.format)
-    print(json.dumps(_sanitise(doc["results"]), sort_keys=True))
-    return 0
+        k, kind = kernels.evolved_kernel(spec, args.n, args.t, args.alpha, quad, tol), "evolved"
+    return {"kind": kind, **k.moment_summary()}, [_kernel_table("kernel", k)]
 
 
-def _cmd_eta(args, spec, outdir):
+def _cmd_eta(args, spec):
     tol, quad = _tolerances(args)
     k = kernels.eta_kernel(spec, args.n, args.t, args.alpha, quad, tol)
-    doc = _envelope(args, spec, {"n": args.n, "t": args.t, "alpha": args.alpha})
-    doc["results"] = k.moment_summary()
-    _write_report(outdir, "eta", doc, args.format)
-    _write_csv(outdir, "eta", ["x", "density"], _kernel_csv_rows(k), args.format)
-    print(json.dumps(_sanitise(doc["results"]), sort_keys=True))
-    return 0
+    return k.moment_summary(), [_kernel_table("eta", k)]
 
 
-def _cmd_traj(args, spec, outdir):
+def _cmd_traj(args, spec):
     tol, _ = _tolerances(args)
     trajectories = paths.minimising_trajectories(spec, args.t, args.alpha, grid_n=args.grid, tol=tol)
-    rates = [paths.path_rate(spec, args.t, args.alpha, p) for p in trajectories]
-    doc = _envelope(args, spec, {"t": args.t, "alpha": args.alpha, "grid": args.grid})
-    doc["results"] = {
+    results = {
         "n_trajectories": len(trajectories),
         "starting_points": [p.start for p in trajectories],
-        "rates": rates,
+        "rates": [paths.path_rate(spec, args.t, args.alpha, p) for p in trajectories],
     }
-    _write_report(outdir, "traj", doc, args.format)
-    for i, p in enumerate(trajectories):
-        _write_csv(outdir, f"traj_{i}", ["s", "phi"], paths.path_to_csv_rows(p), args.format)
-    print(json.dumps(_sanitise(doc["results"]), sort_keys=True))
-    return 0
+    tables = [(f"traj_{i}", ["s", "phi"], paths.path_to_csv_rows(p)) for i, p in enumerate(trajectories)]
+    return results, tables
 
 
-def _cmd_simulate(args, spec, outdir):
+def _cmd_simulate(args, spec):
     config = mc_sim.SimConfig(
         n=args.n,
         t=args.t,
@@ -213,53 +159,28 @@ def _cmd_simulate(args, spec, outdir):
     emp = mc_sim.evolve_and_condition(config, spec)
     reference = kernels.evolved_kernel(spec, args.n, args.t, args.alpha, quad, tol)
     emp = mc_sim.attach_ks(emp, reference)
-    doc = _envelope(
-        args,
-        spec,
-        {
-            "n": args.n,
-            "t": args.t,
-            "alpha": args.alpha,
-            "replicas": args.replicas,
-            "seed": args.seed,
-            "binwidth": args.binwidth,
-            "method": emp.method,
-        },
-    )
-    doc["results"] = {
+    args.method = emp.method  # the report's params name the sampler that ran
+    results = {
         "accepted": emp.accepted_count,
         "acceptance_rate": emp.acceptance_rate,
         "sample_mean": emp.mean(),
         "sample_variance": emp.variance(),
         "ks_vs_quadrature": emp.ks_vs,
     }
-    _write_report(outdir, "simulate", doc, args.format)
-    _write_csv(outdir, "samples", ["x1"], ((float(x),) for x in emp.samples), args.format)
-    print(json.dumps(_sanitise(doc["results"]), sort_keys=True))
-    return 0
+    return results, [("samples", ["x1"], ((float(x),) for x in emp.samples))]
 
 
-def _cmd_limitpot(args, spec, outdir):
-    window = _parse_window(args.window)
+def _cmd_limitpot(args, spec):
     tol, _ = _tolerances(args)
-    rs = np.linspace(window[0], window[1], args.grid)
+    rs = np.linspace(args.window[0], args.window[1], args.grid)
     vt = tilted.limiting_potential(spec, args.t, rs, tol)
-    doc = _envelope(args, spec, {"t": args.t, "window": list(window), "grid": args.grid})
-    doc["results"] = {"r_min": float(rs[0]), "r_max": float(rs[-1]), "vt_min": float(np.min(vt))}
-    _write_report(outdir, "limitpot", doc, args.format)
-    _write_csv(outdir, "limitpot", ["r", "v_t"], zip(rs.tolist(), np.asarray(vt).tolist()), args.format)
-    print(json.dumps(_sanitise(doc["results"]), sort_keys=True))
-    return 0
+    results = {"r_min": float(rs[0]), "r_max": float(rs[-1]), "vt_min": float(np.min(vt))}
+    return results, [("limitpot", ["r", "v_t"], zip(rs.tolist(), vt.tolist()))]
 
 
-def _cmd_oracle(args, spec, outdir):
-    window = _parse_window(args.window)
-    agree = classify.equivalence_oracle(lambda x: potential.eval(spec, x), args.beta, window, args.grid)
-    doc = _envelope(args, spec, {"beta": args.beta, "window": list(window), "grid": args.grid})
-    doc["results"] = {"agreement": bool(agree)}
-    _write_report(outdir, "oracle", doc, args.format)
-    print(json.dumps(doc["results"], sort_keys=True))
-    return 0
+def _cmd_oracle(args, spec):
+    agree = classify.equivalence_oracle(lambda x: potential.eval(spec, x), args.beta, args.window, args.grid)
+    return {"agreement": bool(agree)}, []
 
 
 _COMMANDS = {
@@ -272,6 +193,35 @@ _COMMANDS = {
     "limitpot": _cmd_limitpot,
     "oracle": _cmd_oracle,
 }
+
+
+def _write_outputs(args, spec, outdir: Path, results: dict, tables):
+    """The JSON report and the CSV side files that --format asks for."""
+    if args.format != "csv":
+        report = {
+            "tool": {"name": "gibbs-dyn", "version": __version__},
+            "command": args.command,
+            "potential": spec.to_json_dict(),
+            "params": {k: v for k, v in vars(args).items() if k not in _SHARED},
+            "tolerances": {
+                "eps_val_rel": args.eps_val_rel,
+                "delta_cluster": args.delta_cluster,
+                "truncation_mass": args.truncation_mass,
+                "grid_n": args.quad_grid,
+            },
+            "results": results,
+        }
+        path = outdir / f"{args.command.replace('-', '_')}.json"
+        path.write_text(json.dumps(_sanitise(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        log.debug("wrote %s", path)
+    if args.format != "json":
+        for name, header, rows in tables:
+            path = outdir / f"{name}.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+            log.debug("wrote %s", path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,21 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="quadrature grid points (default: %(default)d)",
         )
         if t:
-            p.add_argument("--t", type=float, required=True, help="evolution time")
+            p.add_argument("--t", type=_finite_float, required=True, help="evolution time")
         if alpha:
-            p.add_argument("--alpha", type=float, required=True, help="conditioning magnetisation")
+            p.add_argument("--alpha", type=_finite_float, required=True, help="conditioning magnetisation")
         if n:
             p.add_argument("--n", type=int, required=True, help="number of spins")
         if window is not None:
-            p.add_argument("--window", default=window, help="scan window 'a,b'")
+            p.add_argument("--window", type=_window, default=window, help="scan window 'a,b' with a < b")
         if grid is not None:
-            p.add_argument("--grid", type=int, default=grid, help="grid point count")
+            p.add_argument("--grid", type=_positive_int, default=grid, help="grid point count")
 
     common(sub.add_parser("tc", help="crossover time and Gibbs status"))
     common(sub.add_parser("bad-scan", help="scan for bad magnetisations"), t=True, window="-5,5", grid=1001)
     pk = sub.add_parser("kernel", help="first-spin conditional kernel")
     common(pk, alpha=True, n=True)
-    pk.add_argument("--t", type=float, default=0.0, help="time (0 selects the initial kernel)")
+    pk.add_argument("--t", type=_finite_float, default=0.0, help="time (0 selects the initial kernel)")
     common(sub.add_parser("eta", help="two-layer magnetisation kernel"), t=True, alpha=True, n=True)
     common(sub.add_parser("traj", help="minimising trajectories"), t=True, alpha=True, grid=1024)
     ps = sub.add_parser("simulate", help="Monte Carlo conditional sampling")
@@ -329,14 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("limitpot", help="limiting evolved potential"), t=True, window="-5,5", grid=201)
     po = sub.add_parser("oracle", help="tilt/curvature equivalence brute-force check")
     common(po, window="-6,6", grid=201)
-    po.add_argument("--beta", type=float, required=True, help="curvature bound to test")
+    po.add_argument("--beta", type=_finite_float, required=True, help="curvature bound to test")
     return parser
 
 
 def run(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec = potential.from_json(args.potential)
     except (OSError, json.JSONDecodeError, KeyError) as err:
@@ -355,7 +304,10 @@ def run(argv=None) -> int:
     log.info("command=%s potential=%s out=%s", args.command, args.potential, outdir)
 
     try:
-        return _COMMANDS[args.command](args, spec, outdir)
+        results, tables = _COMMANDS[args.command](args, spec)
+        _write_outputs(args, spec, outdir, results, tables)
+        print(json.dumps(_sanitise(results), sort_keys=True))
+        return 0
     except GibbsDynError as err:
         print(f"gibbs-dyn: {err}", file=sys.stderr)
         return 2

@@ -278,9 +278,7 @@ class _GMachine:
         self._ensure(float(s_arr.min()), float(s_arr.max()))
         for attempt in range(2):
             r = self.r
-            arg = r[None, :] * (1.0 - 1.0 / self.n) + s_arr[:, None] / self.n
-            v_arg = np.asarray(pot.eval(self.spec, arg.ravel())).reshape(arg.shape) - self.floor
-            log_num_integrand = -self.n * v_arg - (self.k2 * (r - self.center) ** 2)[None, :]
+            log_num_integrand = self._log_num_integrand(r[None, :], s_arr[:, None])
             log_num = log_integral(r, log_num_integrand, axis=1)
 
             num_peak = log_num_integrand.max(axis=1)
@@ -518,20 +516,15 @@ def g_bound_diagnostic(
             diagnostics={"tilt_curvature": k2, "growth_curvature": c2, "n": n, "t": t},
         )
 
-    tr = tilted.TiltedRate(spec, t, alpha)
-    c = tr.center
-    floor = min(spec.v_floor, 0.0)
-
-    def log_den(r):
-        r = np.asarray(r)
-        return -n * (np.asarray(pot.eval(spec, r)) - floor) - k2 * (r - c) ** 2
+    m = _GMachine(spec, n, t, alpha, cfg, tol)
+    c, floor = m.center, m.floor
+    log_den = m._log_den_integrand
 
     def log_num(z):
         z = np.asarray(z)
         return c2 * z**2 - n * (np.asarray(pot.eval(spec, z)) - floor) - k2 * (z - c) ** 2
 
-    ms = tilted.global_minimisers(tr, tol)
-    spread = max(1.0, max(abs(q) for q in ms.locations), abs(c))
+    spread = max(1.0, max(abs(q) for q in m.ms.locations), abs(c))
     lo0, hi0 = c - 4.0 * spread - 4.0, c + 4.0 * spread + 4.0
 
     dlo, dhi, _ = expanding_localize(log_den, lo0, hi0, n_coarse=2049, drop=cfg.drop)

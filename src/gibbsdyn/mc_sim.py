@@ -63,12 +63,16 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("SimConfig requires n >= 2")
-        if not (self.t > 0):
-            raise ConfigError("SimConfig requires t > 0")
+        if not (self.t > 0) or not math.isfinite(self.t):
+            raise ConfigError("SimConfig requires finite t > 0")
+        if not math.isfinite(self.alpha_target):
+            raise ConfigError("SimConfig requires a finite alpha_target")
         if not (self.bin_halfwidth > 0):
             raise ConfigError("bin_halfwidth must be positive")
         if self.replicas < 1:
             raise ConfigError("replicas must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
         if self.method not in (METHOD_AUTO, METHOD_REJECT, METHOD_EXACT):
             raise ConfigError(f"unknown method {self.method!r}")
 
@@ -166,19 +170,23 @@ def _companion_sd(n: int, t: float) -> float:
 
 def estimate_acceptance(spec: pot.PotentialSpec, config: SimConfig) -> float:
     """P(m_{n-1}(t) in the bin), by quadrature over the initial magnetisation."""
+    return _bin_probability(_initial_magnetisation_table(spec, config.n), config)
+
+
+def _bin_probability(table: _MagnetisationTable, config: SimConfig) -> float:
+    """estimate_acceptance on an already built time-0 magnetisation table."""
     n, t, a, h = config.n, config.t, config.alpha_target, config.bin_halfwidth
-    table = _initial_magnetisation_table(spec, n)
     sd = _companion_sd(n, t)
     s = table.quad_grid
     w = ndtr((a + h - s) / sd) - ndtr((a - h - s) / sd)
     return float(np.trapezoid(table.density * w, s))
 
 
-def _evolve_reject(spec: pot.PotentialSpec, config: SimConfig) -> EmpiricalKernel:
+def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKernel:
+    """The literal sampler; table is the time-0 magnetisation table."""
     n, t = config.n, config.t
     a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
-    table = _initial_magnetisation_table(spec, n)
 
     accepted: list[np.ndarray] = []
     total = 0
@@ -265,11 +273,13 @@ def _evolve_exact(spec: pot.PotentialSpec, config: SimConfig, rate: float) -> Em
 def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> EmpiricalKernel:
     """Empirical conditional law of the first spin at time t given that the
     other spins' magnetisation fell in [alpha - h, alpha + h]."""
+    # the time-0 table is built once, whichever samplers read it
+    table = _initial_magnetisation_table(spec, config.n)
     if config.method == METHOD_REJECT:
-        return _evolve_reject(spec, config)
-    rate = estimate_acceptance(spec, config)
+        return _evolve_reject(table, config)
+    rate = _bin_probability(table, config)
     if config.method == METHOD_AUTO and rate * config.replicas >= 10.0 * MIN_ACCEPTED:
-        return _evolve_reject(spec, config)
+        return _evolve_reject(table, config)
     return _evolve_exact(spec, config, rate)
 
 

@@ -23,6 +23,10 @@ from gibbsdyn.errors import ConfigError, DomainError, NotDifferentiableError
 from gibbsdyn.gridmin import golden_section, local_minima_indices
 
 COARSE_GRID_N = 32768  # coarse scan resolution on the truncation window
+REFINE_TOL = 1e-13  # golden-section x-tolerance when refining a candidate basin
+# refined values within (eps_val, INDETERMINATE_FACTOR*eps_val] of the minimum
+# are near-ties: flagged indeterminate rather than silently resolved
+INDETERMINATE_FACTOR = 10.0
 TRUNCATION_MARGIN = 10.0  # quadratic tilt must exceed best-so-far by this much outside
 
 
@@ -32,23 +36,17 @@ class ToleranceConfig:
 
     eps_val_rel: relative band below the refined minimum that counts as a tie.
     delta_cluster: minimum separation between reported minimiser locations.
-    indeterminate_factor: ties between eps_val and factor*eps_val are flagged
-    indeterminate rather than silently resolved.
+    Both must be finite and positive.
     """
 
     eps_val_rel: float = 1e-9
     delta_cluster: float = 1e-6
-    coarse_n: int = COARSE_GRID_N
-    refine_tol: float = 1e-13
-    indeterminate_factor: float = 10.0
 
     def __post_init__(self):
-        if self.eps_val_rel <= 0:
-            raise ConfigError("eps_val_rel must be positive")
-        if self.delta_cluster <= 0:
-            raise ConfigError("delta_cluster must be positive")
-        if self.coarse_n < 16:
-            raise ConfigError("coarse_n too small")
+        for name in ("eps_val_rel", "delta_cluster"):
+            value = getattr(self, name)
+            if not (value > 0) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
     def eps_val(self, value: float) -> float:
         return self.eps_val_rel * max(1.0, abs(value))
@@ -86,7 +84,7 @@ class MinimiserSet:
 
     value is the common minimum (the constant C_{t,alpha} that normalises the
     rate function). Clusters whose refined values lie within (eps_val,
-    indeterminate_factor*eps_val] of the minimum are near-ties: they do not
+    INDETERMINATE_FACTOR*eps_val] of the minimum are near-ties: they do not
     count as minimisers but set indeterminate=True.
     """
 
@@ -182,12 +180,12 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     # Anchor the truncation window at the tilt center, then tighten once with
     # the coarse minimum.
     R = _truncation_radius(tr, float(J(np.asarray([c]))[0]))
-    xs = np.linspace(c - R, c + R, tol.coarse_n)
+    xs = np.linspace(c - R, c + R, COARSE_GRID_N)
     vs = J(xs)
     b = float(vs.min())
     R2 = _truncation_radius(tr, b)
     if R2 < 0.5 * R:
-        xs = np.linspace(c - R2, c + R2, tol.coarse_n)
+        xs = np.linspace(c - R2, c + R2, COARSE_GRID_N)
         vs = J(xs)
         b = float(vs.min())
 
@@ -209,7 +207,7 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
         if lo == hi or rank >= refine_budget:
             refined.append((float(xs[i]), float(eval_rate(tr, float(xs[i])))))
             continue
-        x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi, tol=tol.refine_tol)
+        x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi, tol=REFINE_TOL)
         if pot.has_analytic_deriv(tr.potential, 1):
             x = _newton_polish(tr, x, (lo, hi))
         refined.append((float(x), float(eval_rate(tr, x))))
@@ -222,7 +220,7 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     eps = tol.eps_val(best)
     ties = sorted((x, v) for x, v in refined if v <= best + eps)
     near = sorted(
-        v for _, v in refined if best + eps < v <= best + tol.indeterminate_factor * eps
+        v for _, v in refined if best + eps < v <= best + INDETERMINATE_FACTOR * eps
     )
 
     # merge tie locations closer than delta_cluster

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import all_triples_phi2_min
 from gibbsdyn import classify, potential as pot, tilted
-from gibbsdyn.errors import DomainError, InconclusiveError
+from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
 
 def test_crossover_gallery(builtin_specs):
@@ -144,6 +144,33 @@ def test_supporting_point():
     )
     with pytest.raises(DomainError):
         classify.supporting_point(lambda x: x, 5.0, np.linspace(-3, 3, 11))
+
+
+@pytest.mark.parametrize(
+    "beta, window, grid_n, error",
+    [
+        (1.0, (-6, 6), 2, ConfigError),
+        (1.0, (1, -1), 201, ConfigError),
+        (1.0, (1, 1), 201, ConfigError),
+        (math.inf, (-6, 6), 201, DomainError),
+    ],
+)
+def test_equivalence_sides_rejects_degenerate_input(beta, window, grid_n, error):
+    with pytest.raises(error):
+        classify.equivalence_sides(lambda x: x**4 - 4 * x**2, beta, window, grid_n)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="linear interpolation has concave kinks where Phi2 is unbounded below, so beta = inf "
+    "and t_c = 0; crossover_time reports a step-dependent finite beta instead",
+)
+def test_custom_table_kinks_give_immediate_crossover():
+    grid = np.linspace(-4.0, 4.0, 81)
+    spec = pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0)
+    # Phi2 at the kink at 0.1 grows like 1/h as the triple shrinks
+    assert pot.phi2(spec, 0.1 - 1e-6, 0.1, 0.1 + 1e-6) < -1e5
+    assert classify.crossover_time(spec, find_witness=False).t_c == 0.0
 
 
 def test_equivalence_oracle_examples():

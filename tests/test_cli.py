@@ -60,6 +60,7 @@ def test_bad_scan_contains_origin(doublewell_json, tmp_path):
     assert rc == 0
     doc = json.loads((out / "bad_scan.json").read_text())
     assert any(lo - 1e-6 <= 0.0 <= hi + 1e-6 for lo, hi in doc["results"]["intervals"])
+    assert doc["params"] == {"t": 1.0, "window": [-3.0, 3.0], "grid": 301}
     header = (out / "bad_scan.csv").read_text().splitlines()[0]
     assert header == "alpha,n_minimisers,q_min,q_max,value"
 
@@ -162,3 +163,52 @@ def test_round_trip_reproducibility(cosine_json, tmp_path):
     out3 = tmp_path / "c"
     cli.run(["tc", "--potential", str(respec), "--out", str(out3)])
     assert json.loads((out3 / "tc.json").read_text())["results"] == doc["results"]
+
+
+# Each of these crashed with a traceback, or answered, before argparse and the
+# library validated them.
+MALFORMED = [
+    pytest.param("doublewell_json", ["limitpot", "--t", "1", "--grid", "0"], id="limitpot-grid-0"),
+    pytest.param("doublewell_json", ["oracle", "--beta", "1", "--grid", "2"], id="oracle-grid-2"),
+    pytest.param("doublewell_json", ["bad-scan", "--t", "1", "--window=a,b"], id="bad-scan-window-a,b"),
+    pytest.param("doublewell_json", ["limitpot", "--t", "1", "--window=-1,1,2"], id="limitpot-window-3-parts"),
+    pytest.param("doublewell_json", ["oracle", "--beta", "1", "--window=1,-1"], id="oracle-window-reversed"),
+    pytest.param("zero_json", ["simulate", "--n", "16", "--t", "1", "--alpha", "nan"], id="simulate-alpha-nan"),
+    pytest.param("cosine_json", ["tc", "--eps-val-rel", "nan"], id="tc-eps-val-rel-nan"),
+    pytest.param("doublewell_json", ["oracle", "--beta", "inf"], id="oracle-beta-inf"),
+]
+
+
+@pytest.mark.parametrize("spec, argv", MALFORMED)
+def test_malformed_arguments_exit_2(spec, argv, request, tmp_path, capsys):
+    path = request.getfixturevalue(spec)
+    out = tmp_path / "out"
+    try:
+        rc = cli.run([argv[0], "--potential", path, *argv[1:], "--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out.exists() and any(out.iterdir()))  # no report for a rejected call
+
+
+EVERY_COMMAND = [
+    ("cosine_json", ["tc"]),
+    ("doublewell_json", ["bad-scan", "--t", "1", "--window=-3,3", "--grid", "31"]),
+    ("zero_json", ["kernel", "--n", "7", "--t", "1", "--alpha", "3"]),
+    ("zero_json", ["eta", "--n", "7", "--t", "1", "--alpha", "0"]),
+    ("doublewell_json", ["traj", "--t", "1", "--alpha", "0", "--grid", "64"]),
+    ("zero_json", ["simulate", "--n", "16", "--t", "1", "--alpha", "0", "--replicas", "20000"]),
+    ("doublewell_json", ["limitpot", "--t", "1", "--window=-2,2", "--grid", "21"]),
+    ("doublewell_json", ["oracle", "--beta", "3.5", "--grid", "51"]),
+]
+
+
+@pytest.mark.parametrize("spec, argv", EVERY_COMMAND, ids=[a[0] for _, a in EVERY_COMMAND])
+def test_stdout_is_the_report_results(spec, argv, request, tmp_path, capsys):
+    assert sorted(a[0] for _, a in EVERY_COMMAND) == sorted(cli._COMMANDS)
+    path = request.getfixturevalue(spec)
+    out = tmp_path / "out"
+    assert cli.run([argv[0], "--potential", path, *argv[1:], "--out", str(out)]) == 0
+    doc = json.loads((out / f"{argv[0].replace('-', '_')}.json").read_text())
+    assert capsys.readouterr().out == json.dumps(doc["results"], sort_keys=True) + "\n"

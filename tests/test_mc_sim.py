@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ def test_config_validation():
         mc_sim.SimConfig(n=8, t=1.0, alpha_target=0.0, bin_halfwidth=0.0)
     with pytest.raises(ConfigError):
         mc_sim.SimConfig(n=8, t=1.0, alpha_target=0.0, method="turbo")
+    with pytest.raises(ConfigError):
+        mc_sim.SimConfig(n=8, t=1.0, alpha_target=0.0, seed=-1)
+    for t, alpha in ((math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ConfigError):
+            mc_sim.SimConfig(n=8, t=t, alpha_target=alpha)
 
 
 # --- initial magnetisation sampling ---------------------------------------------
@@ -172,6 +178,25 @@ def test_auto_fallback_builds_magnetisation_table_once(double_well, monkeypatch)
     assert emp.method == mc_sim.METHOD_EXACT
     assert builds == [64]
     assert emp.acceptance_rate == mc_sim.estimate_acceptance(double_well, cfg)
+
+
+def test_auto_reject_builds_magnetisation_table_once(double_well, monkeypatch):
+    # a healthy bin: "auto" estimates the yield and runs the reject sampler on
+    # the same time-0 table
+    build = mc_sim._initial_magnetisation_table
+    builds = []
+
+    def counted(spec, n):
+        builds.append(n)
+        return build(spec, n)
+
+    monkeypatch.setattr(mc_sim, "_initial_magnetisation_table", counted)
+    cfg = mc_sim.SimConfig(n=16, t=1.0, alpha_target=1.2, replicas=20_000, seed=3, bin_halfwidth=0.05)
+    emp = mc_sim.evolve_and_condition(cfg, double_well)
+    assert emp.method == mc_sim.METHOD_REJECT
+    assert builds == [16]
+    forced = mc_sim.evolve_and_condition(replace(cfg, method=mc_sim.METHOD_REJECT), double_well)
+    assert np.array_equal(emp.samples, forced.samples)
 
 
 def test_insufficient_statistics_error(double_well):

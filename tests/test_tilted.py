@@ -86,6 +86,11 @@ def test_tolerance_config_validation():
         tilted.ToleranceConfig(eps_val_rel=0.0)
     with pytest.raises(ConfigError):
         tilted.ToleranceConfig(delta_cluster=-1.0)
+    # nan <= 0 is False, so a sign check alone lets NaN through
+    for field in ("eps_val_rel", "delta_cluster"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                tilted.ToleranceConfig(**{field: value})
 
 
 def test_is_bad_examples(zero, double_well):
