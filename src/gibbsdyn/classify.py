@@ -20,6 +20,7 @@ form, and the discrepancy is documented in the README.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ ISOLATED_EXTENT = 5e-4  # near-inf set at most this long -> gibbs
 
 PHI2_MIN_SPACING = 1e-4  # smaller triples amplify rounding in the quotient
 MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the curvature and Phi2 scans
+CLASSIFICATION_CACHE_SIZE = 64  # potentials whose classification stays memoised
 
 
 def _curvature_values(spec: pot.PotentialSpec, xs: np.ndarray) -> np.ndarray:
@@ -222,8 +224,44 @@ def crossover_time(
 ) -> ClassificationReport:
     """Classify the potential: curvature bound beta, crossover time t_c, and
     the Gibbs status at t_c, with a bad-magnetisation witness when t_c is
-    finite."""
-    radius = pot.window_radius(spec)
+    finite and positive.
+
+    beta, t_c, the status and the method depend on the potential alone and
+    are computed once per potential and window radius (see _classification);
+    only the witness search, which depends on tol, runs on every call."""
+    beta, t_c, status, method = _classification(spec, pot.window_radius(spec), _float_bits(spec))
+    witness_alpha = None
+    witness = None
+    if find_witness and 0.0 < t_c < math.inf:
+        witness_alpha, witness = _find_bad_witness(spec, 1.05 * t_c, tol)
+    return ClassificationReport(
+        beta=beta,
+        t_c=t_c,
+        gibbs_at_tc=status,
+        method=method,
+        witness_alpha=witness_alpha,
+        witness=witness,
+    )
+
+
+def _float_bits(spec: pot.PotentialSpec) -> bytes:
+    """Bit patterns of the spec's float fields. Specs that compare equal can
+    still differ in the sign of a zero, and that sign reaches beta:
+    polynomial([0.0]) classifies to beta = -0.0, polynomial([-0.0]) to 0.0."""
+    return np.array(
+        [*spec.coefficients, spec.beta, spec.c_beta, *spec.table_r, *spec.table_v, spec.v_floor]
+    ).tobytes()
+
+
+@functools.lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
+def _classification(spec: pot.PotentialSpec, radius: float, float_bits: bytes):
+    """(beta, t_c, status at t_c, method) of the potential, memoised.
+
+    The key is the spec's value plus its window radius, which lives in
+    PotentialSpec.params and so takes no part in spec equality; float_bits
+    (see _float_bits) only sharpens the key. Errors such as InconclusiveError
+    propagate and are not cached. _classification.cache_clear() empties the
+    cache."""
     if spec.smoothness == pot.C2_ANALYTIC:
         method = METHOD_SECOND_DERIVATIVE
         inf_curv, _ = _curvature_infimum_with_growth_check(spec)
@@ -235,25 +273,10 @@ def crossover_time(
         inf_curv = -2.0 * beta if math.isfinite(beta) else -math.inf
 
     if beta == math.inf or beta > UNBOUNDED_SENTINEL:
-        return ClassificationReport(beta=math.inf, t_c=0.0, gibbs_at_tc=UNKNOWN, method=method)
+        return math.inf, 0.0, UNKNOWN, method
     if beta <= 0.5:
-        return ClassificationReport(beta=beta, t_c=math.inf, gibbs_at_tc=UNKNOWN, method=method)
-
-    t_c = 1.0 / (beta - 0.5)
-    status = _status_at_tc(spec, inf_curv, radius)
-
-    witness_alpha = None
-    witness = None
-    if find_witness:
-        witness_alpha, witness = _find_bad_witness(spec, 1.05 * t_c, tol)
-    return ClassificationReport(
-        beta=beta,
-        t_c=t_c,
-        gibbs_at_tc=status,
-        method=method,
-        witness_alpha=witness_alpha,
-        witness=witness,
-    )
+        return beta, math.inf, UNKNOWN, method
+    return beta, 1.0 / (beta - 0.5), _status_at_tc(spec, inf_curv, radius), method
 
 
 def _find_bad_witness(spec, t_probe, tol):
@@ -269,10 +292,12 @@ def _find_bad_witness(spec, t_probe, tol):
     return None, None
 
 
-def gibbs_at(spec: pot.PotentialSpec, t: float, tol: tilted.ToleranceConfig = tilted.DEFAULT_TOL) -> bool:
+def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
     """Sequential Gibbsianness at time t per the crossover classification:
     True below t_c, False above, the t_c status at t_c (within 1e-9 relative).
 
+    The classification is memoised per potential and window radius, so a
+    sweep over many t classifies the potential once (see crossover_time).
     At t = 0 a continuously differentiable potential is sequentially Gibbs;
     otherwise the initial kernel is probed along selection sequences."""
     if t < 0:
@@ -281,7 +306,7 @@ def gibbs_at(spec: pot.PotentialSpec, t: float, tol: tilted.ToleranceConfig = ti
         if spec.smoothness in (pot.C2_ANALYTIC, pot.C1_ONLY):
             return True
         return not _initial_kernel_probe_finds_bad(spec)
-    report = crossover_time(spec, tol, find_witness=False)
+    report = crossover_time(spec, find_witness=False)
     if math.isinf(report.t_c):
         return True
     if abs(t - report.t_c) <= 1e-9 * max(t, report.t_c):

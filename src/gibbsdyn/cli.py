@@ -87,6 +87,28 @@ def _window(text: str) -> tuple[float, float]:
     return a, b
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse takes a token such as -1e-3 for an option name (it passes
+    only plain negatives such as -0.001), so attach every negative number to
+    the long option before it: --alpha -1e-3 becomes --alpha=-1e-3."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and token.startswith("-") and _is_number(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _tolerances(args):
     """ToleranceConfig and QuadratureConfig from the override flags."""
     return (
@@ -285,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         spec = potential.from_json(args.potential)
     except (OSError, json.JSONDecodeError, KeyError) as err:

@@ -67,8 +67,8 @@ class SimConfig:
             raise ConfigError("SimConfig requires finite t > 0")
         if not math.isfinite(self.alpha_target):
             raise ConfigError("SimConfig requires a finite alpha_target")
-        if not (self.bin_halfwidth > 0):
-            raise ConfigError("bin_halfwidth must be positive")
+        if not (self.bin_halfwidth > 0) or not math.isfinite(self.bin_halfwidth):
+            raise ConfigError("bin_halfwidth must be finite and positive")
         if self.replicas < 1:
             raise ConfigError("replicas must be positive")
         if not 0 <= self.seed < 2**64:

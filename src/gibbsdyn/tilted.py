@@ -64,6 +64,8 @@ class TiltedRate:
     def __post_init__(self):
         if not (self.t > 0) or not math.isfinite(self.t):
             raise DomainError("TiltedRate requires t > 0; t = 0 belongs to the initial-kernel path")
+        if not 0.0 < self.tilt_curvature < math.inf:
+            raise DomainError(f"tilt curvature (1 + t)/(2 t) is not finite and positive at t = {self.t!r}")
         if not math.isfinite(self.alpha):
             raise DomainError("alpha must be finite")
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -124,11 +125,76 @@ def test_consecutive_triples_give_the_all_triples_minimum(m, uniform, seed):
 
 
 def test_custom_table_edge_inconclusive():
-    # (r+3)^3 on [-3, 3]: curvature decreases all the way to the table edge
+    # (r+3)^3 on [-3, 3]: curvature decreases all the way to the table edge;
+    # the error is not cached, so every call raises it
     rs = np.linspace(-3, 3, 2001)
     spec = pot.custom_table(rs, (rs + 3.0) ** 3)
-    with pytest.raises(InconclusiveError):
-        classify.crossover_time(spec, find_witness=False)
+    for _ in range(2):
+        with pytest.raises(InconclusiveError):
+            classify.crossover_time(spec, find_witness=False)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(classify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify, name, counted)
+    return calls
+
+
+def test_gibbs_at_sweep_classifies_once(builtin_specs, monkeypatch):
+    spec = builtin_specs["cos_of_square"]
+    classify._classification.cache_clear()
+    scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
+    flags = [classify.gibbs_at(spec, float(t)) for t in np.geomspace(0.02, 10.0, 9)]
+    report = classify.crossover_time(spec, find_witness=True)
+    assert flags == [False] * 9 and report.t_c == 0.0
+    assert len(scans) == 1
+
+
+def _json(report) -> str:
+    return json.dumps(report.to_json_dict(), sort_keys=True)  # tells -0.0 from 0.0
+
+
+def test_window_radius_is_part_of_the_cache_key(glued1, monkeypatch):
+    # params (where the radius lives) take no part in spec equality
+    specs = [glued1, pot.with_window(glued1, 5.0), pot.with_window(glued1, 40.0)]
+    assert specs[0] == specs[1] == specs[2]
+    classify._classification.cache_clear()
+    fresh = []
+    for spec in specs:
+        fresh.append(_json(classify.crossover_time(spec, find_witness=False)))
+        classify._classification.cache_clear()
+    assert len(set(fresh)) == 3  # the three windows give three betas
+
+    # one shared cache: each window is classified once, by its own scan
+    scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
+    for _ in range(2):
+        assert [_json(classify.crossover_time(spec, find_witness=False)) for spec in specs] == fresh
+        assert len(scans) == 3
+
+
+def test_signed_zero_specs_are_classified_apart():
+    # polynomial([0.0]) == polynomial([-0.0]), but their betas differ in sign
+    pos, neg = pot.polynomial([0.0]), pot.polynomial([-0.0])
+    assert pos == neg
+    classify._classification.cache_clear()
+    betas = [classify.crossover_time(s, find_witness=False).beta for s in (pos, neg, pos, neg)]
+    assert [math.copysign(1.0, b) for b in betas] == [-1.0, 1.0, -1.0, 1.0]
+
+
+def test_cached_reports_equal_recomputation(builtin_specs):
+    cached = {}
+    for name, spec in builtin_specs.items():
+        classify.crossover_time(spec)
+        cached[name] = _json(classify.crossover_time(spec))
+    for name, spec in builtin_specs.items():
+        classify._classification.cache_clear()
+        assert _json(classify.crossover_time(spec)) == cached[name], name
 
 
 def test_supporting_point():

@@ -176,6 +176,12 @@ MALFORMED = [
     pytest.param("zero_json", ["simulate", "--n", "16", "--t", "1", "--alpha", "nan"], id="simulate-alpha-nan"),
     pytest.param("cosine_json", ["tc", "--eps-val-rel", "nan"], id="tc-eps-val-rel-nan"),
     pytest.param("doublewell_json", ["oracle", "--beta", "inf"], id="oracle-beta-inf"),
+    pytest.param("doublewell_json", ["limitpot", "--t", "1e308", "--grid", "3", "--window=-1,1"], id="limitpot-t-1e308"),
+    pytest.param(
+        "doublewell_json",
+        ["simulate", "--n", "16", "--t", "1", "--alpha", "0", "--replicas", "1000", "--binwidth", "inf"],
+        id="simulate-binwidth-inf",
+    ),
 ]
 
 
@@ -212,3 +218,21 @@ def test_stdout_is_the_report_results(spec, argv, request, tmp_path, capsys):
     assert cli.run([argv[0], "--potential", path, *argv[1:], "--out", str(out)]) == 0
     doc = json.loads((out / f"{argv[0].replace('-', '_')}.json").read_text())
     assert capsys.readouterr().out == json.dumps(doc["results"], sort_keys=True) + "\n"
+
+
+def test_negative_values_in_scientific_notation(zero_json, doublewell_json, tmp_path, capsys):
+    reports, stdouts = [], []
+    for i, alpha in enumerate((["--alpha", "-1e-3"], ["--alpha=-1e-3"])):
+        out = tmp_path / str(i)
+        argv = ["kernel", "--potential", zero_json, "--n", "7", "--t", "1", *alpha, "--out", str(out)]
+        assert cli.run(argv) == 0
+        reports.append((out / "kernel.json").read_bytes())
+        stdouts.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert stdouts[0] == stdouts[1]
+    assert json.loads(reports[0])["params"]["alpha"] == -1e-3
+
+    out = tmp_path / "scan"
+    argv = ["bad-scan", "--potential", doublewell_json, "--t", "0.1", "--window=-5,5", "--grid", "11", "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert json.loads((out / "bad_scan.json").read_text())["params"]["window"] == [-5.0, 5.0]

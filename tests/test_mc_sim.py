@@ -19,8 +19,9 @@ def test_config_validation():
         mc_sim.SimConfig(n=1, t=1.0, alpha_target=0.0)
     with pytest.raises(ConfigError):
         mc_sim.SimConfig(n=8, t=0.0, alpha_target=0.0)
-    with pytest.raises(ConfigError):
-        mc_sim.SimConfig(n=8, t=1.0, alpha_target=0.0, bin_halfwidth=0.0)
+    for h in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            mc_sim.SimConfig(n=8, t=1.0, alpha_target=0.0, bin_halfwidth=h)
     with pytest.raises(ConfigError):
         mc_sim.SimConfig(n=8, t=1.0, alpha_target=0.0, method="turbo")
     with pytest.raises(ConfigError):

@@ -25,6 +25,14 @@ def test_rate_requires_positive_t(zero):
         tilted.TiltedRate(zero, -1.0, 1.0)
 
 
+def test_rate_requires_finite_positive_tilt_curvature(zero):
+    # 2 t overflows at t = 1e308 (curvature 0); (1 + t)/(2 t) overflows at 5e-324
+    for t in (1e308, 5e-324):
+        with pytest.raises(DomainError):
+            tilted.TiltedRate(zero, t, 1.0)
+    assert tilted.TiltedRate(zero, 1e300, 1.0).tilt_curvature == 0.5
+
+
 def test_completing_the_square_identity(builtin_specs):
     # V + r^2/2 + (r-a)^2/(2t) = V + (r - a/(1+t))^2 (1+t)/(2t) + a^2/(2(1+t))
     rng = np.random.default_rng(3)
