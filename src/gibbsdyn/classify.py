@@ -89,7 +89,8 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
     """Doubling-window scan of inf V''.
 
     Stops when the infimum stabilises between doublings (bounded below) or
-    dips under the unboundedness sentinel. custom_table potentials cannot be
+    dips under the unboundedness sentinel; when neither happens within seven
+    doublings the scan is inconclusive. custom_table potentials cannot be
     extended past their tabulated range; a near-inf at the table edge is
     inconclusive.
     """
@@ -104,7 +105,7 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
             )
         return inf_v, arg
 
-    prev = None
+    infima = []
     radius = base
     for _ in range(7):
         # resolve oscillations whose local period shrinks like 1/r
@@ -114,11 +115,14 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
         inf_v, arg = _scan_curvature_infimum(spec, radius, n_grid)
         if inf_v < -2.0 * UNBOUNDED_SENTINEL:
             return -math.inf, arg
-        if prev is not None and abs(inf_v - prev) <= 1e-3 * max(1.0, abs(prev)):
+        if infima and abs(inf_v - infima[-1]) <= 1e-3 * max(1.0, abs(infima[-1])):
             return inf_v, arg
-        prev = inf_v
+        infima.append(inf_v)
         radius *= 2.0
-    return prev, arg
+    raise InconclusiveError(
+        "curvature infimum neither settled nor passed the unboundedness sentinel in seven doublings",
+        diagnostics={"radius": radius / 2.0, "last_infima": infima[-2:]},
+    )
 
 
 def _min_consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> float:
@@ -281,14 +285,17 @@ def _classification(spec: pot.PotentialSpec, radius: float, float_bits: bytes):
 
 def _find_bad_witness(spec, t_probe, tol):
     """A bad alpha at the probe time: alpha = 0 first (covers every even
-    builtin), then a short scan."""
+    builtin), then the bad alphas on [-5, 5] of tilted.bad_set_scan, whose
+    hull spans the windows of alpha = -5, 0, 5, smallest |alpha| first,
+    each confirmed by is_bad."""
     bad, ms = tilted.is_bad(spec, t_probe, 0.0, tol)
     if bad:
         return 0.0, ms
-    for a in np.linspace(-5.0, 5.0, 41):
-        bad, ms = tilted.is_bad(spec, t_probe, float(a), tol)
+    scan = tilted.bad_set_scan(spec, t_probe, (-5.0, 5.0), 3, tol)
+    for a in sorted((a for a, _ in scan.intervals), key=abs):
+        bad, ms = tilted.is_bad(spec, t_probe, a, tol)
         if bad:
-            return float(a), ms
+            return a, ms
     return None, None
 
 
@@ -367,11 +374,10 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
     Returns (tilt_side, triple_side). The triple side is exact over all
     triples of the grid_n-point grid in one linear pass: every triple's
     quotient is a positive-weight average of consecutive-triple quotients, so
-    their minimum is the minimum over all triples. The tilt side walks the
-    lower convex hull of a grid 8x finer. Grid multiplicity means the
-    near-minimal set splits into clusters separated by at least three grid
-    steps; the value band scales with the local second difference, the
-    sampling offset a grid makes when it straddles a true minimum."""
+    their minimum is the minimum over all triples. The tilt side holds when
+    f + beta x^2 on a grid 8x finer has a bridging hull edge (see
+    tilted.lower_hull): a tilt alpha ties two separated global minimisers
+    exactly when a hull edge of slope alpha spans the gap."""
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError("equivalence window must be finite with lo < hi")
@@ -386,37 +392,8 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
 
     xs = np.linspace(lo, hi, 8 * int(grid_n) + 1)
     fv = np.asarray([float(f(x)) for x in xs])
-    g = fv + beta * xs**2
-    # windowed max of |second difference|: local discretisation scale
-    d2 = np.abs(np.diff(g, 2))
-    d2 = np.concatenate(([d2[0]], d2, [d2[-1]]))
-    loc = np.maximum.reduce([np.roll(d2, k) for k in (-3, -2, -1, 0, 1, 2, 3)])
-
-    # a tilt alpha ties two separated global minimisers exactly when the lower
-    # convex hull of (x, g(x)) has an edge spanning the gap (the tie value is
-    # the edge slope), so the alpha search reduces to the hull edges
-    hull = [0]
-    for i in range(1, xs.size):
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            cross = (xs[i2] - xs[i1]) * (g[i] - g[i1]) - (xs[i] - xs[i1]) * (g[i2] - g[i1])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-
-    side_tilt = False
-    for i1, i2 in zip(hull, hull[1:]):
-        if i2 - i1 < 3:
-            continue
-        between = slice(i1 + 1, i2)
-        chord = g[i1] + (g[i2] - g[i1]) * (xs[between] - xs[i1]) / (xs[i2] - xs[i1])
-        rise = float(np.max(g[between] - chord))
-        if rise > max(1e-9, 3.0 * float(loc[i1:i2 + 1].max())):
-            side_tilt = True
-            break
-    return side_tilt, side_triple
+    _, bridges = tilted.lower_hull(xs, fv + beta * xs**2)
+    return bool(bridges), side_triple
 
 
 def equivalence_oracle(f, beta: float, window: tuple[float, float], grid_n: int = 201) -> bool:

@@ -193,9 +193,8 @@ def _cmd_simulate(args, spec):
 
 
 def _cmd_limitpot(args, spec):
-    tol, _ = _tolerances(args)
     rs = np.linspace(args.window[0], args.window[1], args.grid)
-    vt = tilted.limiting_potential(spec, args.t, rs, tol)
+    vt = tilted.limiting_potential(spec, args.t, rs)
     results = {"r_min": float(rs[0]), "r_max": float(rs[-1]), "vt_min": float(np.min(vt))}
     return results, [("limitpot", ["r", "v_t"], zip(rs.tolist(), vt.tolist()))]
 

@@ -4,16 +4,22 @@ of a conditioning magnetisation, bad-set scans, and the limiting potential.
 The central object for time t > 0 and conditioning value alpha is
 
     U(r) = V(r) + r^2/2 + (r - alpha)^2 / (2t)           (un-normalised rate)
-         = V(r) + (r - alpha/(1+t))^2 * (1+t)/(2t) + alpha^2 / (2(1+t)),
+         = V(r) + (r - alpha/(1+t))^2 * (1+t)/(2t) + alpha^2 / (2(1+t))
+         = g_t(r) - (alpha/t) r + alpha^2/(2t),   g_t = V + (1+t)/(2t) r^2,
 
 whose normalised version U - inf U is the large-deviation rate of the
 magnetisation at time 0 given magnetisation alpha at time t. alpha is bad
-exactly when U has multiple global minimisers.
+exactly when U has multiple global minimisers: when alpha/t is the slope of
+a bridging edge of the convex minorant of g_t. global_minimisers answers one
+alpha; bad_set_scan and limiting_potential read many off one minorant.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,29 +152,33 @@ def _newton_polish(tr: TiltedRate, q: float, bracket: tuple[float, float]) -> fl
     lo, hi = bracket
     x = q
     try:
-        f_start = _foc_residual(tr, q)
+        f = f_start = _foc_residual(tr, q)
+        for _ in range(8):
+            if abs(f) < 1e-13:
+                break
+            h = 1e-7 * max(1.0, abs(x))
+            fp = (_foc_residual(tr, x + h) - _foc_residual(tr, x - h)) / (2 * h)
+            if fp <= 0 or not math.isfinite(fp):
+                break
+            step = f / fp
+            if not math.isfinite(step):
+                break
+            x = min(max(x - step, lo), hi)
+            f = _foc_residual(tr, x)
     except NotDifferentiableError:
         return q
-    f = f_start
-    for _ in range(8):
-        if abs(f) < 1e-13:
-            break
-        h = 1e-7 * max(1.0, abs(x))
-        try:
-            fp = (_foc_residual(tr, x + h) - _foc_residual(tr, x - h)) / (2 * h)
-        except NotDifferentiableError:
-            return q
-        if fp <= 0 or not math.isfinite(fp):
-            break
-        step = f / fp
-        if not math.isfinite(step):
-            break
-        x = min(max(x - step, lo), hi)
-        try:
-            f = _foc_residual(tr, x)
-        except NotDifferentiableError:
-            return q
     return x if abs(f) <= abs(f_start) else q
+
+
+def _refine(tr: TiltedRate, xs: np.ndarray, i: int) -> tuple[float, float]:
+    """(x, U(x)) at the minimum in the basin of grid point i, bracketed by its
+    neighbours: golden section, then Newton polish when V' is analytic."""
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    J = _shifted_rate(tr)
+    x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi, tol=REFINE_TOL)
+    if pot.has_analytic_deriv(tr.potential, 1):
+        x = _newton_polish(tr, x, (lo, hi))
+    return float(x), float(eval_rate(tr, x))
 
 
 def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> MinimiserSet:
@@ -202,21 +212,10 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     # refine only the best few, keep the rest at grid resolution
     cand_idx.sort(key=lambda i: vs[i])
     refine_budget = 48
-    refined: list[tuple[float, float]] = []
-    for rank, i in enumerate(cand_idx):
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, xs.size - 1)]
-        if lo == hi or rank >= refine_budget:
-            refined.append((float(xs[i]), float(eval_rate(tr, float(xs[i])))))
-            continue
-        x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi, tol=REFINE_TOL)
-        if pot.has_analytic_deriv(tr.potential, 1):
-            x = _newton_polish(tr, x, (lo, hi))
-        refined.append((float(x), float(eval_rate(tr, x))))
-    refined.sort(key=lambda p: p[0])
-
-    if not refined:  # pragma: no cover - the grid always has a minimum
-        raise RuntimeError("no minimiser candidates found")
+    refined = [
+        _refine(tr, xs, i) if rank < refine_budget else (float(xs[i]), float(eval_rate(tr, float(xs[i]))))
+        for rank, i in enumerate(cand_idx)
+    ]
 
     best = min(v for _, v in refined)
     eps = tol.eps_val(best)
@@ -249,8 +248,6 @@ def is_bad(potential_spec: pot.PotentialSpec, t: float, alpha: float, tol: Toler
     Returns (bad, MinimiserSet); bad is True exactly when the tilted rate has
     multiple global minimisers.
     """
-    if not (t > 0):
-        raise DomainError("is_bad requires t > 0")
     ms = global_minimisers(TiltedRate(potential_spec, t, alpha), tol)
     return ms.multiple, ms
 
@@ -275,17 +272,71 @@ class BadScanResult:
         return len(self.intervals) == 0
 
 
-def _bisect_badness(potential_spec, t, a_good, a_bad, tol, width=1e-6):
-    """Refine the boundary between a good and a bad alpha to the given width."""
-    lo, hi = a_good, a_bad
-    while abs(hi - lo) > width:
-        mid = 0.5 * (lo + hi)
-        bad, _ = is_bad(potential_spec, t, mid, tol)
-        if bad:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, int]]]:
+    """Lower convex hull of the points (xs, g) by Andrew's monotone chain, as
+    (hull indices, bridging edges (i1, i2)). An edge bridges when it spans at
+    least three grid steps and rises above the samples between by more than
+    max(1e-9, 3 x the windowed max of |second difference|): the second
+    difference is the offset a grid makes where it straddles a minimum."""
+    d2 = np.abs(np.diff(g, 2))
+    d2 = np.concatenate(([d2[0]], d2, [d2[-1]]))
+    loc = functools.reduce(np.maximum, (np.roll(d2, k) for k in (-3, -2, -1, 0, 1, 2, 3)))
+    # double buffers: a quarter of the memory of float lists, at half the speed
+    x, y = (array("d", np.asarray(v, dtype=float).tobytes()) for v in (xs, g))
+    hull = array("q", [0])
+    for i in range(1, len(x)):
+        while len(hull) >= 2:
+            i1, i2 = hull[-2], hull[-1]
+            if (x[i2] - x[i1]) * (y[i] - y[i1]) - (x[i] - x[i1]) * (y[i2] - y[i1]) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+
+    def rises(i1, i2):
+        between = slice(i1 + 1, i2)
+        chord = g[i1] + (g[i2] - g[i1]) * (xs[between] - xs[i1]) / (xs[i2] - xs[i1])
+        return float(np.max(g[between] - chord)) > max(1e-9, 3.0 * float(loc[i1 : i2 + 1].max()))
+
+    return hull, [(i1, i2) for i1, i2 in zip(hull, hull[1:]) if i2 - i1 >= 3 and rises(i1, i2)]
+
+
+class _ConvexMinorant:
+    """The convex minorant of g_t = V + (1+t)/(2t) r^2 for many alphas:
+    U_alpha = g_t - (alpha/t) r + alpha^2/(2t) is minimal where the line of
+    slope alpha/t supports g_t. The hull is built once, on COARSE_GRID_N
+    points spanning the alphas' truncation windows. edges holds the common
+    tangent (alpha*, q1, q2) of each bridging edge, in increasing alpha*: both
+    contacts are refined at the chord slope (stationary in them) until it settles."""
+
+    def __init__(self, spec: pot.PotentialSpec, t: float, alphas):
+        self.spec, self.t = spec, t
+        trs = [TiltedRate(spec, t, float(a)) for a in alphas]
+        ends = [(tr.center, _truncation_radius(tr, float(_shifted_rate(tr)(np.asarray([tr.center]))[0]))) for tr in trs]
+        self.xs = np.linspace(min(c - r for c, r in ends), max(c + r for c, r in ends), COARSE_GRID_N)
+        g = np.asarray(pot.eval(spec, self.xs)) + trs[0].tilt_curvature * self.xs**2
+        self.hull, self.bridges = lower_hull(self.xs, g)
+        self.slopes = np.diff(g[self.hull]) / np.diff(self.xs[self.hull])
+        self.edges = [self._common_tangent(i1, i2) for i1, i2 in self.bridges]
+
+    def _common_tangent(self, i1: int, i2: int) -> tuple[float, float, float]:
+        alpha = self.t * float(self.slopes[self.hull.index(i1)])
+        for _ in range(8):
+            (q1, v1), (q2, v2) = (_refine(TiltedRate(self.spec, self.t, alpha), self.xs, i) for i in (i1, i2))
+            step = self.t * (v2 - v1) / (q2 - q1)  # t x (chord slope - alpha/t)
+            alpha += step
+            if abs(step) <= REFINE_TOL * max(1.0, abs(alpha)):
+                break
+        return alpha, q1, q2
+
+    def contact(self, alpha: float) -> tuple[float, float]:
+        """(x, U_alpha(x)) at a polished global minimiser: the hull's contact
+        vertex, on the side of each bridge that the polished edges give."""
+        i = self.hull[int(np.searchsorted(self.slopes, alpha / self.t))]
+        k = bisect.bisect_right([e[0] for e in self.edges], alpha)
+        lo = self.bridges[k - 1][1] if k > 0 else 0
+        hi = self.bridges[k][0] if k < len(self.bridges) else self.xs.size - 1
+        return _refine(TiltedRate(self.spec, self.t, alpha), self.xs, min(max(i, lo), hi))
 
 
 def bad_set_scan(
@@ -295,70 +346,43 @@ def bad_set_scan(
     grid_n: int,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> BadScanResult:
-    """Scan alpha over the window, merge adjacent bad grid points into
-    intervals, and refine interval endpoints by bisection to width <= 1e-6.
-
-    Isolated bad grid points are reported as degenerate intervals.
-    """
+    """The bad alphas in the window and one row per alpha of a grid_n-point
+    scan, read off one _ConvexMinorant. At fixed t the bad set is discrete:
+    t x the slope of each bridging edge whose contacts lie more than
+    delta_cluster apart, found also between scan points and reported as
+    degenerate intervals (alpha, alpha). A row is the polished contact at
+    slope alpha/t; it shows the edge's two contacts when the value gap
+    |alpha - alpha*| |q2 - q1| / t to the nearest edge is within tol.eps_val,
+    and is indeterminate within INDETERMINATE_FACTOR times that band."""
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi):
         raise ConfigError("scan window must satisfy lo < hi")
     if grid_n < 2:
         raise ConfigError("grid_n must be >= 2")
-    if not (t > 0):
-        raise DomainError("bad_set_scan requires t > 0")
 
     alphas = np.linspace(lo, hi, int(grid_n))
-    results = [is_bad(potential_spec, t, float(a), tol) for a in alphas]
-
-    rows = tuple(
-        BadScanRow(
-            alpha=float(a),
-            n_minimisers=len(ms.locations),
-            q_min=ms.q_min,
-            q_max=ms.q_max,
-            value=ms.value,
-            indeterminate=ms.indeterminate,
-        )
-        for a, (bad, ms) in zip(alphas, results)
-    )
-    flags = [bad for bad, _ in results]
-
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    n = len(alphas)
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
-        left = float(alphas[i])
-        right = float(alphas[j])
-        if i > 0:
-            left = _bisect_badness(potential_spec, t, float(alphas[i - 1]), left, tol)
-        if j + 1 < n:
-            right = _bisect_badness(potential_spec, t, float(alphas[j + 1]), right, tol)
-        intervals.append((left, right))
-        i = j + 1
-
-    return BadScanResult(intervals=tuple(intervals), rows=rows)
+    minorant = _ConvexMinorant(potential_spec, t, alphas)
+    edges = [e for e in minorant.edges if e[2] - e[1] > tol.delta_cluster]
+    rows = []
+    for a in alphas.tolist():
+        x, value = minorant.contact(a)
+        gap, q1, q2 = min(((abs(a - e[0]) * (e[2] - e[1]) / t, e[1], e[2]) for e in edges), default=(math.inf, x, x))
+        eps = tol.eps_val(value)
+        q1, q2 = (q1, q2) if gap <= eps else (x, x)
+        rows.append(BadScanRow(a, 1 + (gap <= eps), q1, q2, value, eps < gap <= INDETERMINATE_FACTOR * eps))
+    return BadScanResult(tuple((a + 0.0, a + 0.0) for a, _, _ in edges if lo <= a <= hi), tuple(rows))
 
 
-def limiting_potential(potential_spec: pot.PotentialSpec, t: float, r, tol: ToleranceConfig = DEFAULT_TOL):
-    """Large-n limit of the evolved potential by inf-convolution:
+def limiting_potential(potential_spec: pot.PotentialSpec, t: float, r):
+    """Large-n limit of the evolved potential by inf-convolution,
 
-        V_t(r) = inf_s [ V(s) + (s - r/(1+t))^2 * (1+t)/(2t) ]
+        V_t(r) = inf_s [ V(s) + (s - r/(1+t))^2 * (1+t)/(2t) ],
 
-    computed with the same global-minimisation machinery (the infimand is the
-    tilted rate at alpha = r, up to the constant r^2/(2(1+t)))."""
-    if not (t > 0):
-        raise DomainError("limiting_potential requires t > 0")
+    the Legendre transform of the convex minorant of g_t at slope r/t, up to
+    a quadratic: the polished contact value of _ConvexMinorant at alpha = r
+    minus r^2/(2(1+t))."""
     scalar = np.isscalar(r) or np.asarray(r).ndim == 0
     rs = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(rs)
-    for i, ri in enumerate(rs):
-        ms = global_minimisers(TiltedRate(potential_spec, t, float(ri)), tol)
-        out[i] = ms.value - ri**2 / (2.0 * (1.0 + t))
+    minorant = _ConvexMinorant(potential_spec, t, rs)
+    out = np.asarray([minorant.contact(ri)[1] for ri in rs.tolist()]) - rs**2 / (2.0 * (1.0 + t))
     return float(out[0]) if scalar else out

@@ -134,6 +134,15 @@ def test_custom_table_edge_inconclusive():
             classify.crossover_time(spec, find_witness=False)
 
 
+def test_witness_off_alpha_zero():
+    # V + r/2 tilts the double well: at 1.05 t_c = 0.3 alpha = 0 is good, and
+    # the bad alpha is 0.3 x 1/2 = 0.15
+    spec = pot.polynomial([3.0, 0.5, -4.0, 0.0, 1.0], normalize=True)
+    r = classify.crossover_time(spec)
+    assert r.witness_alpha == pytest.approx(0.15, abs=1e-9)
+    assert r.witness.multiple
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(classify, name)
@@ -176,6 +185,22 @@ def test_window_radius_is_part_of_the_cache_key(glued1, monkeypatch):
     for _ in range(2):
         assert [_json(classify.crossover_time(spec, find_witness=False)) for spec in specs] == fresh
         assert len(scans) == 3
+
+
+@pytest.mark.parametrize("radius", [5.0, 10.0])
+def test_unsettled_curvature_scan_is_inconclusive(monkeypatch, radius):
+    # V'' of 1 - cos(r^2) falls like -4 r^2: from these radii seven doublings
+    # neither settle nor pass the unboundedness sentinel
+    spec = pot.with_window(pot.cos_of_square(), radius)
+    classify._classification.cache_clear()
+    scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
+    for _ in range(2):
+        with pytest.raises(InconclusiveError) as err:
+            classify.crossover_time(spec)
+        assert err.value.diagnostics["radius"] == 64.0 * radius
+        first, last = err.value.diagnostics["last_infima"]
+        assert last < first < -1e4
+    assert len(scans) == 2  # the error is not cached
 
 
 def test_signed_zero_specs_are_classified_apart():

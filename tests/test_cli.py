@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gibbsdyn import cli
+from gibbsdyn import cli, potential
 
 
 @pytest.fixture()
@@ -236,3 +236,15 @@ def test_negative_values_in_scientific_notation(zero_json, doublewell_json, tmp_
     argv = ["bad-scan", "--potential", doublewell_json, "--t", "0.1", "--window=-5,5", "--grid", "11", "--out", str(out)]
     assert cli.run(argv) == 0
     assert json.loads((out / "bad_scan.json").read_text())["params"]["window"] == [-5.0, 5.0]
+
+
+def test_tc_inconclusive_exits_2(tmp_path, monkeypatch, capsys):
+    # on a radius-5 working window the curvature scan of cos_of_square cannot decide
+    monkeypatch.setattr(potential, "DEFAULT_WINDOW_RADIUS", 5.0)
+    spec = tmp_path / "cos_sq.json"
+    spec.write_text('{"family": "cos_of_square", "params": {}}')
+    out = tmp_path / "out"
+    assert cli.run(["tc", "--potential", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "neither settled" in err and "Traceback" not in err
+    assert not (out / "tc.json").exists()

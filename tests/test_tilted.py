@@ -207,10 +207,13 @@ def test_bad_set_scan_validation(zero):
 
 
 def test_monotone_badness_in_time(builtin_specs):
-    # once a bad magnetisation appears it never disappears at later times
+    # once a bad magnetisation appears it never disappears at later times.
+    # Bad alphas move with t: alpha = t V'(q) + (1 + t) q at a contact q, so
+    # the window follows the factor 1 + t (cos_of_square's bad alphas leave
+    # any fixed window as t grows).
     ts = np.geomspace(0.05, 8.0, 7)
     for name, spec in builtin_specs.items():
-        flags = [not tilted.bad_set_scan(spec, float(t), (-4, 4), 65).empty for t in ts]
+        flags = [not tilted.bad_set_scan(spec, float(t), (-4 * (1 + t), 4 * (1 + t)), 65).empty for t in ts]
         assert flags == sorted(flags), (name, flags)
 
 
@@ -232,3 +235,50 @@ def test_limiting_potential_upper_bound(builtin_specs):
             vt = tilted.limiting_potential(spec, t, rs)
             bound = np.asarray(pot.eval(spec, rs / (1.0 + t)))
             assert np.all(vt <= bound + 1e-9)
+
+
+# t x the common-tangent slopes of g_t = 1 - cos(r^2) + (1+t)/(2t) r^2 (the
+# positive half; the set is even), checked against the tangent equations
+COS_OF_SQUARE_BAD = {0.5: (2.4344631,), 0.2: (2.0275883, 3.6456905, 4.7360712)}
+
+
+@pytest.mark.parametrize("t, window, grid_n", [(0.5, (-3, 3), 1001), (0.2, (-5, 5), 201)])
+def test_bad_set_scan_finds_bad_alphas_between_scan_points(t, window, grid_n):
+    spec = pot.cos_of_square()
+    res = tilted.bad_set_scan(spec, t, window, grid_n)
+    want = sorted(sign * a for a in COS_OF_SQUARE_BAD[t] for sign in (-1.0, 1.0))
+    assert all(lo == hi for lo, hi in res.intervals)
+    assert [lo for lo, _ in res.intervals] == pytest.approx(want, abs=1e-6)
+    for lo, _ in res.intervals:
+        assert tilted.is_bad(spec, t, lo)[0], lo
+
+
+def test_bad_set_scan_near_onset(double_well):
+    # the onset is 1/(2 beta - 1) = 1/7; an even grid puts the bad alpha = 0
+    # between scan points, and the hull's rise shrinks like (t - 1/7)^2
+    assert tilted.bad_set_scan(double_well, 0.1425, (-5, 5), 200).empty
+    res = tilted.bad_set_scan(double_well, 0.144, (-5, 5), 200)
+    assert [lo for lo, _ in res.intervals] == pytest.approx([0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+def test_bad_set_scan_alphas_confirmed_by_oracles(builtin_specs, t):
+    reported = 0
+    for name, spec in builtin_specs.items():
+        for alpha, _ in tilted.bad_set_scan(spec, t, (-4, 4), 33).intervals:
+            reported += 1
+            assert tilted.is_bad(spec, t, alpha)[0], (name, t, alpha)
+            _, locs = brute_force_minimisers(spec, t, alpha)
+            assert len(locs) >= 2 and locs[-1] - locs[0] > 1e-3, (name, t, alpha, locs)
+    assert reported >= 3
+
+
+def test_limiting_potential_matches_per_r_minimisation(builtin_specs):
+    rs = np.linspace(-3.0, 3.0, 13)
+    for name, spec in builtin_specs.items():
+        for t in (0.3, 1.0, 2.5):
+            want = [
+                tilted.global_minimisers(tilted.TiltedRate(spec, t, float(r))).value - r**2 / (2.0 * (1.0 + t))
+                for r in rs
+            ]
+            assert tilted.limiting_potential(spec, t, rs) == pytest.approx(want, abs=1e-9), (name, t)
