@@ -17,7 +17,6 @@ alpha; bad_set_scan and limiting_potential read many off one minorant.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -34,6 +33,12 @@ REFINE_TOL = 1e-13  # golden-section x-tolerance when refining a candidate basin
 # are near-ties: flagged indeterminate rather than silently resolved
 INDETERMINATE_FACTOR = 10.0
 TRUNCATION_MARGIN = 10.0  # quadratic tilt must exceed best-so-far by this much outside
+
+
+def _tie(gap: float, eps: float) -> tuple[bool, bool]:
+    """(tie, near-tie) for a value gap above the minimum: a tie within eps,
+    a near-tie within (eps, INDETERMINATE_FACTOR*eps]."""
+    return gap <= eps, eps < gap <= INDETERMINATE_FACTOR * eps
 
 
 @dataclass(frozen=True)
@@ -112,18 +117,14 @@ def eval_rate(tr: TiltedRate, r):
         raise DomainError("rate argument must be finite")
     v = np.asarray(pot.eval(tr.potential, arr))
     out = v + arr**2 / 2.0 + (arr - tr.alpha) ** 2 / (2.0 * tr.t)
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(r) == 0 else out
 
 
 def _truncation_radius(tr: TiltedRate, best_value: float) -> float:
     """Radius R around the tilt center such that the tilt alone exceeds
     best_value + margin outside; since V >= v_floor, no minimiser can be there."""
-    k = tr.tilt_curvature
-    floor = min(tr.potential.v_floor, 0.0)
-    excess = max(best_value - floor, 0.0) + TRUNCATION_MARGIN
-    return math.sqrt(excess / k)
+    excess = max(best_value - min(tr.potential.v_floor, 0.0), 0.0) + TRUNCATION_MARGIN
+    return math.sqrt(excess / tr.tilt_curvature)
 
 
 def _shifted_rate(tr: TiltedRate):
@@ -207,39 +208,26 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     d2 = np.abs(np.diff(vs, 2))
     band = max(1e-6 * max(1.0, b), 2.0 * float(d2.max()) if d2.size else 0.0, 1e-12)
 
-    cand_idx = [i for i in local_minima_indices(vs) if vs[i] <= b + band]
     # a flat continuum of minimisers can flag thousands of grid candidates;
-    # refine only the best few, keep the rest at grid resolution
-    cand_idx.sort(key=lambda i: vs[i])
-    refine_budget = 48
+    # refine only the best 48, keep the rest at grid resolution
+    cand_idx = sorted((i for i in local_minima_indices(vs) if vs[i] <= b + band), key=lambda i: vs[i])
     refined = [
-        _refine(tr, xs, i) if rank < refine_budget else (float(xs[i]), float(eval_rate(tr, float(xs[i]))))
+        _refine(tr, xs, i) if rank < 48 else (float(xs[i]), float(eval_rate(tr, float(xs[i]))))
         for rank, i in enumerate(cand_idx)
     ]
 
     best = min(v for _, v in refined)
     eps = tol.eps_val(best)
-    ties = sorted((x, v) for x, v in refined if v <= best + eps)
-    near = sorted(
-        v for _, v in refined if best + eps < v <= best + INDETERMINATE_FACTOR * eps
-    )
+    ties = sorted((x, v) for x, v in refined if _tie(v - best, eps)[0])
+    near = sorted(v for _, v in refined if _tie(v - best, eps)[1])
 
     # merge tie locations closer than delta_cluster
     locations: list[float] = []
     for x, _ in ties:
-        if locations and abs(x - locations[-1]) <= tol.delta_cluster:
-            continue
-        locations.append(x)
-
-    return MinimiserSet(
-        locations=tuple(locations),
-        value=best,
-        multiple=len(locations) >= 2,
-        q_min=locations[0],
-        q_max=locations[-1],
-        indeterminate=bool(near),
-        near_values=tuple(near),
-    )
+        if not locations or x - locations[-1] > tol.delta_cluster:
+            locations.append(x)
+    return MinimiserSet(tuple(locations), best, multiple=len(locations) >= 2, q_min=locations[0],
+                        q_max=locations[-1], indeterminate=bool(near), near_values=tuple(near))
 
 
 def is_bad(potential_spec: pot.PotentialSpec, t: float, alpha: float, tol: ToleranceConfig = DEFAULT_TOL):
@@ -278,9 +266,8 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
     least three grid steps and rises above the samples between by more than
     max(1e-9, 3 x the windowed max of |second difference|): the second
     difference is the offset a grid makes where it straddles a minimum."""
-    d2 = np.abs(np.diff(g, 2))
-    d2 = np.concatenate(([d2[0]], d2, [d2[-1]]))
-    loc = functools.reduce(np.maximum, (np.roll(d2, k) for k in (-3, -2, -1, 0, 1, 2, 3)))
+    d2 = np.pad(np.abs(np.diff(g, 2)), 1, mode="edge")
+    loc = np.lib.stride_tricks.sliding_window_view(np.pad(d2, 3, mode="wrap"), 7).max(axis=1)
     # double buffers: a quarter of the memory of float lists, at half the speed
     x, y = (array("d", np.asarray(v, dtype=float).tobytes()) for v in (xs, g))
     hull = array("q", [0])
@@ -305,37 +292,44 @@ class _ConvexMinorant:
     """The convex minorant of g_t = V + (1+t)/(2t) r^2 for many alphas:
     U_alpha = g_t - (alpha/t) r + alpha^2/(2t) is minimal where the line of
     slope alpha/t supports g_t. The hull is built once, on COARSE_GRID_N
-    points spanning the alphas' truncation windows. edges holds the common
-    tangent (alpha*, q1, q2) of each bridging edge, in increasing alpha*: both
-    contacts are refined at the chord slope (stationary in them) until it settles."""
+    points spanning the alphas' truncation windows. Each hull edge spanning
+    at least three grid steps (bridging, or a piece of an affine stretch of
+    g_t) is a candidate; edges holds its common tangent (alpha*, q1, q2, v1,
+    v2), in increasing alpha*: the contacts are refined at slope alpha*/t and
+    alpha* moves to the chord slope until it settles."""
 
     def __init__(self, spec: pot.PotentialSpec, t: float, alphas):
         self.spec, self.t = spec, t
         trs = [TiltedRate(spec, t, float(a)) for a in alphas]
-        ends = [(tr.center, _truncation_radius(tr, float(_shifted_rate(tr)(np.asarray([tr.center]))[0]))) for tr in trs]
-        self.xs = np.linspace(min(c - r for c, r in ends), max(c + r for c, r in ends), COARSE_GRID_N)
-        g = np.asarray(pot.eval(spec, self.xs)) + trs[0].tilt_curvature * self.xs**2
-        self.hull, self.bridges = lower_hull(self.xs, g)
+        k, cs = trs[0].tilt_curvature, np.asarray([tr.center for tr in trs])
+        jc = np.asarray(pot.eval(spec, cs)) - min(spec.v_floor, 0.0)
+        # J_alpha at its center and at the lowest center bound its minimum: tight windows for fast-growing V
+        best = np.minimum(jc, jc.min() + k * (cs - cs[np.argmin(jc)]) ** 2)
+        radii = np.asarray([_truncation_radius(tr, float(b)) for tr, b in zip(trs, best)])
+        self.xs = np.linspace(float(np.min(cs - radii)), float(np.max(cs + radii)), COARSE_GRID_N)
+        g = np.asarray(pot.eval(spec, self.xs)) + k * self.xs**2
+        self.hull, _ = lower_hull(self.xs, g)
         self.slopes = np.diff(g[self.hull]) / np.diff(self.xs[self.hull])
-        self.edges = [self._common_tangent(i1, i2) for i1, i2 in self.bridges]
+        self.wide = [(i1, i2) for i1, i2 in zip(self.hull, self.hull[1:]) if i2 - i1 >= 3]
+        self.edges = [self._common_tangent(i1, i2) for i1, i2 in self.wide]
 
-    def _common_tangent(self, i1: int, i2: int) -> tuple[float, float, float]:
+    def _common_tangent(self, i1: int, i2: int) -> tuple[float, float, float, float, float]:
         alpha = self.t * float(self.slopes[self.hull.index(i1)])
         for _ in range(8):
             (q1, v1), (q2, v2) = (_refine(TiltedRate(self.spec, self.t, alpha), self.xs, i) for i in (i1, i2))
             step = self.t * (v2 - v1) / (q2 - q1)  # t x (chord slope - alpha/t)
-            alpha += step
             if abs(step) <= REFINE_TOL * max(1.0, abs(alpha)):
                 break
-        return alpha, q1, q2
+            alpha += step
+        return alpha, q1, q2, v1, v2
 
     def contact(self, alpha: float) -> tuple[float, float]:
         """(x, U_alpha(x)) at a polished global minimiser: the hull's contact
-        vertex, on the side of each bridge that the polished edges give."""
+        vertex, on the side of each candidate that the polished edges give."""
         i = self.hull[int(np.searchsorted(self.slopes, alpha / self.t))]
         k = bisect.bisect_right([e[0] for e in self.edges], alpha)
-        lo = self.bridges[k - 1][1] if k > 0 else 0
-        hi = self.bridges[k][0] if k < len(self.bridges) else self.xs.size - 1
+        lo = self.wide[k - 1][1] if k > 0 else 0
+        hi = self.wide[k][0] if k < len(self.wide) else self.xs.size - 1
         return _refine(TiltedRate(self.spec, self.t, alpha), self.xs, min(max(i, lo), hi))
 
 
@@ -348,12 +342,11 @@ def bad_set_scan(
 ) -> BadScanResult:
     """The bad alphas in the window and one row per alpha of a grid_n-point
     scan, read off one _ConvexMinorant. At fixed t the bad set is discrete:
-    t x the slope of each bridging edge whose contacts lie more than
-    delta_cluster apart, found also between scan points and reported as
+    t x the slope of each candidate edge whose polished contacts lie more
+    than delta_cluster apart and tie (_tie), also between scan points, as
     degenerate intervals (alpha, alpha). A row is the polished contact at
-    slope alpha/t; it shows the edge's two contacts when the value gap
-    |alpha - alpha*| |q2 - q1| / t to the nearest edge is within tol.eps_val,
-    and is indeterminate within INDETERMINATE_FACTOR times that band."""
+    slope alpha/t; the same _tie rule on the value gap |alpha - alpha*|
+    |q2 - q1| / t to the nearest bad edge shows both contacts or flags it."""
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi):
         raise ConfigError("scan window must satisfy lo < hi")
@@ -362,15 +355,20 @@ def bad_set_scan(
 
     alphas = np.linspace(lo, hi, int(grid_n))
     minorant = _ConvexMinorant(potential_spec, t, alphas)
-    edges = [e for e in minorant.edges if e[2] - e[1] > tol.delta_cluster]
+    edges = [e[:4] for e in minorant.edges if e[2] - e[1] > tol.delta_cluster and _tie(abs(e[4] - e[3]), tol.eps_val(e[3]))[0]]
+    bad: list[tuple[float, float, float, float]] = []
+    for e in edges:  # edges that tie one another are pieces of one affine stretch: keep the widest
+        if bad and _tie(abs(e[0] - bad[-1][0]) * (e[2] - bad[-1][1]) / t, tol.eps_val(e[3]))[0]:
+            bad[-1] = max(bad[-1], e, key=lambda f: f[2] - f[1])
+        else:
+            bad.append(e)
     rows = []
     for a in alphas.tolist():
         x, value = minorant.contact(a)
         gap, q1, q2 = min(((abs(a - e[0]) * (e[2] - e[1]) / t, e[1], e[2]) for e in edges), default=(math.inf, x, x))
-        eps = tol.eps_val(value)
-        q1, q2 = (q1, q2) if gap <= eps else (x, x)
-        rows.append(BadScanRow(a, 1 + (gap <= eps), q1, q2, value, eps < gap <= INDETERMINATE_FACTOR * eps))
-    return BadScanResult(tuple((a + 0.0, a + 0.0) for a, _, _ in edges if lo <= a <= hi), tuple(rows))
+        tie, near = _tie(gap, tol.eps_val(value))
+        rows.append(BadScanRow(a, 1 + tie, *((q1, q2) if tie else (x, x)), value, near))
+    return BadScanResult(tuple((a + 0.0, a + 0.0) for a, *_ in bad if lo <= a <= hi), tuple(rows))
 
 
 def limiting_potential(potential_spec: pot.PotentialSpec, t: float, r):
@@ -381,8 +379,10 @@ def limiting_potential(potential_spec: pot.PotentialSpec, t: float, r):
     the Legendre transform of the convex minorant of g_t at slope r/t, up to
     a quadratic: the polished contact value of _ConvexMinorant at alpha = r
     minus r^2/(2(1+t))."""
-    scalar = np.isscalar(r) or np.asarray(r).ndim == 0
+    scalar = np.ndim(r) == 0
     rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if rs.size == 0:
+        return rs
     minorant = _ConvexMinorant(potential_spec, t, rs)
     out = np.asarray([minorant.contact(ri)[1] for ri in rs.tolist()]) - rs**2 / (2.0 * (1.0 + t))
     return float(out[0]) if scalar else out

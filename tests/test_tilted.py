@@ -207,14 +207,20 @@ def test_bad_set_scan_validation(zero):
 
 
 def test_monotone_badness_in_time(builtin_specs):
-    # once a bad magnetisation appears it never disappears at later times.
-    # Bad alphas move with t: alpha = t V'(q) + (1 + t) q at a contact q, so
-    # the window follows the factor 1 + t (cos_of_square's bad alphas leave
-    # any fixed window as t grows).
+    # once the bad set is non-empty it stays non-empty at later times. Each
+    # scan covers every alpha whose tilt center alpha/(1+t) lies in the
+    # potential's working window: bad alphas move with t, so a fixed alpha
+    # window can lose them (pinned below for cos_of_square)
     ts = np.geomspace(0.05, 8.0, 7)
     for name, spec in builtin_specs.items():
-        flags = [not tilted.bad_set_scan(spec, float(t), (-4 * (1 + t), 4 * (1 + t)), 65).empty for t in ts]
+        spans = [(1.0 + t) * pot.window_radius(spec) for t in ts]
+        flags = [not tilted.bad_set_scan(spec, float(t), (-a, a), 65).empty for t, a in zip(ts, spans)]
         assert flags == sorted(flags), (name, flags)
+    spec, t = builtin_specs["cos_of_square"], float(ts[5])
+    assert tilted.bad_set_scan(spec, t, (-4, 4), 65).empty
+    nearest = sorted(a for a, _ in tilted.bad_set_scan(spec, t, (-8, 8), 65).intervals)
+    assert nearest == pytest.approx([-6.8724286, 6.8724286], abs=1e-6)
+    assert all(tilted.is_bad(spec, t, a)[0] for a in nearest)
 
 
 def test_limiting_potential_examples(zero, quadratic, double_well):
@@ -225,6 +231,7 @@ def test_limiting_potential_examples(zero, quadratic, double_well):
     assert tilted.limiting_potential(double_well, 1.0, 0.0) == pytest.approx(0.75, abs=1e-9)
     with pytest.raises(DomainError):
         tilted.limiting_potential(zero, 0.0, 1.0)
+    assert tilted.limiting_potential(zero, 1.0, np.array([])).shape == (0,)
 
 
 def test_limiting_potential_upper_bound(builtin_specs):
@@ -263,19 +270,63 @@ def test_bad_set_scan_near_onset(double_well):
 
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
 def test_bad_set_scan_alphas_confirmed_by_oracles(builtin_specs, t):
+    # sound: every reported alpha is bad for is_bad and for the dense scan.
+    # Complete: every scan alpha where is_bad finds minimisers more than 1e-3
+    # apart is reported, and the rows show two minimisers exactly there
+    # (glued_beta1 at t = 1 included). is_bad also splits the quartic bottom
+    # of cosine_beta1 at its onset t = 1 into two points 5e-6 apart: one
+    # minimiser, which the scan does not report
     reported = 0
     for name, spec in builtin_specs.items():
-        for alpha, _ in tilted.bad_set_scan(spec, t, (-4, 4), 33).intervals:
-            reported += 1
+        res = tilted.bad_set_scan(spec, t, (-4, 4), 33)
+        alphas = [a for a, _ in res.intervals]
+        reported += len(alphas)
+        for alpha in alphas:
             assert tilted.is_bad(spec, t, alpha)[0], (name, t, alpha)
             _, locs = brute_force_minimisers(spec, t, alpha)
-            assert len(locs) >= 2 and locs[-1] - locs[0] > 1e-3, (name, t, alpha, locs)
+            if len(locs) < 2:
+                # a continuum of minimisers (glued_beta1 at t = 1) is one
+                # cluster: the minimiser jumps across it as alpha crosses
+                locs = [brute_force_minimisers(spec, t, alpha + d)[1][0] for d in (-1e-4, 1e-4)]
+            assert locs[-1] - locs[0] > 1e-3, (name, t, alpha, locs)
+        for row in res.rows:
+            bad, ms = tilted.is_bad(spec, t, row.alpha)
+            assert not bad or ms.q_max - ms.q_min > 1e-3 or (name, t, row.alpha) == ("cosine_beta1", 1.0, 0.0)
+            bad = bad and ms.q_max - ms.q_min > 1e-3
+            assert bad == (row.n_minimisers == 2), (name, t, row.alpha)
+            assert not bad or any(abs(a - row.alpha) <= 1e-6 for a in alphas), (name, t, row.alpha)
     assert reported >= 3
 
 
-def test_limiting_potential_matches_per_r_minimisation(builtin_specs):
-    rs = np.linspace(-3.0, 3.0, 13)
+def test_flat_envelope_is_a_reported_bad_alpha(glued1):
+    # the affine piece of g_1 on [-1, 1] is a continuum of minimisers at alpha = 0
+    res = tilted.bad_set_scan(glued1, 1.0, (-5, 5), 1001)
+    assert res.intervals == ((0.0, 0.0),)
+    row = res.rows[500]
+    assert row.n_minimisers == 2 and row.q_min == pytest.approx(-1.0, abs=0.05) and row.q_max == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("name", ["cos_of_square", "double_well", "glued_beta1"])
+def test_bad_set_scan_wide_window(builtin_specs, monkeypatch, name):
+    # a +-50 scan spreads the hull's points over the alphas' truncation
+    # windows (+-80; glued_beta1's would reach +-1e8 if bounded only by the
+    # tilt center): the reported alphas are confirmed by is_bad, and a hull
+    # on 4x as many points reports the same set
+    spec, t = builtin_specs[name], 1.0
+    got = [a for a, _ in tilted.bad_set_scan(spec, t, (-50, 50), 41).intervals]
+    assert got and all(tilted.is_bad(spec, t, a)[0] for a in got)
+    monkeypatch.setattr(tilted, "COARSE_GRID_N", 4 * tilted.COARSE_GRID_N)
+    finer = [a for a, _ in tilted.bad_set_scan(spec, t, (-50, 50), 41).intervals]
+    assert len(finer) == len(got) and finer == pytest.approx(got, abs=1e-6)
+
+
+@pytest.mark.parametrize("window", [(-3.0, 3.0), (-50.0, 50.0)])
+def test_limiting_potential_matches_per_r_minimisation(builtin_specs, window):
+    # the wide window leaves out glued_beta1, whose per-r oracle fails there
+    rs = np.linspace(*window, 13)
     for name, spec in builtin_specs.items():
+        if window[1] > 3.0 and name == "glued_beta1":
+            continue
         for t in (0.3, 1.0, 2.5):
             want = [
                 tilted.global_minimisers(tilted.TiltedRate(spec, t, float(r))).value - r**2 / (2.0 * (1.0 + t))
