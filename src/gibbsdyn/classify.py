@@ -77,9 +77,7 @@ def _scan_curvature_infimum(spec: pot.PotentialSpec, radius: float, n_grid: int 
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     if pot.has_analytic_deriv(spec, 2) and 0 < i < xs.size - 1:
-        x, v = golden_section(
-            lambda s: float(pot.deriv(spec, s, 2)), xs[i - 1], xs[i + 1], tol=1e-13
-        )
+        x, v = golden_section(lambda s: float(pot.deriv(spec, s, 2)), xs[i - 1], xs[i + 1])
         if v < best_v:
             best_x, best_v = x, v
     return best_v, best_x
@@ -325,10 +323,11 @@ def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
     return t < report.t_c
 
 
-def _initial_kernel_probe_finds_bad(spec: pot.PotentialSpec, n: int = 10_000) -> bool:
+def _initial_kernel_probe_finds_bad(spec: pot.PotentialSpec) -> bool:
     """Kernel-level probe for t = 0 and non-differentiable potentials: compare
-    initial-kernel means along alpha_n = alpha +- (n-1)^(-1/2); a persistent
-    gap marks a bad magnetisation."""
+    initial-kernel means at n = 10000 along alpha_n = alpha +- (n-1)^(-1/2);
+    a persistent gap marks a bad magnetisation."""
+    n = 10_000
     eps = 1.0 / math.sqrt(n - 1)
     for a in np.linspace(-2.0, 2.0, 17):
         m_plus = initial_kernel(spec, n, float(a) + eps).mean

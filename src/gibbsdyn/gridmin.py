@@ -12,20 +12,21 @@ import math
 import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618034
+REFINE_TOL = 1e-13  # golden-section x-tolerance, relative to max(1, |lo| + |hi|)
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Minimise a unimodal scalar function on [lo, hi].
+def golden_section(f, lo: float, hi: float):
+    """Minimise a unimodal scalar function on [lo, hi] to REFINE_TOL.
 
-    Returns (x, f(x)). The bracket shrinks by 1/phi per iteration; one new
-    function evaluation per step.
+    Returns (x, f(x)). The bracket shrinks by 1/phi per iteration, for at
+    most 200 iterations; one new function evaluation per step.
     """
     a, b = float(lo), float(hi)
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+    for _ in range(200):
+        if b - a <= REFINE_TOL * max(1.0, abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -53,7 +54,7 @@ def local_minima_indices(values: np.ndarray) -> np.ndarray:
     return np.asarray(sorted(set(out)), dtype=int)
 
 
-def global_minimum(f, lo: float, hi: float, n_grid: int = 4096, refine_tol: float = 1e-12):
+def global_minimum(f, lo: float, hi: float, n_grid: int):
     """The global minimum of f on [lo, hi] as (x, value).
 
     f must accept a numpy array. Every grid local minimum whose value lies
@@ -79,6 +80,6 @@ def global_minimum(f, lo: float, hi: float, n_grid: int = 4096, refine_tol: floa
         if a == b:
             found.append((float(xs[i]), float(vs[i])))
             continue
-        x, v = golden_section(lambda s: float(f(np.asarray([s]))[0]), a, b, tol=refine_tol)
+        x, v = golden_section(lambda s: float(f(np.asarray([s]))[0]), a, b)
         found.append((float(x), float(v)))
     return min(found, key=lambda m: (m[1], m[0]))

@@ -111,7 +111,7 @@ def _kernel_from_log_density(x: np.ndarray, L: np.ndarray, extra_defect: float =
     return KernelEstimate(grid=x, density=dens / mass, mean=mean, variance=var, total_mass_defect=defect)
 
 
-def _build_kernel(log_f, window: tuple[float, float], cfg: QuadratureConfig, n_coarse: int = 8193) -> KernelEstimate:
+def _build_kernel(log_f, window: tuple[float, float], cfg: QuadratureConfig, n_coarse: int) -> KernelEstimate:
     lo, hi, _ = localize(log_f, window[0], window[1], n_coarse, drop=cfg.drop)
     x = simpson_grid(lo, hi, cfg.grid_n)
     L = np.asarray(log_f(x), dtype=float)
@@ -449,27 +449,18 @@ def convergence_experiment(
 ) -> list[LadderRow]:
     """Evolved-kernel moments along an n-ladder with conditioning values
     alpha_n chosen by the selection sequence, plus the W1 distance to the
-    appropriate limit kernel (q_min branch for minus_inv_sqrt, q_max branch
-    for plus_inv_sqrt)."""
+    limit_kernel (at a bad alpha its q_min branch for minus_inv_sqrt, its
+    q_max branch for plus_inv_sqrt)."""
     ladder = [int(n) for n in n_ladder]
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("n_ladder must be strictly increasing")
 
-    ms = tilted.global_minimisers(tilted.TiltedRate(spec, t, alpha), tol)
-    if ms.multiple:
-        if sequence == SEQ_MINUS:
-            q_ref = ms.q_min
-        elif sequence == SEQ_PLUS:
-            q_ref = ms.q_max
-        else:
-            raise BadMagnetisationError(
-                f"alpha = {alpha} is bad at t = {t}; a constant sequence has no limit kernel",
-                q_min=ms.q_min,
-                q_max=ms.q_max,
-            )
-    else:
-        q_ref = ms.locations[0]
-    reference = gaussian_kernel(-float(pot.deriv(spec, q_ref, 1)), 1.0 + t, cfg)
+    try:
+        reference = limit_kernel(spec, t, alpha, cfg, tol)
+    except BadMagnetisationError as err:
+        if sequence == SEQ_CONSTANT:
+            raise
+        reference = err.kernel_min if sequence == SEQ_MINUS else err.kernel_max
 
     rows = []
     for n in ladder:

@@ -117,9 +117,9 @@ class _MagnetisationTable:
         return np.interp(u, self.cdf, self.grid)
 
 
-def _tabulate(log_density, lo: float, hi: float, n_grid: int = 32769) -> _MagnetisationTable:
+def _tabulate(log_density, lo: float, hi: float) -> _MagnetisationTable:
     lo2, hi2, _ = localize(log_density, lo, hi, 16385)
-    x = simpson_grid(lo2, hi2, n_grid)
+    x = simpson_grid(lo2, hi2, 32769)
     L = np.asarray(log_density(x), dtype=float)
     dens = np.exp(L - float(log_integral(x, L)))
     inc = 0.5 * (dens[1:] + dens[:-1]) * np.diff(x)

@@ -173,7 +173,7 @@ def glued_exp(beta: float) -> PotentialSpec:
     # g - beta*s^2 -> infinity superexponentially, so the minimum is inside a
     # modest radius; 2*(b+10) is generous for every b of practical size.
     radius = 2.0 * (b + 10.0)
-    _, c_beta = global_minimum(objective, 0.0, radius, n_grid=200001, refine_tol=1e-13)
+    _, c_beta = global_minimum(objective, 0.0, radius, n_grid=200001)
     return PotentialSpec(
         "glued_exp", C1_ONLY, beta=b, c_beta=float(c_beta), params={"beta": b}
     )

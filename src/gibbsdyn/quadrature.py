@@ -15,6 +15,7 @@ import numpy as np
 
 DEFAULT_DROP = 40.0
 REFINE_D2_THRESHOLD = 0.25  # |second difference of L| above this means under-resolved
+EXPAND_GROW = 1.6  # expanding_localize widens a hot window by this factor per round
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
@@ -67,18 +68,11 @@ def localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_D
     return float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax
 
 
-def expanding_localize(
-    log_f,
-    lo: float,
-    hi: float,
-    n_coarse: int = 1025,
-    drop: float = DEFAULT_DROP,
-    grow: float = 1.6,
-    max_rounds: int = 10,
-):
+def expanding_localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_DROP):
     """localize(), but first widen the window until the edges are cold
-    (log_f at both edges at least `drop` below the running max)."""
-    for _ in range(max_rounds):
+    (log_f at both edges at least `drop` below the running max): each hot
+    edge moves out by (EXPAND_GROW - 1)/2 x the width, for at most 10 rounds."""
+    for _ in range(10):
         xs = np.linspace(lo, hi, odd_count(n_coarse))
         L = np.asarray(log_f(xs), dtype=float)
         finite = np.isfinite(L)
@@ -93,9 +87,9 @@ def expanding_localize(
             return float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax
         width = hi - lo
         if hot_left:
-            lo -= 0.5 * (grow - 1.0) * width
+            lo -= 0.5 * (EXPAND_GROW - 1.0) * width
         if hot_right:
-            hi += 0.5 * (grow - 1.0) * width
+            hi += 0.5 * (EXPAND_GROW - 1.0) * width
     raise ValueError("could not bracket the integrand support while expanding the window")
 
 

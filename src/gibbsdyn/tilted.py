@@ -11,7 +11,10 @@ whose normalised version U - inf U is the large-deviation rate of the
 magnetisation at time 0 given magnetisation alpha at time t. alpha is bad
 exactly when U has multiple global minimisers: when alpha/t is the slope of
 a bridging edge of the convex minorant of g_t. global_minimisers answers one
-alpha; bad_set_scan and limiting_potential read many off one minorant.
+alpha; bad_set_scan and limiting_potential read many off one minorant. Both
+paths share one truncation window (_window), one rule for distinct contacts
+(at least three grid steps apart) and one tie band (_tie), so is_bad and
+bad_set_scan agree by construction.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import numpy as np
 
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import ConfigError, DomainError, NotDifferentiableError
-from gibbsdyn.gridmin import golden_section, local_minima_indices
+from gibbsdyn.gridmin import REFINE_TOL, golden_section, local_minima_indices
 
 COARSE_GRID_N = 32768  # coarse scan resolution on the truncation window
-REFINE_TOL = 1e-13  # golden-section x-tolerance when refining a candidate basin
+SEPARATION_STEPS = 3  # grid points fewer steps apart than this touch one minimiser
 # refined values within (eps_val, INDETERMINATE_FACTOR*eps_val] of the minimum
 # are near-ties: flagged indeterminate rather than silently resolved
 INDETERMINATE_FACTOR = 10.0
@@ -127,6 +130,20 @@ def _truncation_radius(tr: TiltedRate, best_value: float) -> float:
     return math.sqrt(excess / tr.tilt_curvature)
 
 
+def _window(spec: pot.PotentialSpec, t: float, alphas) -> tuple[float, float]:
+    """Truncation window spanning the alphas' windows. Each alpha's minimum of
+    J (_shifted_rate) is bounded by J at three points: its own tilt center,
+    the lowest center and r = 0; the last two keep the window tight where a
+    fast-growing V is huge at the centers."""
+    trs = [TiltedRate(spec, t, float(a)) for a in alphas]
+    k, cs = trs[0].tilt_curvature, np.asarray([tr.center for tr in trs])
+    floor = min(spec.v_floor, 0.0)
+    jc, j0 = np.asarray(pot.eval(spec, cs)) - floor, pot.eval(spec, 0.0) - floor
+    best = np.minimum.reduce([jc, jc.min() + k * (cs - cs[np.argmin(jc)]) ** 2, j0 + k * cs**2])
+    radii = np.asarray([_truncation_radius(tr, float(b)) for tr, b in zip(trs, best)])
+    return float(np.min(cs - radii)), float(np.max(cs + radii))
+
+
 def _shifted_rate(tr: TiltedRate):
     """J(r) = (V(r) - v_floor) + k (r - c)^2 >= 0, the tilt-centred form used
     for window construction; differs from eval_rate by a constant."""
@@ -176,45 +193,46 @@ def _refine(tr: TiltedRate, xs: np.ndarray, i: int) -> tuple[float, float]:
     neighbours: golden section, then Newton polish when V' is analytic."""
     lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
     J = _shifted_rate(tr)
-    x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi, tol=REFINE_TOL)
+    x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi)
     if pot.has_analytic_deriv(tr.potential, 1):
         x = _newton_polish(tr, x, (lo, hi))
     return float(x), float(eval_rate(tr, x))
 
 
 def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> MinimiserSet:
-    """All global minimisers of the tilted rate, by coarse grid scan on the
-    truncation window, golden-section refinement of every near-minimal basin,
-    Newton polish on the first-order condition when V is differentiable, and
-    clustering at delta_cluster."""
+    """All global minimisers of the tilted rate, by the rules of _ConvexMinorant:
+    a coarse scan of the truncation window (_window, tightened once by the
+    coarse minimum); near-minimal grid candidates fewer than three grid steps
+    apart form one run, whose lowest point is refined, and both ends too when
+    the run spans three or more steps (golden section, then Newton polish when
+    V is differentiable); the refined values that tie are clustered at
+    delta_cluster. A continuum of minimisers is reported by a few refined
+    contacts, its two ends included."""
     J = _shifted_rate(tr)
     c = tr.center
-
-    # Anchor the truncation window at the tilt center, then tighten once with
-    # the coarse minimum.
-    R = _truncation_radius(tr, float(J(np.asarray([c]))[0]))
-    xs = np.linspace(c - R, c + R, COARSE_GRID_N)
+    lo, hi = _window(tr.potential, tr.t, [tr.alpha])
+    xs = np.linspace(lo, hi, COARSE_GRID_N)
     vs = J(xs)
     b = float(vs.min())
     R2 = _truncation_radius(tr, b)
-    if R2 < 0.5 * R:
+    if R2 < 0.25 * (hi - lo):
         xs = np.linspace(c - R2, c + R2, COARSE_GRID_N)
         vs = J(xs)
         b = float(vs.min())
 
-    dx = xs[1] - xs[0]
     # Discretisation band: a true tie can sit up to ~curvature*dx^2/2 above the
     # sampled minimum.
     d2 = np.abs(np.diff(vs, 2))
     band = max(1e-6 * max(1.0, b), 2.0 * float(d2.max()) if d2.size else 0.0, 1e-12)
 
-    # a flat continuum of minimisers can flag thousands of grid candidates;
-    # refine only the best 48, keep the rest at grid resolution
-    cand_idx = sorted((i for i in local_minima_indices(vs) if vs[i] <= b + band), key=lambda i: vs[i])
-    refined = [
-        _refine(tr, xs, i) if rank < 48 else (float(xs[i]), float(eval_rate(tr, float(xs[i]))))
-        for rank, i in enumerate(cand_idx)
-    ]
+    cand = local_minima_indices(vs)
+    cand = cand[vs[cand] <= b + band]
+    picks = set()
+    for run in np.split(cand, np.flatnonzero(np.diff(cand) >= SEPARATION_STEPS) + 1):
+        picks.add(int(run[np.argmin(vs[run])]))
+        if run[-1] - run[0] >= SEPARATION_STEPS:
+            picks.update((int(run[0]), int(run[-1])))
+    refined = [_refine(tr, xs, i) for i in sorted(picks)]
 
     best = min(v for _, v in refined)
     eps = tol.eps_val(best)
@@ -285,32 +303,26 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
         chord = g[i1] + (g[i2] - g[i1]) * (xs[between] - xs[i1]) / (xs[i2] - xs[i1])
         return float(np.max(g[between] - chord)) > max(1e-9, 3.0 * float(loc[i1 : i2 + 1].max()))
 
-    return hull, [(i1, i2) for i1, i2 in zip(hull, hull[1:]) if i2 - i1 >= 3 and rises(i1, i2)]
+    return hull, [(i1, i2) for i1, i2 in zip(hull, hull[1:]) if i2 - i1 >= SEPARATION_STEPS and rises(i1, i2)]
 
 
 class _ConvexMinorant:
     """The convex minorant of g_t = V + (1+t)/(2t) r^2 for many alphas:
     U_alpha = g_t - (alpha/t) r + alpha^2/(2t) is minimal where the line of
     slope alpha/t supports g_t. The hull is built once, on COARSE_GRID_N
-    points spanning the alphas' truncation windows. Each hull edge spanning
-    at least three grid steps (bridging, or a piece of an affine stretch of
-    g_t) is a candidate; edges holds its common tangent (alpha*, q1, q2, v1,
-    v2), in increasing alpha*: the contacts are refined at slope alpha*/t and
-    alpha* moves to the chord slope until it settles."""
+    points spanning the alphas' truncation windows (_window). Each hull edge
+    spanning at least SEPARATION_STEPS grid steps (bridging, or a piece of an
+    affine stretch of g_t) is a candidate; edges holds its common tangent
+    (alpha*, q1, q2, v1, v2), in increasing alpha*: the contacts are refined
+    at slope alpha*/t and alpha* moves to the chord slope until it settles."""
 
     def __init__(self, spec: pot.PotentialSpec, t: float, alphas):
         self.spec, self.t = spec, t
-        trs = [TiltedRate(spec, t, float(a)) for a in alphas]
-        k, cs = trs[0].tilt_curvature, np.asarray([tr.center for tr in trs])
-        jc = np.asarray(pot.eval(spec, cs)) - min(spec.v_floor, 0.0)
-        # J_alpha at its center and at the lowest center bound its minimum: tight windows for fast-growing V
-        best = np.minimum(jc, jc.min() + k * (cs - cs[np.argmin(jc)]) ** 2)
-        radii = np.asarray([_truncation_radius(tr, float(b)) for tr, b in zip(trs, best)])
-        self.xs = np.linspace(float(np.min(cs - radii)), float(np.max(cs + radii)), COARSE_GRID_N)
-        g = np.asarray(pot.eval(spec, self.xs)) + k * self.xs**2
+        self.xs = np.linspace(*_window(spec, t, alphas), COARSE_GRID_N)
+        g = np.asarray(pot.eval(spec, self.xs)) + (1.0 + t) / (2.0 * t) * self.xs**2
         self.hull, _ = lower_hull(self.xs, g)
         self.slopes = np.diff(g[self.hull]) / np.diff(self.xs[self.hull])
-        self.wide = [(i1, i2) for i1, i2 in zip(self.hull, self.hull[1:]) if i2 - i1 >= 3]
+        self.wide = [(i1, i2) for i1, i2 in zip(self.hull, self.hull[1:]) if i2 - i1 >= SEPARATION_STEPS]
         self.edges = [self._common_tangent(i1, i2) for i1, i2 in self.wide]
 
     def _common_tangent(self, i1: int, i2: int) -> tuple[float, float, float, float, float]:

@@ -107,6 +107,15 @@ def test_limitpot_and_oracle(doublewell_json, tmp_path):
     assert doc["results"]["agreement"] is True
 
 
+def test_limitpot_wide_window_of_fast_growing_potential(tmp_path, capsys):
+    spec = tmp_path / "glued.json"
+    spec.write_text('{"family": "glued_exp", "params": {"beta": 1.0}}')
+    argv = ["limitpot", "--potential", str(spec), "--t", "0.3", "--window=-50,-40", "--grid", "3"]
+    assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 0
+    vt_min = json.loads(capsys.readouterr().out)["vt_min"]
+    assert vt_min == pytest.approx(1419.1389, abs=1e-3)
+
+
 def test_exit_code_io_error(tmp_path):
     assert cli.run(["tc", "--potential", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 1
     bad = tmp_path / "bad.json"

@@ -136,3 +136,12 @@ def test_csv_rows_include_endpoint():
     rows = list(paths.path_to_csv_rows(p))
     assert len(rows) == 9
     assert rows[-1] == (1.0, 1.0)
+
+
+def test_flat_envelope_paths_all_have_zero_rate(glued1):
+    # the continuum of minimisers of glued_beta1 at t = 1, alpha = 0 is
+    # reported by a few refined contacts: one zero-rate straight path each
+    ms = tilted.global_minimisers(tilted.TiltedRate(glued1, 1.0, 0.0))
+    trajs = paths.minimising_trajectories(glued1, 1.0, 0.0)
+    assert 2 <= len(trajs) == len(ms.locations) <= 8
+    assert [paths.path_rate(glued1, 1.0, 0.0, p) for p in trajs] == pytest.approx([0.0] * len(trajs), abs=1e-9)

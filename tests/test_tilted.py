@@ -183,12 +183,15 @@ def test_bad_set_scan_isolated_point_degenerate_interval(glued1):
 
 def test_flat_envelope_gives_minimiser_continuum(glued1):
     # at the time where the tilt exactly cancels the parabolic dip the rate is
-    # constant on [-1, 1]: a continuum of global minimisers at alpha = 0
+    # constant on [-1, 1]: a continuum of global minimisers at alpha = 0,
+    # reported by a few refined contacts that tie, its two ends included
     bad, ms = tilted.is_bad(glued1, 1.0, 0.0)
     assert bad
     assert ms.q_min == pytest.approx(-1.0, abs=0.05)
     assert ms.q_max == pytest.approx(1.0, abs=0.05)
-    assert len(ms.locations) > 10
+    assert len(ms.locations) <= 8
+    tr, eps = tilted.TiltedRate(glued1, 1.0, 0.0), tilted.DEFAULT_TOL.eps_val(ms.value)
+    assert all(tilted._tie(tilted.eval_rate(tr, q) - ms.value, eps)[0] for q in ms.locations)
 
 
 def test_newton_polish_at_kink_returns_start():
@@ -271,11 +274,9 @@ def test_bad_set_scan_near_onset(double_well):
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
 def test_bad_set_scan_alphas_confirmed_by_oracles(builtin_specs, t):
     # sound: every reported alpha is bad for is_bad and for the dense scan.
-    # Complete: every scan alpha where is_bad finds minimisers more than 1e-3
-    # apart is reported, and the rows show two minimisers exactly there
-    # (glued_beta1 at t = 1 included). is_bad also splits the quartic bottom
-    # of cosine_beta1 at its onset t = 1 into two points 5e-6 apart: one
-    # minimiser, which the scan does not report
+    # Complete: every scan alpha where is_bad finds several minimisers is
+    # reported, and the rows show two minimisers exactly there (glued_beta1
+    # at t = 1 and the quartic bottom of cosine_beta1 at t = 1 included)
     reported = 0
     for name, spec in builtin_specs.items():
         res = tilted.bad_set_scan(spec, t, (-4, 4), 33)
@@ -290,9 +291,7 @@ def test_bad_set_scan_alphas_confirmed_by_oracles(builtin_specs, t):
                 locs = [brute_force_minimisers(spec, t, alpha + d)[1][0] for d in (-1e-4, 1e-4)]
             assert locs[-1] - locs[0] > 1e-3, (name, t, alpha, locs)
         for row in res.rows:
-            bad, ms = tilted.is_bad(spec, t, row.alpha)
-            assert not bad or ms.q_max - ms.q_min > 1e-3 or (name, t, row.alpha) == ("cosine_beta1", 1.0, 0.0)
-            bad = bad and ms.q_max - ms.q_min > 1e-3
+            bad, _ = tilted.is_bad(spec, t, row.alpha)
             assert bad == (row.n_minimisers == 2), (name, t, row.alpha)
             assert not bad or any(abs(a - row.alpha) <= 1e-6 for a in alphas), (name, t, row.alpha)
     assert reported >= 3
@@ -322,14 +321,37 @@ def test_bad_set_scan_wide_window(builtin_specs, monkeypatch, name):
 
 @pytest.mark.parametrize("window", [(-3.0, 3.0), (-50.0, 50.0)])
 def test_limiting_potential_matches_per_r_minimisation(builtin_specs, window):
-    # the wide window leaves out glued_beta1, whose per-r oracle fails there
     rs = np.linspace(*window, 13)
     for name, spec in builtin_specs.items():
-        if window[1] > 3.0 and name == "glued_beta1":
-            continue
         for t in (0.3, 1.0, 2.5):
             want = [
                 tilted.global_minimisers(tilted.TiltedRate(spec, t, float(r))).value - r**2 / (2.0 * (1.0 + t))
                 for r in rs
             ]
             assert tilted.limiting_potential(spec, t, rs) == pytest.approx(want, abs=1e-9), (name, t)
+
+
+def test_is_bad_keeps_a_quartic_bottom_whole(cosine1):
+    # g_1 = 4 + r^4/12 + ... at the onset t = 1: adjacent grid candidates of
+    # one flat bottom are one run, refined once
+    bad, ms = tilted.is_bad(cosine1, 1.0, 0.0)
+    assert not bad and len(ms.locations) == 1
+
+
+def test_global_minimisers_window_of_fast_growing_potential(glued1):
+    # V is about e^37 at the tilt center -38.5: the window is bounded by U
+    # at r = 0, not only at the center. Oracle: a dense scan on [-60, 10]
+    ms = tilted.global_minimisers(tilted.TiltedRate(glued1, 0.3, -50.0))
+    xs = np.linspace(-60.0, 10.0, 2_000_001)
+    vs = tilted.eval_rate(tilted.TiltedRate(glued1, 0.3, -50.0), xs)
+    assert ms.locations == pytest.approx([xs[np.argmin(vs)]], abs=1e-4)
+    assert ms.locations == pytest.approx([-6.1819], abs=1e-4)
+    assert ms.value == pytest.approx(float(vs.min()), rel=1e-9)
+    assert ms.value == pytest.approx(3332.2508, abs=1e-4)
+
+
+def test_limiting_potential_scalar_matches_vector_on_wide_window(glued1):
+    scalar = tilted.limiting_potential(glued1, 0.3, -50.0)
+    vector = tilted.limiting_potential(glued1, 0.3, np.array([-50.0, -40.0]))
+    assert scalar == pytest.approx(vector[0], abs=1e-9)
+    assert scalar == pytest.approx(2370.7123, abs=1e-4)
