@@ -17,6 +17,10 @@ The objects, all probability laws on the line represented as grid densities:
 
 For V = 0 the pipeline is exact: g factors cancel bitwise and the quadrature
 recovers N(0, 1) / N(0, 1+t) to machine precision.
+
+The two 2-D quadratures, the g-factor numerator over s x r and the N(s, t)
+mixture over x x s, run in row blocks of bounded memory
+(quadrature.row_blocks), each row reduced exactly as on the whole array.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from gibbsdyn.quadrature import (
     log_integral,
     logsumexp,
     refine_if_rough,
+    row_blocks,
     simpson_grid,
     simpson_log_weights,
     trapezoid_cdf,
@@ -208,7 +213,9 @@ class _GMachine:
 
     Builds one r-grid covering the support of the denominator integrand and
     of the numerator integrands at the extreme s values requested, reusing it
-    across calls; rebuilds once with a wider span if an endpoint turns hot.
+    across calls. If an endpoint turns hot it rebuilds with a wider s span and
+    a deeper drop, and if one is still hot, once more with the hottest rows'
+    s values added to the probes.
     """
 
     def __init__(self, spec, n, t, alpha, cfg, tol):
@@ -237,8 +244,9 @@ class _GMachine:
         v = np.asarray(pot.eval(self.spec, arg)) - self.floor
         return -self.n * v - self.k2 * (r - self.center) ** 2
 
-    def _build(self, s_lo: float, s_hi: float, extra_drop: float = 0.0):
+    def _build(self, s_lo: float, s_hi: float, extra_drop: float = 0.0, hot_s=()):
         n, c, k2 = self.n, self.center, self.k2
+        probes = (s_lo, s_hi, *hot_s)
         anchors = []
         for q in self.ms.locations:
             for s in (s_lo, 0.0, s_hi):
@@ -254,11 +262,7 @@ class _GMachine:
         def log_union(r):
             # normalise each probe integrand by its own peak so that rows whose
             # overall level is suppressed still contribute their support
-            parts = [
-                self._log_den_integrand(r),
-                self._log_num_integrand(r, s_lo),
-                self._log_num_integrand(r, s_hi),
-            ]
+            parts = [self._log_den_integrand(r)] + [self._log_num_integrand(r, s) for s in probes]
             return np.maximum.reduce([p - p.max() for p in parts])
 
         lo, hi, _ = localize(log_union, c - R, c + R, 16385, drop=drop)
@@ -273,28 +277,45 @@ class _GMachine:
             span_hi = max(s_hi, self.s_span[1]) if self.s_span else s_hi
             self._build(span_lo, span_hi)
 
+    def _log_num(self, s_arr: np.ndarray):
+        """Numerator log-integrals for every s, built and reduced in row
+        blocks, and each row's (left, right) edge value minus its peak."""
+        r = self.r
+        lw = simpson_log_weights(r)
+        log_num = np.empty(s_arr.size)
+        edges = np.empty((s_arr.size, 2))
+        for rows in row_blocks(s_arr.size, r.size):
+            L = self._log_num_integrand(r[None, :], s_arr[rows, None])
+            log_num[rows] = log_integral(r, L, axis=1, lw=lw)
+            edges[rows] = L[:, [0, -1]] - L.max(axis=1)[:, None]
+        return log_num, edges
+
     def log_g(self, s_arr: np.ndarray) -> np.ndarray:
         s_arr = np.asarray(s_arr, dtype=float)
         self._ensure(float(s_arr.min()), float(s_arr.max()))
-        for attempt in range(2):
-            r = self.r
-            log_num_integrand = self._log_num_integrand(r[None, :], s_arr[:, None])
-            log_num = log_integral(r, log_num_integrand, axis=1)
-
-            num_peak = log_num_integrand.max(axis=1)
-            num_edge = float(np.max(log_num_integrand[:, [0, -1]] - num_peak[:, None]))
+        cold = -(self.cfg.drop - 15.0)
+        for attempt in range(3):
+            log_num, edges = self._log_num(s_arr)
+            num_edge = float(np.max(edges))
             den_edge = float(
                 max(self._den_integrand[0], self._den_integrand[-1]) - self._den_integrand.max()
             )
-            if max(num_edge, den_edge) <= -(self.cfg.drop - 15.0):
+            if max(num_edge, den_edge) <= cold:
                 return log_num - self._log_den
-            if attempt == 0:
-                span = float(s_arr.max()) - float(s_arr.min()) + 1.0
-                self._build(
-                    float(s_arr.min()) - 0.2 * span,
-                    float(s_arr.max()) + 0.2 * span,
-                    extra_drop=25.0,
-                )
+            if attempt == 2:
+                break
+            hot_s = []
+            if attempt == 1:
+                # a bimodal row can reach past the support of the extreme-s
+                # probes, so the hottest row at each hot edge becomes a probe
+                hot_s = [float(s_arr[np.argmax(side)]) for side in edges.T if side.max() > cold]
+            span = float(s_arr.max()) - float(s_arr.min()) + 1.0
+            self._build(
+                float(s_arr.min()) - 0.2 * span,
+                float(s_arr.max()) + 0.2 * span,
+                extra_drop=25.0,
+                hot_s=hot_s,
+            )
         raise AccuracyError(
             "g-factor quadrature window too narrow",
             diagnostics={
@@ -371,7 +392,9 @@ def evolved_kernel(
 
     zpad = math.sqrt(2.0 * cfg.drop * t) + 2.0
     x = simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
-    log_px = logsumexp(log_w[None, :] - (x[:, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
+    log_px = np.empty(x.size)
+    for rows in row_blocks(x.size, s.size):
+        log_px[rows] = logsumexp(log_w[None, :] - (x[rows, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
     log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
 
     # the mixture is normalised in exact arithmetic; the grid integral's

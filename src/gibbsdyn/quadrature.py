@@ -16,6 +16,7 @@ import numpy as np
 DEFAULT_DROP = 40.0
 REFINE_D2_THRESHOLD = 0.25  # |second difference of L| above this means under-resolved
 EXPAND_GROW = 1.6  # expanding_localize widens a hot window by this factor per round
+ROW_BLOCK_ELEMENTS = 32768  # 256 KB of float64: 8 rows of a 4097-point grid
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
@@ -43,12 +44,21 @@ def simpson_log_weights(x: np.ndarray) -> np.ndarray:
     return np.log(w * (h / 3.0))
 
 
-def log_integral(x: np.ndarray, log_f: np.ndarray, axis: int = -1):
-    """log of \\int exp(log_f) dx by composite Simpson in log space."""
-    lw = simpson_log_weights(x)
+def log_integral(x: np.ndarray, log_f: np.ndarray, axis: int = -1, lw: np.ndarray | None = None):
+    """log of \\int exp(log_f) dx by composite Simpson in log space; `lw`
+    passes simpson_log_weights(x) in when many row blocks share one grid."""
+    if lw is None:
+        lw = simpson_log_weights(x)
     if log_f.ndim == 2 and axis in (-1, 1):
         return logsumexp(log_f + lw[None, :], axis=1)
     return logsumexp(log_f + lw)
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices covering range(n_rows), each with at most
+    ROW_BLOCK_ELEMENTS elements of an n_cols-wide array but at least one row."""
+    step = max(1, ROW_BLOCK_ELEMENTS // n_cols)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_DROP):

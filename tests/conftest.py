@@ -11,9 +11,12 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+import math
+
 from scipy.special import logsumexp
 
-from gibbsdyn import kernels, potential as pot
+from gibbsdyn import kernels, potential as pot, quadrature, tilted
+from gibbsdyn.errors import NotDifferentiableError
 
 
 @pytest.fixture(scope="session")
@@ -132,3 +135,47 @@ def bin_averaged_kernel(spec, n, t, alpha, h):
     return kernels.KernelEstimate(
         grid=x, density=dens, mean=mean, variance=variance, total_mass_defect=abs(1.0 - mass)
     )
+
+
+def unblocked_log_g(machine, s):
+    """Slow oracle for kernels._GMachine.log_g on a call its first grid
+    passes: the literal full s x r numerator array on the machine's r grid,
+    reduced by one log_integral over axis 1."""
+    s = np.asarray(s, dtype=float)
+    machine._ensure(float(s.min()), float(s.max()))
+    r = machine.r
+    log_num = quadrature.log_integral(r, machine._log_num_integrand(r[None, :], s[:, None]), axis=1)
+    return log_num - machine._log_den
+
+
+def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+    """Slow oracle for kernels.evolved_kernel on a call whose g machine never
+    rebuilds: the same s-law support and grids, with the numerator and the
+    N(s, t) mixture each built as one full array and reduced in one call."""
+    machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
+
+    def log_h(s):
+        s = np.asarray(s, dtype=float)
+        return unblocked_log_g(machine, s) - s**2 / 2.0
+
+    anchors = [0.0]
+    if pot.has_analytic_deriv(spec, 1):
+        for q in machine.ms.locations:
+            try:
+                anchors.append(-float(pot.deriv(spec, q, 1)))
+            except NotDifferentiableError:
+                pass
+    pad = math.sqrt(2.0 * cfg.drop) + 2.0
+    s_lo, s_hi, _ = quadrature.expanding_localize(
+        log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=513, drop=cfg.drop
+    )
+    s = quadrature.simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
+    log_w = log_h(s) + quadrature.simpson_log_weights(s)
+    log_w = log_w - quadrature.logsumexp(log_w)
+
+    zpad = math.sqrt(2.0 * cfg.drop * t) + 2.0
+    x = quadrature.simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
+    log_px = quadrature.logsumexp(log_w[None, :] - (x[:, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
+    log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
+    defect = abs(1.0 - math.exp(float(quadrature.log_integral(x, log_px))))
+    return kernels._kernel_from_log_density(x, log_px, extra_defect=defect)

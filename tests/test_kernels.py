@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gibbsdyn import kernels, potential as pot, tilted
+from gibbsdyn import kernels, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
+
+from conftest import unblocked_evolved_kernel, unblocked_log_g
 
 SQRT15 = math.sqrt(1.5)
 
@@ -241,6 +243,66 @@ def test_mass_defect_contract(builtin_specs):
         var = np.trapezoid((k.grid - mean) ** 2 * k.density, k.grid)
         assert k.mean == pytest.approx(mean, abs=1e-8)
         assert k.variance == pytest.approx(var, abs=1e-8)
+
+
+def test_minus_sequence_ladder_through_bimodal_rows(double_well):
+    # at these n an interior s row of the numerator is bimodal, and its far
+    # bump lies outside the r support of the extreme-s probes
+    for n in (12, 14, 16):
+        k = kernels.evolved_kernel(double_well, n, 1.0, -1.0 / math.sqrt(n))
+        assert k.total_mass_defect <= 1e-8
+    machine = kernels._GMachine(double_well, 16, 1.0, -0.25, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
+    s = np.linspace(-13.18, 10.94, 513)
+    got = machine.log_g(s)
+    r = np.linspace(-8.0, 8.0, 64001)
+    want = [quadrature.log_integral(r, machine._log_num_integrand(r, si)) for si in s]
+    want = np.asarray(want) - quadrature.log_integral(r, machine._log_den_integrand(r))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name, n, t, alpha",
+    [
+        ("double_well", 50, 1.0, 0.5),
+        ("double_well", 50, 0.2, -0.5),
+        ("double_well", 3200, 1.0, 1.0 / math.sqrt(3200)),
+        ("double_well", 3200, 0.2, -1.0 / math.sqrt(3200)),
+        ("glued_beta1", 40, 1.5, 0.3),
+        ("abs", 25, 0.7, -0.4),
+        ("zero", 10, 1.0, 3.0),
+    ],
+    ids=["dw50-t1", "dw50-t0.2", "dw3200-t1", "dw3200-t0.2", "glued1", "abs", "zero"],
+)
+def test_blocked_evolved_kernel_is_bitwise_unblocked(builtin_specs, name, n, t, alpha):
+    got = kernels.evolved_kernel(builtin_specs[name], n, t, alpha)
+    want = unblocked_evolved_kernel(builtin_specs[name], n, t, alpha)
+    assert np.array_equal(got.grid, want.grid)
+    assert np.array_equal(got.density, want.density)
+    assert (got.mean, got.variance, got.total_mass_defect) == (want.mean, want.variance, want.total_mass_defect)
+
+
+@pytest.mark.parametrize("extra_rows", [-3, 0, 5, 25])
+def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
+    # row counts below one block, exactly one block, and not a block multiple
+    machine = kernels._GMachine(double_well, 50, 1.0, 0.5, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
+    block_rows = quadrature.ROW_BLOCK_ELEMENTS // quadrature.odd_count(kernels.DEFAULT_QUAD.grid_n)
+    s = np.linspace(-6.0, 6.0, block_rows + extra_rows)
+    got = machine.log_g(s)
+    assert np.array_equal(got, unblocked_log_g(machine, s))
+
+
+def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):
+    sizes = []
+    real_eval = kernels.pot.eval
+
+    def recording_eval(spec, r):
+        sizes.append(np.size(r))
+        return real_eval(spec, r)
+
+    monkeypatch.setattr(kernels.pot, "eval", recording_eval)
+    kernels.evolved_kernel(double_well, 3200, 1.0, 1.0 / math.sqrt(3200))
+    # one 16385-point localisation grid is the largest 1-D evaluation
+    assert max(sizes) <= max(quadrature.ROW_BLOCK_ELEMENTS, 16385)
 
 
 # --- limit kernel ----------------------------------------------------------------
