@@ -77,9 +77,9 @@ def _scan_curvature_infimum(spec: pot.PotentialSpec, radius: float, n_grid: int 
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     if pot.has_analytic_deriv(spec, 2) and 0 < i < xs.size - 1:
-        x, v = golden_section(lambda s: float(pot.deriv(spec, s, 2)), xs[i - 1], xs[i + 1])
-        if v < best_v:
-            best_x, best_v = x, v
+        x, v = golden_section(lambda s, _: pot.deriv(spec, s, 2), xs[i - 1 : i], xs[i + 1 : i + 2])
+        if v[0] < best_v:
+            best_x, best_v = float(x[0]), float(v[0])
     return best_v, best_x
 
 
@@ -344,23 +344,6 @@ def gibbs_at_tc(spec: pot.PotentialSpec) -> str:
     if report.t_c == 0.0 or math.isinf(report.t_c):
         raise DomainError(f"status at t_c is not applicable when t_c = {report.t_c}")
     return report.gibbs_at_tc
-
-
-def supporting_point(f, y: float, triple_grid) -> bool:
-    """Whether y supports f from below by a line: Phi2 f(., y, .) >= 0 over
-    every sampled pair x < y < z of the grid (up to -1e-10)."""
-    grid = np.asarray(triple_grid, dtype=float)
-    xs = grid[grid < y]
-    zs = grid[grid > y]
-    if xs.size == 0 or zs.size == 0:
-        raise DomainError("triple grid must bracket y")
-    fy = float(f(y))
-    fx = np.asarray([float(f(x)) for x in xs])
-    fz = np.asarray([float(f(z)) for z in zs])
-    X, Z = np.meshgrid(xs, zs, indexing="ij")
-    FX, FZ = np.meshgrid(fx, fz, indexing="ij")
-    q = ((FZ - fy) / (Z - y) - (fy - FX) / (y - X)) / (Z - X)
-    return bool(q.min() >= -1e-10)
 
 
 def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int = 201):

@@ -32,7 +32,7 @@ and falls back to exact for rare-event conditioning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -40,7 +40,7 @@ from scipy.special import ndtr, ndtri
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import ConfigError, DomainError, InsufficientStatisticsError
 from gibbsdyn.kernels import KernelEstimate
-from gibbsdyn.quadrature import localize, log_integral, simpson_grid
+from gibbsdyn.quadrature import localize, log_integral, simpson_grid, trapezoid_cdf
 
 METHOD_AUTO = "auto"
 METHOD_REJECT = "reject"
@@ -105,30 +105,30 @@ class _MagnetisationTable:
     `quad_grid`/`density` is the whole tabulation grid, for integrals against
     the law. `grid`/`cdf` drop the points where the CDF does not grow at float
     resolution, which makes the inverse CDF well defined but also drops
-    low-density troughs, so they serve sampling only.
+    low-density troughs, so they serve sampling only. `log_density` and `B`
+    are the law and the window [-B, B] it was tabulated from.
     """
 
     quad_grid: np.ndarray
     density: np.ndarray
     grid: np.ndarray
     cdf: np.ndarray
+    log_density: object
+    B: float
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return np.interp(u, self.cdf, self.grid)
 
 
-def _tabulate(log_density, lo: float, hi: float) -> _MagnetisationTable:
-    lo2, hi2, _ = localize(log_density, lo, hi, 16385)
-    x = simpson_grid(lo2, hi2, 32769)
+def _tabulate(log_density, B: float) -> _MagnetisationTable:
+    lo, hi, _ = localize(log_density, -B, B, 16385)
+    x = simpson_grid(lo, hi, 32769)
     L = np.asarray(log_density(x), dtype=float)
     dens = np.exp(L - float(log_integral(x, L)))
-    inc = 0.5 * (dens[1:] + dens[:-1]) * np.diff(x)
-    cdf = np.concatenate(([0.0], np.cumsum(inc)))
-    cdf /= cdf[-1]
     # strictly increasing cdf for a well-defined inverse
-    cdf = np.maximum.accumulate(cdf)
+    cdf = np.maximum.accumulate(trapezoid_cdf(x, dens))
     keep = np.concatenate(([True], np.diff(cdf) > 0))
-    return _MagnetisationTable(quad_grid=x, density=dens, grid=x[keep], cdf=cdf[keep])
+    return _MagnetisationTable(x, dens, x[keep], cdf[keep], log_density, B)
 
 
 def _initial_magnetisation_table(spec: pot.PotentialSpec, n: int) -> _MagnetisationTable:
@@ -140,8 +140,7 @@ def _initial_magnetisation_table(spec: pot.PotentialSpec, n: int) -> _Magnetisat
         return -n * (np.asarray(pot.eval(spec, s)) - floor) - n * s**2 / 2.0
 
     v0 = float(pot.eval(spec, 0.0)) - floor
-    B = math.sqrt(2.0 * (n * v0 + 45.0) / n) + 1.0
-    return _tabulate(log_density, -B, B)
+    return _tabulate(log_density, math.sqrt(2.0 * (n * v0 + 45.0) / n) + 1.0)
 
 
 def sample_initial_magnetisation(spec: pot.PotentialSpec, n: int, rng: np.random.Generator, size: int = 1):
@@ -189,7 +188,6 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
     rng = _rng(config.seed)
 
     accepted: list[np.ndarray] = []
-    total = 0
     done = 0
     while done < config.replicas:
         block = min(_BLOCK, config.replicas - done)
@@ -201,13 +199,12 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
         m_comp = spins_t[:, 1:].mean(axis=1)
         hit = np.abs(m_comp - a) <= h
         accepted.append(spins_t[hit, 0])
-        total += block
         done += block
-    samples = np.concatenate(accepted) if accepted else np.empty(0)
-    rate = samples.size / total if total else 0.0
+    samples = np.concatenate(accepted)
+    rate = samples.size / done
     if samples.size < MIN_ACCEPTED:
         raise InsufficientStatisticsError(
-            f"only {samples.size} accepted samples out of {total} replicas; "
+            f"only {samples.size} accepted samples out of {done} replicas; "
             "increase bin_halfwidth or replicas, or use method='exact'",
             accepted=int(samples.size),
             acceptance_rate=rate,
@@ -221,27 +218,22 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
     )
 
 
-def _evolve_exact(spec: pot.PotentialSpec, config: SimConfig, rate: float) -> EmpiricalKernel:
-    """The exact sampler; rate is estimate_acceptance(spec, config), reported
-    as the acceptance rate."""
+def _evolve_exact(initial: _MagnetisationTable, config: SimConfig, rate: float) -> EmpiricalKernel:
+    """The exact sampler; initial is the time-0 magnetisation table and rate
+    the acceptance estimate from it, reported as the acceptance rate."""
     n, t = config.n, config.t
     a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
     sd_m = _companion_sd(n, t)
-    floor = min(spec.v_floor, 0.0)
 
     # s0 | bin-hit: initial magnetisation density tilted by the hit probability
     def log_density(s):
         s = np.asarray(s)
-        base = -n * (np.asarray(pot.eval(spec, s)) - floor) - n * s**2 / 2.0
         w = ndtr((a + h - s) / sd_m) - ndtr((a - h - s) / sd_m)
         with np.errstate(divide="ignore"):
-            return base + np.log(w)
+            return initial.log_density(s) + np.log(w)
 
-    v0 = float(pot.eval(spec, 0.0)) - floor
-    B = math.sqrt(2.0 * (n * v0 + 45.0) / n) + 1.0
-    B = max(B, abs(a) + h + 12.0 * sd_m)
-    table = _tabulate(log_density, -B, B)
+    table = _tabulate(log_density, max(initial.B, abs(a) + h + 12.0 * sd_m))
 
     R = config.replicas
     s0 = table.sample(rng.random(R))
@@ -280,7 +272,7 @@ def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> Empirica
     rate = _bin_probability(table, config)
     if config.method == METHOD_AUTO and rate * config.replicas >= 10.0 * MIN_ACCEPTED:
         return _evolve_reject(table, config)
-    return _evolve_exact(spec, config, rate)
+    return _evolve_exact(table, config, rate)
 
 
 def simulate_joint_magnetisation(
@@ -320,11 +312,4 @@ def attach_ks(emp: EmpiricalKernel, reference: KernelEstimate) -> EmpiricalKerne
         "reference_mean": reference.mean,
         "reference_variance": reference.variance,
     }
-    return EmpiricalKernel(
-        samples=emp.samples,
-        accepted_count=emp.accepted_count,
-        acceptance_rate=emp.acceptance_rate,
-        method=emp.method,
-        config=emp.config,
-        ks_vs=record,
-    )
+    return replace(emp, ks_vs=record)

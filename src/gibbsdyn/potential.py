@@ -162,7 +162,7 @@ def glued_exp(beta: float) -> PotentialSpec:
     """Convex glue minus beta*r^2, shifted by C_beta so that inf V = 0.
 
     C_beta = inf_s [g(s) - beta*s^2] is computed at construction by a grid
-    scan plus golden-section refinement to 1e-10."""
+    scan plus golden-section refinement (gridmin.global_minimum)."""
     if not (beta > 0):
         raise DomainError("glued_exp requires beta > 0")
     b = float(beta)
@@ -338,18 +338,6 @@ def phi2(f, x: float, y: float, z: float) -> float:
     return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
 
 
-def phi2_symmetric_form(f, x: float, y: float, z: float) -> float:
-    """Equivalent three-term form f(x)/((x-y)(x-z)) + f(y)/((y-x)(y-z)) + f(z)/((z-x)(z-y))."""
-    if not (x < y < z):
-        raise OrderingError(f"need x < y < z, got ({x}, {y}, {z})")
-    fx, fy, fz = float(f(x)), float(f(y)), float(f(z))
-    return (
-        fx / ((x - y) * (x - z))
-        + fy / ((y - x) * (y - z))
-        + fz / ((z - x) * (z - y))
-    )
-
-
 def phi2_grid(values: np.ndarray, xs: np.ndarray, i, j, k) -> np.ndarray:
     """Vectorised second difference quotient from precomputed values on a grid.
 
@@ -358,13 +346,6 @@ def phi2_grid(values: np.ndarray, xs: np.ndarray, i, j, k) -> np.ndarray:
     x, y, z = xs[i], xs[j], xs[k]
     fx, fy, fz = values[i], values[j], values[k]
     return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
-
-
-def check_nonneg_on_grid(spec: PotentialSpec, radius: float = DEFAULT_WINDOW_RADIUS, n: int = 20001) -> float:
-    """Minimum of V over a dense grid on [-radius, radius]; used to verify the
-    V >= 0 convention for families that promise it."""
-    xs = np.linspace(-radius, radius, n)
-    return float(np.min(eval(spec, xs)))
 
 
 def with_window(spec: PotentialSpec, radius: float) -> PotentialSpec:

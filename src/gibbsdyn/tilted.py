@@ -19,7 +19,6 @@ bad_set_scan agree by construction.
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ import numpy as np
 
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import ConfigError, DomainError, NotDifferentiableError
-from gibbsdyn.gridmin import REFINE_TOL, golden_section, local_minima_indices
+from gibbsdyn.gridmin import REFINE_TOL, _drive, golden_section, local_minima_indices
 
 COARSE_GRID_N = 32768  # coarse scan resolution on the truncation window
 SEPARATION_STEPS = 3  # grid points fewer steps apart than this touch one minimiser
@@ -38,10 +37,10 @@ INDETERMINATE_FACTOR = 10.0
 TRUNCATION_MARGIN = 10.0  # quadratic tilt must exceed best-so-far by this much outside
 
 
-def _tie(gap: float, eps: float) -> tuple[bool, bool]:
-    """(tie, near-tie) for a value gap above the minimum: a tie within eps,
-    a near-tie within (eps, INDETERMINATE_FACTOR*eps]."""
-    return gap <= eps, eps < gap <= INDETERMINATE_FACTOR * eps
+def _tie(gap, eps):
+    """(tie, near-tie) for value gaps above the minimum, elementwise: a tie
+    within eps, a near-tie within (eps, INDETERMINATE_FACTOR*eps]."""
+    return gap <= eps, (eps < gap) & (gap <= INDETERMINATE_FACTOR * eps)
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,8 @@ class ToleranceConfig:
             if not (value > 0) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
-    def eps_val(self, value: float) -> float:
-        return self.eps_val_rel * max(1.0, abs(value))
+    def eps_val(self, value):
+        return self.eps_val_rel * np.maximum(1.0, np.abs(value))
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -73,18 +72,18 @@ DEFAULT_TOL = ToleranceConfig()
 class TiltedRate:
     potential: pot.PotentialSpec
     t: float
-    alpha: float
+    alpha: float | np.ndarray  # an array of alphas is a batch, as _refine takes it
 
     def __post_init__(self):
         if not (self.t > 0) or not math.isfinite(self.t):
             raise DomainError("TiltedRate requires t > 0; t = 0 belongs to the initial-kernel path")
         if not 0.0 < self.tilt_curvature < math.inf:
             raise DomainError(f"tilt curvature (1 + t)/(2 t) is not finite and positive at t = {self.t!r}")
-        if not math.isfinite(self.alpha):
+        if not np.isfinite(self.alpha).all():
             raise DomainError("alpha must be finite")
 
     @property
-    def center(self) -> float:
+    def center(self):
         """Center alpha/(1+t) of the quadratic tilt."""
         return self.alpha / (1.0 + self.t)
 
@@ -123,11 +122,11 @@ def eval_rate(tr: TiltedRate, r):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def _truncation_radius(tr: TiltedRate, best_value: float) -> float:
+def _truncation_radius(tr: TiltedRate, best_value):
     """Radius R around the tilt center such that the tilt alone exceeds
     best_value + margin outside; since V >= v_floor, no minimiser can be there."""
-    excess = max(best_value - min(tr.potential.v_floor, 0.0), 0.0) + TRUNCATION_MARGIN
-    return math.sqrt(excess / tr.tilt_curvature)
+    excess = np.maximum(best_value - min(tr.potential.v_floor, 0.0), 0.0) + TRUNCATION_MARGIN
+    return np.sqrt(excess / tr.tilt_curvature)
 
 
 def _window(spec: pot.PotentialSpec, t: float, alphas) -> tuple[float, float]:
@@ -135,68 +134,78 @@ def _window(spec: pot.PotentialSpec, t: float, alphas) -> tuple[float, float]:
     J (_shifted_rate) is bounded by J at three points: its own tilt center,
     the lowest center and r = 0; the last two keep the window tight where a
     fast-growing V is huge at the centers."""
-    trs = [TiltedRate(spec, t, float(a)) for a in alphas]
-    k, cs = trs[0].tilt_curvature, np.asarray([tr.center for tr in trs])
+    tr = TiltedRate(spec, t, np.asarray(alphas, dtype=float))
+    k, cs = tr.tilt_curvature, tr.center
     floor = min(spec.v_floor, 0.0)
     jc, j0 = np.asarray(pot.eval(spec, cs)) - floor, pot.eval(spec, 0.0) - floor
     best = np.minimum.reduce([jc, jc.min() + k * (cs - cs[np.argmin(jc)]) ** 2, j0 + k * cs**2])
-    radii = np.asarray([_truncation_radius(tr, float(b)) for tr, b in zip(trs, best)])
+    radii = _truncation_radius(tr, best)
     return float(np.min(cs - radii)), float(np.max(cs + radii))
 
 
 def _shifted_rate(tr: TiltedRate):
-    """J(r) = (V(r) - v_floor) + k (r - c)^2 >= 0, the tilt-centred form used
-    for window construction; differs from eval_rate by a constant."""
-    c = tr.center
+    """J(r, j) = (V(r) - v_floor) + k (r - c_j)^2 >= 0 at the tilt center c_j
+    of the j-th alpha, the tilt-centred form used for window construction;
+    differs from eval_rate by a constant."""
+    c = np.atleast_1d(tr.center)
     k = tr.tilt_curvature
     floor = min(tr.potential.v_floor, 0.0)
 
-    def J(r):
-        return (np.asarray(pot.eval(tr.potential, r)) - floor) + k * (np.asarray(r) - c) ** 2
+    def J(r, j):
+        return (np.asarray(pot.eval(tr.potential, r)) - floor) + k * (r - c[j]) ** 2
 
     return J
 
 
-def _foc_residual(tr: TiltedRate, q: float) -> float:
-    """First-order condition V'(q) + q + (q - alpha)/t, when V' is available."""
-    d1 = pot.deriv(tr.potential, q, 1)
-    return d1 + q + (q - tr.alpha) / tr.t
+def _newton_polish(tr: TiltedRate, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton steps on the first-order condition from each start
+    q[j] for tr.alpha[j], clipped to [lo[j], hi[j]], in one batch. Golden
+    section is value-based and stalls at x-accuracy ~sqrt(eps); polishing the
+    root of the derivative recovers full precision. A start stays where its
+    residual grew or V' does not exist at one of its points."""
 
+    def deriv(x, j):  # V'(x), NaN where it does not exist
+        try:
+            return pot.deriv(tr.potential, x, 1)
+        except NotDifferentiableError:  # a kink in the batch: NaN there, V' elsewhere
+            return np.concatenate([deriv(x[i : i + 1], j) for i in range(x.size)]) if x.size > 1 else np.full(1, np.nan)
 
-def _newton_polish(tr: TiltedRate, q: float, bracket: tuple[float, float]) -> float:
-    """Safeguarded Newton steps on the first-order condition. Golden section is
-    value-based and stalls at x-accuracy ~sqrt(eps); polishing the root of the
-    derivative recovers full precision."""
-    lo, hi = bracket
-    x = q
-    try:
-        f = f_start = _foc_residual(tr, q)
+    def newton(q, lo, hi, alpha):
+        def foc(x):  # the residual V'(x) + x + (x - alpha)/t, once V'(x) is sent in
+            return (yield x) + x + (x - alpha) / tr.t
+
+        x = q
+        f = f_start = yield from foc(q)
         for _ in range(8):
             if abs(f) < 1e-13:
                 break
             h = 1e-7 * max(1.0, abs(x))
-            fp = (_foc_residual(tr, x + h) - _foc_residual(tr, x - h)) / (2 * h)
+            up, down = (yield from foc(x + h)), (yield from foc(x - h))
+            if math.isnan(up) or math.isnan(down):
+                return q
+            fp = (up - down) / (2 * h)
             if fp <= 0 or not math.isfinite(fp):
                 break
             step = f / fp
             if not math.isfinite(step):
                 break
             x = min(max(x - step, lo), hi)
-            f = _foc_residual(tr, x)
-    except NotDifferentiableError:
-        return q
-    return x if abs(f) <= abs(f_start) else q
+            f = yield from foc(x)
+        return x if abs(f) <= abs(f_start) else q
+
+    starts = zip(q.tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())
+    return np.asarray(_drive([newton(*p) for p in starts], deriv), dtype=float)
 
 
-def _refine(tr: TiltedRate, xs: np.ndarray, i: int) -> tuple[float, float]:
-    """(x, U(x)) at the minimum in the basin of grid point i, bracketed by its
-    neighbours: golden section, then Newton polish when V' is analytic."""
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-    J = _shifted_rate(tr)
-    x, _ = golden_section(lambda s: float(J(np.asarray([s]))[0]), lo, hi)
+def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, U(x)) arrays: for each j, the minimum for tr.alpha[j] in the basin
+    of grid point idx[j], bracketed by its neighbours. One golden section
+    over all brackets, then one Newton polish when V' is analytic."""
+    lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
+    x, _ = golden_section(_shifted_rate(tr), lo, hi)
     if pot.has_analytic_deriv(tr.potential, 1):
-        x = _newton_polish(tr, x, (lo, hi))
-    return float(x), float(eval_rate(tr, x))
+        x = _newton_polish(tr, x, lo, hi)
+    return x, eval_rate(tr, x)
 
 
 def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> MinimiserSet:
@@ -212,12 +221,12 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     c = tr.center
     lo, hi = _window(tr.potential, tr.t, [tr.alpha])
     xs = np.linspace(lo, hi, COARSE_GRID_N)
-    vs = J(xs)
+    vs = J(xs, 0)
     b = float(vs.min())
-    R2 = _truncation_radius(tr, b)
+    R2 = float(_truncation_radius(tr, b))
     if R2 < 0.25 * (hi - lo):
         xs = np.linspace(c - R2, c + R2, COARSE_GRID_N)
-        vs = J(xs)
+        vs = J(xs, 0)
         b = float(vs.min())
 
     # Discretisation band: a true tie can sit up to ~curvature*dx^2/2 above the
@@ -232,16 +241,15 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
         picks.add(int(run[np.argmin(vs[run])]))
         if run[-1] - run[0] >= SEPARATION_STEPS:
             picks.update((int(run[0]), int(run[-1])))
-    refined = [_refine(tr, xs, i) for i in sorted(picks)]
-
-    best = min(v for _, v in refined)
-    eps = tol.eps_val(best)
-    ties = sorted((x, v) for x, v in refined if _tie(v - best, eps)[0])
-    near = sorted(v for _, v in refined if _tie(v - best, eps)[1])
+    picks = np.asarray(sorted(picks))
+    qs, values = _refine(TiltedRate(tr.potential, tr.t, np.full(picks.size, tr.alpha)), xs, picks)
+    best = float(values.min())
+    tie, near = _tie(values - best, tol.eps_val(best))
+    near = np.sort(values[near]).tolist()
 
     # merge tie locations closer than delta_cluster
     locations: list[float] = []
-    for x, _ in ties:
+    for x in np.sort(qs[tie]).tolist():
         if not locations or x - locations[-1] > tol.delta_cluster:
             locations.append(x)
     return MinimiserSet(tuple(locations), best, multiple=len(locations) >= 2, q_min=locations[0],
@@ -311,38 +319,43 @@ class _ConvexMinorant:
     U_alpha = g_t - (alpha/t) r + alpha^2/(2t) is minimal where the line of
     slope alpha/t supports g_t. The hull is built once, on COARSE_GRID_N
     points spanning the alphas' truncation windows (_window). Each hull edge
-    spanning at least SEPARATION_STEPS grid steps (bridging, or a piece of an
-    affine stretch of g_t) is a candidate; edges holds its common tangent
-    (alpha*, q1, q2, v1, v2), in increasing alpha*: the contacts are refined
-    at slope alpha*/t and alpha* moves to the chord slope until it settles."""
+    (i1, i2) spanning at least SEPARATION_STEPS grid steps (bridging, or a
+    piece of an affine stretch of g_t) is a candidate; edges holds its common
+    tangent (alpha*, q1, q2, v1, v2), in increasing alpha*. All candidates
+    are polished together: both contacts of every edge are refined at slope
+    alpha*/t in one batch, and each alpha* moves to its chord slope until it
+    settles, for at most 8 rounds."""
 
     def __init__(self, spec: pot.PotentialSpec, t: float, alphas):
         self.spec, self.t = spec, t
         self.xs = np.linspace(*_window(spec, t, alphas), COARSE_GRID_N)
         g = np.asarray(pot.eval(spec, self.xs)) + (1.0 + t) / (2.0 * t) * self.xs**2
-        self.hull, _ = lower_hull(self.xs, g)
+        self.hull = np.asarray(lower_hull(self.xs, g)[0])
         self.slopes = np.diff(g[self.hull]) / np.diff(self.xs[self.hull])
-        self.wide = [(i1, i2) for i1, i2 in zip(self.hull, self.hull[1:]) if i2 - i1 >= SEPARATION_STEPS]
-        self.edges = [self._common_tangent(i1, i2) for i1, i2 in self.wide]
-
-    def _common_tangent(self, i1: int, i2: int) -> tuple[float, float, float, float, float]:
-        alpha = self.t * float(self.slopes[self.hull.index(i1)])
+        k = np.flatnonzero(np.diff(self.hull) >= SEPARATION_STEPS)
+        self.i1, self.i2 = self.hull[k], self.hull[k + 1]
+        alpha, q1, q2, v1, v2 = t * self.slopes[k], *np.zeros((4, k.size))
+        live = np.arange(k.size)
         for _ in range(8):
-            (q1, v1), (q2, v2) = (_refine(TiltedRate(self.spec, self.t, alpha), self.xs, i) for i in (i1, i2))
-            step = self.t * (v2 - v1) / (q2 - q1)  # t x (chord slope - alpha/t)
-            if abs(step) <= REFINE_TOL * max(1.0, abs(alpha)):
+            if not live.size:
                 break
-            alpha += step
-        return alpha, q1, q2, v1, v2
+            both = np.concatenate([self.i1[live], self.i2[live]])
+            x, v = _refine(TiltedRate(spec, t, np.tile(alpha[live], 2)), self.xs, both)
+            q1[live], q2[live], v1[live], v2[live] = np.split(np.concatenate([x, v]), 4)
+            step = t * (v2[live] - v1[live]) / (q2[live] - q1[live])  # t x (chord slope - alpha/t)
+            moving = ~(np.abs(step) <= REFINE_TOL * np.maximum(1.0, np.abs(alpha[live])))
+            alpha[live[moving]] += step[moving]
+            live = live[moving]
+        self.edges = list(zip(*(a.tolist() for a in (alpha, q1, q2, v1, v2))))
 
-    def contact(self, alpha: float) -> tuple[float, float]:
-        """(x, U_alpha(x)) at a polished global minimiser: the hull's contact
-        vertex, on the side of each candidate that the polished edges give."""
-        i = self.hull[int(np.searchsorted(self.slopes, alpha / self.t))]
-        k = bisect.bisect_right([e[0] for e in self.edges], alpha)
-        lo = self.wide[k - 1][1] if k > 0 else 0
-        hi = self.wide[k][0] if k < len(self.wide) else self.xs.size - 1
-        return _refine(TiltedRate(self.spec, self.t, alpha), self.xs, min(max(i, lo), hi))
+    def contacts(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, U_alpha(x)) arrays at polished global minimisers: each alpha's
+        hull contact vertex, on the side of each candidate that the polished
+        edges give."""
+        i = self.hull[np.searchsorted(self.slopes, alphas / self.t)]
+        k = np.searchsorted([e[0] for e in self.edges], alphas, side="right")
+        lo, hi = np.append(0, self.i2)[k], np.append(self.i1, self.xs.size - 1)[k]
+        return _refine(TiltedRate(self.spec, self.t, alphas), self.xs, np.clip(i, lo, hi))
 
 
 def bad_set_scan(
@@ -374,13 +387,16 @@ def bad_set_scan(
             bad[-1] = max(bad[-1], e, key=lambda f: f[2] - f[1])
         else:
             bad.append(e)
-    rows = []
-    for a in alphas.tolist():
-        x, value = minorant.contact(a)
-        gap, q1, q2 = min(((abs(a - e[0]) * (e[2] - e[1]) / t, e[1], e[2]) for e in edges), default=(math.inf, x, x))
-        tie, near = _tie(gap, tol.eps_val(value))
-        rows.append(BadScanRow(a, 1 + tie, *((q1, q2) if tie else (x, x)), value, near))
-    return BadScanResult(tuple((a + 0.0, a + 0.0) for a, *_ in bad if lo <= a <= hi), tuple(rows))
+    x, values = minorant.contacts(alphas)
+    e = np.asarray(edges, dtype=float).reshape(-1, 4)
+    gaps = np.abs(alphas[:, None] - e[:, 0]) * (e[:, 2] - e[:, 1]) / t
+    gaps = np.column_stack([gaps, np.full(alphas.size, math.inf)])
+    near = np.argmin(gaps, axis=1)  # the nearest bad edge; the last column stands for none
+    tie, indeterminate = _tie(gaps.min(axis=1), tol.eps_val(values))
+    q_min, q_max = (np.where(tie, np.append(e[:, j], 0.0)[near], x) for j in (1, 2))
+    cols = (alphas, 1 + tie, q_min, q_max, values, indeterminate)
+    rows = tuple(map(BadScanRow, *(c.tolist() for c in cols)))
+    return BadScanResult(tuple((a + 0.0, a + 0.0) for a, *_ in bad if lo <= a <= hi), rows)
 
 
 def limiting_potential(potential_spec: pot.PotentialSpec, t: float, r):
@@ -396,5 +412,5 @@ def limiting_potential(potential_spec: pot.PotentialSpec, t: float, r):
     if rs.size == 0:
         return rs
     minorant = _ConvexMinorant(potential_spec, t, rs)
-    out = np.asarray([minorant.contact(ri)[1] for ri in rs.tolist()]) - rs**2 / (2.0 * (1.0 + t))
+    out = minorant.contacts(rs)[1] - rs**2 / (2.0 * (1.0 + t))
     return float(out[0]) if scalar else out

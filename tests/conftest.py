@@ -16,7 +16,8 @@ import math
 from scipy.special import logsumexp
 
 from gibbsdyn import kernels, potential as pot, quadrature, tilted
-from gibbsdyn.errors import NotDifferentiableError
+from gibbsdyn.errors import NotDifferentiableError, OrderingError
+from gibbsdyn.gridmin import INV_PHI, REFINE_TOL
 
 
 @pytest.fixture(scope="session")
@@ -179,3 +180,43 @@ def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
     log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
     defect = abs(1.0 - math.exp(float(quadrature.log_integral(x, log_px))))
     return kernels._kernel_from_log_density(x, log_px, extra_defect=defect)
+
+
+def scalar_golden_section(f, lo: float, hi: float):
+    """Slow oracle for gridmin.golden_section: the one-bracket loop that the
+    batched version runs per bracket, with f(x) a scalar function. Returns
+    (x, f(x))."""
+    a, b = float(lo), float(hi)
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a <= REFINE_TOL * max(1.0, abs(a) + abs(b)):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = f(d)
+    if fc < fd:
+        return c, fc
+    return d, fd
+
+
+def phi2_symmetric_form(f, x: float, y: float, z: float) -> float:
+    """Oracle for potential.phi2: the equivalent three-term form
+    f(x)/((x-y)(x-z)) + f(y)/((y-x)(y-z)) + f(z)/((z-x)(z-y))."""
+    if not (x < y < z):
+        raise OrderingError(f"need x < y < z, got ({x}, {y}, {z})")
+    fx, fy, fz = float(f(x)), float(f(y)), float(f(z))
+    return fx / ((x - y) * (x - z)) + fy / ((y - x) * (y - z)) + fz / ((z - x) * (z - y))
+
+
+def check_nonneg_on_grid(spec, radius: float = pot.DEFAULT_WINDOW_RADIUS, n: int = 20001) -> float:
+    """Minimum of V over a dense grid on [-radius, radius], to check the
+    V >= 0 convention of the families that promise it."""
+    xs = np.linspace(-radius, radius, n)
+    return float(np.min(pot.eval(spec, xs)))

@@ -222,21 +222,6 @@ def test_cached_reports_equal_recomputation(builtin_specs):
         assert _json(classify.crossover_time(spec)) == cached[name], name
 
 
-def test_supporting_point():
-    grid = np.linspace(-3, 3, 41)
-    assert classify.supporting_point(lambda x: x * x, 0.0, grid) is True
-    assert classify.supporting_point(lambda x: -x * x, 0.0, grid) is False
-    # global minimiser of the zero-tilt double-well rate is a supporting point
-    assert (
-        classify.supporting_point(
-            lambda x: x**4 - 3 * x**2 + 3, math.sqrt(1.5), np.linspace(-3, 3, 61)
-        )
-        is True
-    )
-    with pytest.raises(DomainError):
-        classify.supporting_point(lambda x: x, 5.0, np.linspace(-3, 3, 11))
-
-
 @pytest.mark.parametrize(
     "beta, window, grid_n, error",
     [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import check_nonneg_on_grid, phi2_symmetric_form
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
 
@@ -55,12 +56,12 @@ def test_builtin_nonnegativity_on_grid(builtin_specs):
     for name, spec in builtin_specs.items():
         if name == "double_well":
             continue  # shift-invariant model; this builtin dips to -1 by design
-        assert pot.check_nonneg_on_grid(spec) >= -1e-12, name
+        assert check_nonneg_on_grid(spec) >= -1e-12, name
 
 
 def test_polynomial_normalization():
     norm = pot.polynomial([3.0, 0.0, -4.0, 0.0, 1.0], normalize=True)
-    assert pot.check_nonneg_on_grid(norm) >= -1e-12
+    assert check_nonneg_on_grid(norm) >= -1e-12
     assert pot.eval(norm, math.sqrt(2.0)) == pytest.approx(0.0, abs=1e-12)
     assert norm.v_floor == 0.0
 
@@ -191,7 +192,7 @@ def test_phi2_symmetric_form_agreement(triple):
     x, y, z = triple
     f = lambda s: s**4 - 2.0 * s**2 + 0.5 * s
     a = pot.phi2(f, x, y, z)
-    b = pot.phi2_symmetric_form(f, x, y, z)
+    b = phi2_symmetric_form(f, x, y, z)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-10)
 
 

@@ -194,10 +194,35 @@ def test_flat_envelope_gives_minimiser_continuum(glued1):
     assert all(tilted._tie(tilted.eval_rate(tr, q) - ms.value, eps)[0] for q in ms.locations)
 
 
+def polish(spec, t, alphas, q, lo, hi):
+    tr = tilted.TiltedRate(spec, t, np.asarray(alphas, dtype=float))
+    return tilted._newton_polish(tr, *(np.asarray(v, dtype=float) for v in (q, lo, hi)))
+
+
 def test_newton_polish_at_kink_returns_start():
     # V' does not exist at the kink of |r|: the polish keeps the golden-section point
-    tr = tilted.TiltedRate(pot.absolute(), 1.0, 0.0)
-    assert tilted._newton_polish(tr, 0.0, (-0.1, 0.1)) == 0.0
+    assert polish(pot.absolute(), 1.0, [0.0], [0.0], [-0.1], [0.1]).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("name", ["abs", "double_well", "glued_beta1"])
+def test_newton_polish_kink_in_a_batch_leaves_the_others_alone(builtin_specs, name):
+    # a start exactly at the kink of |r| keeps its value; every other start of
+    # the batch is polished exactly as it is alone. The other starts sit near
+    # the minimisers of U, where the polish moves them
+    spec, t = builtin_specs[name], 1.0
+    alphas = np.array([0.0, 3.0, -2.5, 1.8])
+    starts = []
+    for a in alphas:
+        ms = tilted.global_minimisers(tilted.TiltedRate(spec, t, float(a)))
+        starts.append(ms.locations[0] + 3e-6)
+    starts[0] = 0.0
+    lo, hi = np.asarray(starts) - 0.01, np.asarray(starts) + 0.01
+    batch = polish(spec, t, alphas, starts, lo, hi)
+    alone = [polish(spec, t, [a], [q], [l], [h])[0] for a, q, l, h in zip(alphas, starts, lo, hi)]
+    assert batch.tolist() == alone
+    if name == "abs":
+        assert batch[0] == 0.0
+    assert all(b != q for b, q in zip(batch[1:], starts[1:]))
 
 
 def test_bad_set_scan_validation(zero):
@@ -355,3 +380,17 @@ def test_limiting_potential_scalar_matches_vector_on_wide_window(glued1):
     vector = tilted.limiting_potential(glued1, 0.3, np.array([-50.0, -40.0]))
     assert scalar == pytest.approx(vector[0], abs=1e-9)
     assert scalar == pytest.approx(2370.7123, abs=1e-4)
+
+
+def test_scan_and_limitpot_refine_in_batches(double_well, monkeypatch):
+    # one golden-section batch for all rows (or points), plus at most two per
+    # round of the common-tangent polish, which has at most 8 rounds
+    calls = []
+    batched = tilted.golden_section
+    monkeypatch.setattr(tilted, "golden_section", lambda f, lo, hi: calls.append(np.size(lo)) or batched(f, lo, hi))
+    res = tilted.bad_set_scan(double_well, 0.3, (-5.0, 5.0), 201)
+    assert len(res.rows) == 201 and [lo for lo, _ in res.intervals] == pytest.approx([0.0], abs=1e-12)
+    assert 201 in calls and len(calls) <= 1 + 2 * 8
+    calls.clear()
+    assert tilted.limiting_potential(double_well, 0.3, np.linspace(-4.0, 4.0, 101)).shape == (101,)
+    assert 101 in calls and len(calls) <= 1 + 2 * 8
