@@ -22,7 +22,7 @@ deterministic command from its embedded config reproduces the numbers.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import logging
 import math
@@ -38,6 +38,7 @@ from gibbsdyn.errors import GibbsDynError
 log = logging.getLogger("gibbsdyn")
 
 FORMAT_CHOICES = ("csv", "json", "both")
+CSV_BLOCK_ROWS = 4096  # rows formatted per write of a CSV table
 # parsed arguments every command has; the others are the command's own params
 _SHARED = ("command", "potential", "out", "format", "eps_val_rel", "delta_cluster", "truncation_mass", "quad_grid")
 
@@ -117,7 +118,7 @@ def _tolerances(args):
     )
 
 
-# Each command calls the library and returns (results, [(csv_name, header, rows), ...]).
+# Each command calls the library and returns (results, [(csv_name, header, columns), ...]).
 
 
 def _cmd_tc(args, spec):
@@ -132,12 +133,12 @@ def _cmd_bad_scan(args, spec):
         "intervals": [list(iv) for iv in result.intervals],
         "n_bad_intervals": len(result.intervals),
     }
-    rows = [(r.alpha, r.n_minimisers, r.q_min, r.q_max, r.value) for r in result.rows]
-    return results, [("bad_scan", ["alpha", "n_minimisers", "q_min", "q_max", "value"], rows)]
+    header = ["alpha", "n_minimisers", "q_min", "q_max", "value"]
+    return results, [("bad_scan", header, [[getattr(r, f) for r in result.rows] for f in header])]
 
 
 def _kernel_table(name: str, k: kernels.KernelEstimate):
-    return name, ["x", "density"], zip(k.grid.tolist(), k.density.tolist())
+    return name, ["x", "density"], [k.grid, k.density]
 
 
 def _cmd_kernel(args, spec):
@@ -163,7 +164,7 @@ def _cmd_traj(args, spec):
         "starting_points": [p.start for p in trajectories],
         "rates": [paths.path_rate(spec, args.t, args.alpha, p) for p in trajectories],
     }
-    tables = [(f"traj_{i}", ["s", "phi"], paths.path_to_csv_rows(p)) for i, p in enumerate(trajectories)]
+    tables = [(f"traj_{i}", ["s", "phi"], paths.path_columns(p)) for i, p in enumerate(trajectories)]
     return results, tables
 
 
@@ -189,14 +190,14 @@ def _cmd_simulate(args, spec):
         "sample_variance": emp.variance(),
         "ks_vs_quadrature": emp.ks_vs,
     }
-    return results, [("samples", ["x1"], ((float(x),) for x in emp.samples))]
+    return results, [("samples", ["x1"], [emp.samples])]
 
 
 def _cmd_limitpot(args, spec):
     rs = np.linspace(args.window[0], args.window[1], args.grid)
     vt = tilted.limiting_potential(spec, args.t, rs)
     results = {"r_min": float(rs[0]), "r_max": float(rs[-1]), "vt_min": float(np.min(vt))}
-    return results, [("limitpot", ["r", "v_t"], zip(rs.tolist(), vt.tolist()))]
+    return results, [("limitpot", ["r", "v_t"], [rs, vt])]
 
 
 def _cmd_oracle(args, spec):
@@ -236,16 +237,30 @@ def _write_outputs(args, spec, outdir: Path, results: dict, tables):
         path.write_text(json.dumps(_sanitise(report), indent=2, sort_keys=True) + "\n", encoding="utf-8")
         log.debug("wrote %s", path)
     if args.format != "json":
-        for name, header, rows in tables:
+        for name, header, columns in tables:
             path = outdir / f"{name}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+            _write_csv(path, header, columns)
             log.debug("wrote %s", path)
 
 
+def _write_csv(path: Path, header, columns) -> None:
+    """One CSV table from its columns: the header line, then one line per
+    row whose cells are the repr of each value (shortest round-trip for
+    floats, digits for ints) with "\\n" line ends. Rows are formatted and
+    written CSV_BLOCK_ROWS at a time, so no more than one block of strings is
+    held at once."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [map(repr, c[i : i + CSV_BLOCK_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args returns a
+    fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="gibbs-dyn",
         description="Gibbs-non-Gibbs dynamical transition analysis for mean-field Brownian spins.",

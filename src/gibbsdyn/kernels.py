@@ -499,61 +499,3 @@ def convergence_experiment(
             )
         )
     return rows
-
-
-def g_bound_diagnostic(
-    spec: pot.PotentialSpec,
-    n: int,
-    t: float,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-    tol: tilted.ToleranceConfig = tilted.DEFAULT_TOL,
-) -> float:
-    """The ratio G_t(n, alpha) of tilted Gaussian integrals that bounds the
-    g factor:
-
-        G = int exp(((1+t)/t)^2 z^2) exp(-n V(z)) w(z) dz / int exp(-n V(r)) w(r) dr
-
-    with w the (n-1)-fold tilt weight. Approaches exp(((1+t)/t)^2 q^2) at a
-    good alpha. The numerator only converges when (n-1)(1+t)/(2t) exceeds
-    ((1+t)/t)^2; smaller n raises AccuracyError."""
-    if n < 2:
-        raise DomainError("g_bound_diagnostic requires n >= 2")
-    if not (t > 0):
-        raise DomainError("g_bound_diagnostic requires t > 0")
-    n = _capped(n)
-    c2 = ((1.0 + t) / t) ** 2
-    k2 = (n - 1) * (1.0 + t) / (2.0 * t)
-    if k2 - c2 < 0.05 * k2:
-        raise AccuracyError(
-            "G_t integral is divergent or near-divergent at this n and t",
-            diagnostics={"tilt_curvature": k2, "growth_curvature": c2, "n": n, "t": t},
-        )
-
-    m = _GMachine(spec, n, t, alpha, cfg, tol)
-    c, floor = m.center, m.floor
-    log_den = m._log_den_integrand
-
-    def log_num(z):
-        z = np.asarray(z)
-        return c2 * z**2 - n * (np.asarray(pot.eval(spec, z)) - floor) - k2 * (z - c) ** 2
-
-    spread = max(1.0, max(abs(q) for q in m.ms.locations), abs(c))
-    lo0, hi0 = c - 4.0 * spread - 4.0, c + 4.0 * spread + 4.0
-
-    dlo, dhi, _ = expanding_localize(log_den, lo0, hi0, n_coarse=2049, drop=cfg.drop)
-    nlo, nhi, _ = expanding_localize(log_num, lo0, hi0, n_coarse=2049, drop=cfg.drop)
-    rd = simpson_grid(dlo, dhi, cfg.grid_n)
-    rn = simpson_grid(nlo, nhi, cfg.grid_n)
-    return float(np.exp(log_integral(rn, log_num(rn)) - log_integral(rd, log_den(rd))))
-
-
-def write_ladder_csv(rows, path):
-    """Ladder table as CSV (n, alpha_n, mean, variance, w1_to_limit)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "alpha_n", "mean", "variance", "w1_to_limit"])
-        for row in rows:
-            writer.writerow([row.n, repr(row.alpha_n), repr(row.mean), repr(row.variance), repr(row.w1_to_limit)])

@@ -118,8 +118,7 @@ def minimising_trajectories(
     return [optimal_path(q, alpha, t, grid_n) for q in ms.locations]
 
 
-def path_to_csv_rows(path: PathOnGrid):
-    """(s, phi(s)) rows including the limit point (t, alpha)."""
-    for s, v in zip(path.t_grid, path.values):
-        yield float(s), float(v)
-    yield float(path.t_end), float(path.endpoint_alpha)
+def path_columns(path: PathOnGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (s, phi(s)) of the sampled path, ending at the limit point
+    (t, alpha)."""
+    return np.append(path.t_grid, path.t_end), np.append(path.values, path.endpoint_alpha)

@@ -20,6 +20,7 @@ the infimum is stored (v_floor) and quadrature windows compensate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -161,11 +162,19 @@ def cos_of_square() -> PotentialSpec:
 def glued_exp(beta: float) -> PotentialSpec:
     """Convex glue minus beta*r^2, shifted by C_beta so that inf V = 0.
 
-    C_beta = inf_s [g(s) - beta*s^2] is computed at construction by a grid
-    scan plus golden-section refinement (gridmin.global_minimum)."""
+    C_beta = inf_s [g(s) - beta*s^2] is computed once per beta in a process
+    (_glued_c_beta); every call returns a fresh spec."""
     if not (beta > 0):
         raise DomainError("glued_exp requires beta > 0")
     b = float(beta)
+    return PotentialSpec("glued_exp", C1_ONLY, beta=b, c_beta=_glued_c_beta(b), params={"beta": b})
+
+
+@functools.lru_cache(maxsize=64)
+def _glued_c_beta(b: float) -> float:
+    """C_beta of glued_exp(b) by a grid scan plus golden-section refinement
+    (gridmin.global_minimum), memoised per b; _glued_c_beta.cache_clear()
+    empties the memo."""
 
     def objective(s):
         return _glue(np.abs(s) - 1.0) - b * np.asarray(s) ** 2
@@ -174,9 +183,7 @@ def glued_exp(beta: float) -> PotentialSpec:
     # modest radius; 2*(b+10) is generous for every b of practical size.
     radius = 2.0 * (b + 10.0)
     _, c_beta = global_minimum(objective, 0.0, radius, n_grid=200001)
-    return PotentialSpec(
-        "glued_exp", C1_ONLY, beta=b, c_beta=float(c_beta), params={"beta": b}
-    )
+    return float(c_beta)
 
 
 def absolute() -> PotentialSpec:

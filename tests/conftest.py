@@ -11,12 +11,13 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+import csv
 import math
 
 from scipy.special import logsumexp
 
-from gibbsdyn import kernels, potential as pot, quadrature, tilted
-from gibbsdyn.errors import NotDifferentiableError, OrderingError
+from gibbsdyn import gridmin, kernels, potential as pot, quadrature, tilted
+from gibbsdyn.errors import AccuracyError, DomainError, NotDifferentiableError, OrderingError
 from gibbsdyn.gridmin import INV_PHI, REFINE_TOL
 
 
@@ -220,3 +221,63 @@ def check_nonneg_on_grid(spec, radius: float = pot.DEFAULT_WINDOW_RADIUS, n: int
     V >= 0 convention of the families that promise it."""
     xs = np.linspace(-radius, radius, n)
     return float(np.min(pot.eval(spec, xs)))
+
+
+def g_bound_diagnostic(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, tol=tilted.DEFAULT_TOL):
+    """Oracle for the g factor's bound: the ratio G_t(n, alpha) of tilted
+    Gaussian integrals
+
+        G = int exp(((1+t)/t)^2 z^2) exp(-n V(z)) w(z) dz / int exp(-n V(r)) w(r) dr
+
+    with w the (n-1)-fold tilt weight. Approaches exp(((1+t)/t)^2 q^2) at a
+    good alpha. The numerator only converges when (n-1)(1+t)/(2t) exceeds
+    ((1+t)/t)^2; smaller n raises AccuracyError."""
+    if n < 2:
+        raise DomainError("g_bound_diagnostic requires n >= 2")
+    if not (t > 0):
+        raise DomainError("g_bound_diagnostic requires t > 0")
+    n = kernels._capped(n)
+    c2 = ((1.0 + t) / t) ** 2
+    k2 = (n - 1) * (1.0 + t) / (2.0 * t)
+    if k2 - c2 < 0.05 * k2:
+        raise AccuracyError(
+            "G_t integral is divergent or near-divergent at this n and t",
+            diagnostics={"tilt_curvature": k2, "growth_curvature": c2, "n": n, "t": t},
+        )
+
+    m = kernels._GMachine(spec, n, t, alpha, cfg, tol)
+    c, floor = m.center, m.floor
+    log_den = m._log_den_integrand
+
+    def log_num(z):
+        z = np.asarray(z)
+        return c2 * z**2 - n * (np.asarray(pot.eval(spec, z)) - floor) - k2 * (z - c) ** 2
+
+    spread = max(1.0, max(abs(q) for q in m.ms.locations), abs(c))
+    lo0, hi0 = c - 4.0 * spread - 4.0, c + 4.0 * spread + 4.0
+
+    dlo, dhi, _ = quadrature.expanding_localize(log_den, lo0, hi0, n_coarse=2049, drop=cfg.drop)
+    nlo, nhi, _ = quadrature.expanding_localize(log_num, lo0, hi0, n_coarse=2049, drop=cfg.drop)
+    rd = quadrature.simpson_grid(dlo, dhi, cfg.grid_n)
+    rn = quadrature.simpson_grid(nlo, nhi, cfg.grid_n)
+    return float(np.exp(quadrature.log_integral(rn, log_num(rn)) - quadrature.log_integral(rd, log_den(rd))))
+
+
+def csv_writer_table(path, header, rows):
+    """Slow oracle for cli._write_csv: the csv.writer table the CLI wrote
+    before it wrote by columns, with floats as repr and other values as
+    csv.writer formats them (str for ints)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def uncached_glued_c_beta(b):
+    """Oracle for potential._glued_c_beta: the same global minimum of
+    g(s) - b s^2, computed afresh on every call."""
+
+    def objective(s):
+        return pot._glue(np.abs(s) - 1.0) - b * np.asarray(s) ** 2
+
+    return float(gridmin.global_minimum(objective, 0.0, 2.0 * (b + 10.0), n_grid=200001)[1])

@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from gibbsdyn import cli, potential
+from conftest import csv_writer_table
+from gibbsdyn import cli, mc_sim, potential
 
 
 @pytest.fixture()
@@ -257,3 +260,79 @@ def test_tc_inconclusive_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "neither settled" in err and "Traceback" not in err
     assert not (out / "tc.json").exists()
+
+
+# --- CSV tables ---------------------------------------------------------------
+
+B = cli.CSV_BLOCK_ROWS
+SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 5])
+@pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_csv_columns_match_csv_writer(n_rows, n_cols, tmp_path):
+    rng = np.random.default_rng(1000 * n_cols + n_rows)
+    columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows) for _ in range(n_cols)]
+    for k, col in enumerate(columns):
+        col[k::3] = np.resize(SPECIAL_FLOATS, col[k::3].size)
+    if n_cols > 1:
+        columns[1] = rng.integers(1, 3, n_rows)  # an int column, as bad-scan's n_minimisers
+    if n_cols == 5:
+        columns = [c.tolist() for c in columns]  # sequences, as bad-scan passes them
+    header = ["alpha", "n_minimisers", "q_min", "q_max", "value"][:n_cols]
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    csv_writer_table(tmp_path / "want.csv", header, rows)
+    cli._write_csv(tmp_path / "got.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# --- in-process reuse ----------------------------------------------------------
+
+REUSE_SEQUENCE = [
+    ("zero_json", ["kernel", "--n", "7", "--t", "1", "--alpha", "3"]),
+    ("zero_json", ["simulate", "--n", "16", "--t", "1", "--alpha", "0", "--replicas", "20000", "--method", "exact"]),
+    ("zero_json", ["simulate", "--n", "16", "--t", "1", "--alpha", "0", "--replicas", "20000"]),
+    ("doublewell_json", ["bad-scan", "--t", "1", "--window=-3,3", "--grid", "31"]),
+    ("doublewell_json", ["traj", "--t", "1", "--alpha", "0", "--grid", "64"]),
+    ("cosine_json", ["tc"]),
+]
+
+
+def test_repeated_commands_in_one_process_are_identical(request, tmp_path, capsys):
+    def run_sequence(name, order):
+        outputs = {}
+        for i in order:
+            spec, argv = REUSE_SEQUENCE[i]
+            out = tmp_path / name / str(i)
+            assert cli.run([argv[0], "--potential", request.getfixturevalue(spec), *argv[1:], "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs[i] = (capsys.readouterr().out, files)
+        return outputs
+
+    order = range(len(REUSE_SEQUENCE))
+    first = run_sequence("first", order)
+    assert run_sequence("second", order) == first
+    assert run_sequence("reversed", reversed(order)) == first
+
+    methods = [json.loads(first[i][1]["simulate.json"])["params"]["method"] for i in (1, 2)]
+    config = mc_sim.SimConfig(n=16, t=1.0, alpha_target=0.0, replicas=20000, seed=0, bin_halfwidth=0.05)
+    ran = mc_sim.evolve_and_condition(config, potential.zero()).method
+    assert methods == [mc_sim.METHOD_EXACT, ran]
+    assert ran != mc_sim.METHOD_AUTO
+
+
+def test_malformed_arguments_between_good_runs(zero_json, tmp_path, capsys):
+    good = ["kernel", "--potential", zero_json, "--n", "7", "--t", "1", "--alpha", "3", "--out"]
+    assert cli.run([*good, str(tmp_path / "a")]) == 0
+    before = capsys.readouterr().out
+    for bad in (["--n", "7", "--t", "1", "--alpha", "nan"], ["--n", "7", "--t", "1"], ["--n", "7", "--frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["kernel", "--potential", zero_json, *bad, "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "bad").exists()
+    capsys.readouterr()
+    assert cli.run([*good, str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == before
+    for name in ("kernel.json", "kernel.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert cli.build_parser() is cli.build_parser()

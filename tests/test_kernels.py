@@ -7,7 +7,7 @@ import pytest
 from gibbsdyn import kernels, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
 
-from conftest import unblocked_evolved_kernel, unblocked_log_g
+from conftest import g_bound_diagnostic, unblocked_evolved_kernel, unblocked_log_g
 
 SQRT15 = math.sqrt(1.5)
 
@@ -371,34 +371,25 @@ def test_convergence_experiment_validation(zero, double_well):
 
 
 def test_g_bound_flat(zero):
-    assert kernels.g_bound_diagnostic(zero, 2000, 1.0, 0.0) == pytest.approx(1.0, rel=2e-3)
+    assert g_bound_diagnostic(zero, 2000, 1.0, 0.0) == pytest.approx(1.0, rel=2e-3)
 
 
 def test_g_bound_quadratic(quadratic):
     # q = 1 at t=1, alpha=4: the large-n value is exp(((1+t)/t)^2 q^2) = e^4
-    got = kernels.g_bound_diagnostic(quadratic, 1000, 1.0, 4.0)
+    got = g_bound_diagnostic(quadratic, 1000, 1.0, 4.0)
     assert got == pytest.approx(math.exp(4.0), rel=0.02)
 
 
 def test_g_bound_double_well_below_crossover(double_well):
     # q = 0 at t = 0.1: limit 1; the finite-n excess shrinks like 1/n
-    ladder = [kernels.g_bound_diagnostic(double_well, n, 0.1, 0.0) for n in (1000, 2000, 4000)]
+    ladder = [g_bound_diagnostic(double_well, n, 0.1, 0.0) for n in (1000, 2000, 4000)]
     assert all(b < a for a, b in zip(ladder, ladder[1:]))
     assert ladder[-1] == pytest.approx(1.0, rel=0.02)
 
 
 def test_g_bound_divergence_guard(zero):
     with pytest.raises(AccuracyError):
-        kernels.g_bound_diagnostic(zero, 3, 1.0, 0.0)  # tilt curvature below growth
-
-
-def test_ladder_csv_export(zero, tmp_path):
-    rows = kernels.convergence_experiment(zero, 1.0, 0.0, [10, 100])
-    path = tmp_path / "ladder.csv"
-    kernels.write_ladder_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,alpha_n,mean,variance,w1_to_limit"
-    assert len(lines) == 3
+        g_bound_diagnostic(zero, 3, 1.0, 0.0)  # tilt curvature below growth
 
 
 def test_window_radius_override(cosine1):

@@ -133,9 +133,9 @@ def test_bifurcation_correspondence(builtin_specs):
 
 def test_csv_rows_include_endpoint():
     p = paths.optimal_path(0.0, 1.0, 1.0, grid_n=8)
-    rows = list(paths.path_to_csv_rows(p))
-    assert len(rows) == 9
-    assert rows[-1] == (1.0, 1.0)
+    s, phi = paths.path_columns(p)
+    assert len(s) == len(phi) == 9
+    assert (s[-1], phi[-1]) == (1.0, 1.0)
 
 
 def test_flat_envelope_paths_all_have_zero_rate(glued1):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import check_nonneg_on_grid, phi2_symmetric_form
+from conftest import check_nonneg_on_grid, phi2_symmetric_form, uncached_glued_c_beta
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
 
@@ -102,6 +102,32 @@ def test_glued_exp_c_beta_against_scipy():
         res = minimize_scalar(obj, bounds=(1.0, 3.0 * (beta + 5.0)), method="bounded",
                               options={"xatol": 1e-12})
         assert spec.c_beta == pytest.approx(res.fun, abs=1e-9)
+
+
+def test_glued_exp_c_beta_computed_once_per_beta(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return global_minimum(*args, **kwargs)
+
+    global_minimum = pot.global_minimum
+    monkeypatch.setattr(pot, "global_minimum", counting)
+    pot._glued_c_beta.cache_clear()
+    try:
+        a, b, c = pot.glued_exp(1.0), pot.glued_exp(1.0), pot.glued_exp(1)
+    finally:
+        pot._glued_c_beta.cache_clear()
+    assert len(calls) == 1
+    assert a == b == c
+    assert a.params == b.params and a.params is not b.params
+
+
+@pytest.mark.parametrize("b", [0.5, 1, 2.5])
+def test_glued_exp_c_beta_memo_is_bitwise(b):
+    want = uncached_glued_c_beta(float(b)).hex()
+    assert pot.glued_exp(b).c_beta.hex() == want
+    assert pot.glued_exp(b).c_beta.hex() == want  # from the memo
 
 
 # --- derivatives ------------------------------------------------------------
