@@ -132,8 +132,9 @@ def _cmd_bad_scan(args, spec):
     results = {
         "intervals": [list(iv) for iv in result.intervals],
         "n_bad_intervals": len(result.intervals),
+        "n_indeterminate_rows": sum(r.indeterminate for r in result.rows),
     }
-    header = ["alpha", "n_minimisers", "q_min", "q_max", "value"]
+    header = ["alpha", "n_minimisers", "q_min", "q_max", "value", "indeterminate"]
     return results, [("bad_scan", header, [[getattr(r, f) for r in result.rows] for f in header])]
 
 

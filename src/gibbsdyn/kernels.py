@@ -20,7 +20,8 @@ recovers N(0, 1) / N(0, 1+t) to machine precision.
 
 The two 2-D quadratures, the g-factor numerator over s x r and the N(s, t)
 mixture over x x s, run in row blocks of bounded memory
-(quadrature.row_blocks), each row reduced exactly as on the whole array.
+(quadrature.row_blocks), each block built in place in one buffer per call
+and each row reduced exactly as on the whole array.
 """
 
 from __future__ import annotations
@@ -233,16 +234,31 @@ class _GMachine:
         self.r = None
         self.s_span = None
 
+    def _grid_parts(self, r):
+        """The s-free parts of the integrands on the grid r, computed once per
+        grid: r (1 - 1/n) and k2 (r - c)^2."""
+        return r * (1.0 - 1.0 / self.n), self.k2 * (r - self.center) ** 2
+
+    def _log_integrand(self, arg, quad):
+        """-n (V(arg) - floor) - quad, built in pot.eval's output array."""
+        out = pot.eval(self.spec, arg)
+        out -= self.floor
+        out *= -self.n
+        out -= quad
+        return out
+
     def _log_den_integrand(self, r):
         r = np.asarray(r)
-        v = np.asarray(pot.eval(self.spec, r)) - self.floor
-        return -self.n * v - self.k2 * (r - self.center) ** 2
+        return self._log_integrand(r, self._grid_parts(r)[1])
 
-    def _log_num_integrand(self, r, s):
-        r = np.asarray(r)
-        arg = r * (1.0 - 1.0 / self.n) + s / self.n
-        v = np.asarray(pot.eval(self.spec, arg)) - self.floor
-        return -self.n * v - self.k2 * (r - self.center) ** 2
+    def _log_num_rows(self, parts, s, out):
+        """Numerator log-integrands -n (V(r (1 - 1/n) + s/n) - floor) -
+        k2 (r - c)^2, one row per entry of the 1-D array s, on the grid of
+        parts = _grid_parts(r). The V argument is built in out, of shape
+        (s.size, r.size)."""
+        ra, quad = parts
+        np.add(ra, s[:, None] / self.n, out=out)
+        return self._log_integrand(out, quad)
 
     def _build(self, s_lo: float, s_hi: float, extra_drop: float = 0.0, hot_s=()):
         n, c, k2 = self.n, self.center, self.k2
@@ -262,8 +278,11 @@ class _GMachine:
         def log_union(r):
             # normalise each probe integrand by its own peak so that rows whose
             # overall level is suppressed still contribute their support
-            parts = [self._log_den_integrand(r)] + [self._log_num_integrand(r, s) for s in probes]
-            return np.maximum.reduce([p - p.max() for p in parts])
+            parts = self._grid_parts(r)
+            arg = np.empty((1, r.size))
+            rows = [self._log_integrand(r, parts[1])]
+            rows += [self._log_num_rows(parts, np.asarray([s]), arg)[0] for s in probes]
+            return np.maximum.reduce([p - p.max() for p in rows])
 
         lo, hi, _ = localize(log_union, c - R, c + R, 16385, drop=drop)
         self.r = simpson_grid(lo, hi, self.cfg.grid_n)
@@ -281,11 +300,15 @@ class _GMachine:
         """Numerator log-integrals for every s, built and reduced in row
         blocks, and each row's (left, right) edge value minus its peak."""
         r = self.r
+        parts = self._grid_parts(r)
         lw = simpson_log_weights(r)
         log_num = np.empty(s_arr.size)
         edges = np.empty((s_arr.size, 2))
-        for rows in row_blocks(s_arr.size, r.size):
-            L = self._log_num_integrand(r[None, :], s_arr[rows, None])
+        blocks = row_blocks(s_arr.size, r.size)
+        arg = np.empty((min(blocks[0].stop, s_arr.size), r.size))
+        for rows in blocks:
+            s = s_arr[rows]
+            L = self._log_num_rows(parts, s, arg[: s.size])
             log_num[rows] = log_integral(r, L, axis=1, lw=lw)
             edges[rows] = L[:, [0, -1]] - L.max(axis=1)[:, None]
         return log_num, edges
@@ -393,8 +416,15 @@ def evolved_kernel(
     zpad = math.sqrt(2.0 * cfg.drop * t) + 2.0
     x = simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
     log_px = np.empty(x.size)
-    for rows in row_blocks(x.size, s.size):
-        log_px[rows] = logsumexp(log_w[None, :] - (x[rows, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
+    blocks = row_blocks(x.size, s.size)
+    buf = np.empty((min(blocks[0].stop, x.size), s.size))
+    for rows in blocks:
+        # log_w - (x - s)^2 / (2t), built in place in one buffer
+        B = np.subtract(x[rows, None], s, out=buf[: x[rows].size])
+        np.square(B, out=B)
+        B /= 2.0 * t
+        np.subtract(log_w, B, out=B)
+        log_px[rows] = logsumexp(B, axis=1)
     log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
 
     # the mixture is normalised in exact arithmetic; the grid integral's

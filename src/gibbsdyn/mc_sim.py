@@ -187,18 +187,25 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
     a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
 
+    # two (block, n) buffers for the whole run; each block is built in
+    # place, with the draws in the order random, normal, normal
+    rows = min(_BLOCK, config.replicas)
+    spins_buf, noise_buf = np.empty((rows, n)), np.empty((rows, n))
     accepted: list[np.ndarray] = []
     done = 0
     while done < config.replicas:
         block = min(_BLOCK, config.replicas - done)
         s0 = table.sample(rng.random(block))
-        z = rng.standard_normal((block, n))
-        spins0 = s0[:, None] + z - z.mean(axis=1, keepdims=True)
-        noise = rng.standard_normal((block, n)) * math.sqrt(t)
-        spins_t = spins0 + noise
-        m_comp = spins_t[:, 1:].mean(axis=1)
+        spins = rng.standard_normal(out=spins_buf[:block])
+        mean = spins.mean(axis=1, keepdims=True)
+        spins += s0[:, None]
+        spins -= mean  # the Gaussian bridge s0 + z - mean(z): spins at time 0
+        noise = rng.standard_normal(out=noise_buf[:block])
+        noise *= math.sqrt(t)
+        spins += noise  # spins at time t
+        m_comp = spins[:, 1:].mean(axis=1)
         hit = np.abs(m_comp - a) <= h
-        accepted.append(spins_t[hit, 0])
+        accepted.append(spins[hit, 0])
         done += block
     samples = np.concatenate(accepted)
     rate = samples.size / done

@@ -90,8 +90,16 @@ def _glue_d1(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_val(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(r, np.asarray(coeffs, dtype=float))
+def _poly_val(coeffs: tuple[float, ...], r) -> np.ndarray:
+    """Horner's rule in one output array: numpy's polyval recurrence
+    c + out*r, computed as out *= r; out += c. IEEE addition and
+    multiplication commute, so the bits are polyval's."""
+    out = np.multiply(r, 0.0)
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= r
+        out += c
+    return out
 
 
 def _poly_deriv_coeffs(coeffs: tuple[float, ...], order: int) -> tuple[float, ...]:
@@ -244,30 +252,45 @@ def from_json(source) -> PotentialSpec:
 
 
 def eval(spec: PotentialSpec, r):
-    """Evaluate V at r (scalar or array). Non-finite input is a domain error."""
+    """Evaluate V at r (scalar or array). Non-finite input is a domain error.
+
+    An array result is a fresh array, built in place: callers may overwrite it."""
     arr = np.asarray(r, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("potential argument must be finite")
+    # one point is computed on a float: scalar arithmetic costs a fraction
+    # of an in-place ufunc call on a one-element array
+    x = arr.item() if arr.size == 1 else arr
     fam = spec.family
     if fam == "zero":
-        out = np.zeros_like(arr)
+        out = np.zeros_like(x)
     elif fam == "polynomial":
-        out = _poly_val(spec.coefficients, arr)
+        out = _poly_val(spec.coefficients, x)
     elif fam == "cosine_well":
-        out = 2.0 * spec.beta * (1.0 + np.cos(arr))
+        out = np.cos(x)
+        out += 1.0
+        out *= 2.0 * spec.beta
     elif fam == "cos_of_square":
-        out = 1.0 - np.cos(arr**2)
+        out = np.cos(np.square(x))
+        out *= -1.0
+        out += 1.0  # 1 - cos: IEEE subtraction adds the (exact) negation
     elif fam == "glued_exp":
-        out = _glue(np.abs(arr) - 1.0) - spec.beta * arr**2 - spec.c_beta
+        out = np.abs(x)
+        out -= 1.0
+        out = _glue(out)
+        sq = np.square(x)
+        sq *= spec.beta
+        out -= sq
+        out -= spec.c_beta
     elif fam == "abs":
-        out = np.abs(arr)
+        out = np.abs(x)
     elif fam == "custom_table":
-        out = np.interp(arr, np.asarray(spec.table_r), np.asarray(spec.table_v))
+        out = np.interp(x, np.asarray(spec.table_r), np.asarray(spec.table_v))
     else:  # pragma: no cover - constructor guards the family name
         raise DomainError(f"unknown family {fam!r}")
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
-    return out
+    return np.array(out).reshape(arr.shape) if arr.size == 1 else out
 
 
 def fd_step(r: float) -> float:

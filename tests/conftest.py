@@ -16,7 +16,7 @@ import math
 
 from scipy.special import logsumexp
 
-from gibbsdyn import gridmin, kernels, potential as pot, quadrature, tilted
+from gibbsdyn import gridmin, kernels, mc_sim, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, DomainError, NotDifferentiableError, OrderingError
 from gibbsdyn.gridmin import INV_PHI, REFINE_TOL
 
@@ -139,6 +139,15 @@ def bin_averaged_kernel(spec, n, t, alpha, h):
     )
 
 
+def literal_log_num_integrand(machine, r, s):
+    """Oracle for the g machine's numerator log-integrand
+    -n (V(r (1 - 1/n) + s/n) - floor) - k2 (r - c)^2, written with one numpy
+    temporary per operation, broadcasting r against s."""
+    arg = r * (1.0 - 1.0 / machine.n) + s / machine.n
+    v = np.asarray(pot.eval(machine.spec, arg)) - machine.floor
+    return -machine.n * v - machine.k2 * (r - machine.center) ** 2
+
+
 def unblocked_log_g(machine, s):
     """Slow oracle for kernels._GMachine.log_g on a call its first grid
     passes: the literal full s x r numerator array on the machine's r grid,
@@ -146,7 +155,7 @@ def unblocked_log_g(machine, s):
     s = np.asarray(s, dtype=float)
     machine._ensure(float(s.min()), float(s.max()))
     r = machine.r
-    log_num = quadrature.log_integral(r, machine._log_num_integrand(r[None, :], s[:, None]), axis=1)
+    log_num = quadrature.log_integral(r, literal_log_num_integrand(machine, r[None, :], s[:, None]), axis=1)
     return log_num - machine._log_den
 
 
@@ -281,3 +290,33 @@ def uncached_glued_c_beta(b):
         return pot._glue(np.abs(s) - 1.0) - b * np.asarray(s) ** 2
 
     return float(gridmin.global_minimum(objective, 0.0, 2.0 * (b + 10.0), n_grid=200001)[1])
+
+
+def polyval_eval(spec, r, order=0):
+    """Oracle for potential.eval (order 0) and potential.deriv (order 1, 2)
+    on the polynomial family: numpy's polyval of the coefficients
+    differentiated by polyder."""
+    c = np.polynomial.polynomial.polyder(np.asarray(spec.coefficients, dtype=float), order)
+    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), c)
+
+
+def allocating_reject_samples(table, config):
+    """Oracle for mc_sim._evolve_reject: its block loop written with one
+    numpy temporary per operation, as (accepted first spins, replicas)."""
+    n, t = config.n, config.t
+    a, h = config.alpha_target, config.bin_halfwidth
+    rng = mc_sim._rng(config.seed)
+    accepted = []
+    done = 0
+    while done < config.replicas:
+        block = min(mc_sim._BLOCK, config.replicas - done)
+        s0 = table.sample(rng.random(block))
+        z = rng.standard_normal((block, n))
+        spins0 = s0[:, None] + z - z.mean(axis=1, keepdims=True)
+        noise = rng.standard_normal((block, n)) * math.sqrt(t)
+        spins_t = spins0 + noise
+        m_comp = spins_t[:, 1:].mean(axis=1)
+        hit = np.abs(m_comp - a) <= h
+        accepted.append(spins_t[hit, 0])
+        done += block
+    return np.concatenate(accepted), done

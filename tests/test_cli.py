@@ -65,7 +65,24 @@ def test_bad_scan_contains_origin(doublewell_json, tmp_path):
     assert any(lo - 1e-6 <= 0.0 <= hi + 1e-6 for lo, hi in doc["results"]["intervals"])
     assert doc["params"] == {"t": 1.0, "window": [-3.0, 3.0], "grid": 301}
     header = (out / "bad_scan.csv").read_text().splitlines()[0]
-    assert header == "alpha,n_minimisers,q_min,q_max,value"
+    assert header == "alpha,n_minimisers,q_min,q_max,value,indeterminate"
+    assert doc["results"]["n_indeterminate_rows"] == 0
+
+
+def test_bad_scan_flags_near_tie_rows(doublewell_json, tmp_path):
+    # at t = 1 the double well's bad alpha 0 has contacts +-sqrt(1.5) with
+    # value 0.75, so a row at alpha has the value gap |alpha| 2 sqrt(1.5):
+    # rows 1.5e-9 and 3e-9 from it lie in the near-tie band (1e-9, 1e-8]
+    out = tmp_path / "out"
+    rc = cli.run(
+        ["bad-scan", "--potential", doublewell_json, "--t", "1", "--window=-3e-9,3e-9",
+         "--grid", "5", "--out", str(out)]
+    )
+    assert rc == 0
+    doc = json.loads((out / "bad_scan.json").read_text())
+    assert doc["results"]["n_indeterminate_rows"] == 4
+    rows = [line.split(",") for line in (out / "bad_scan.csv").read_text().splitlines()[1:]]
+    assert [(r[1], r[-1]) for r in rows] == [("1", "True")] * 2 + [("2", "False")] + [("1", "True")] * 2
 
 
 def test_traj_writes_paths(doublewell_json, tmp_path):

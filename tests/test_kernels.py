@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from gibbsdyn import kernels, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
 
-from conftest import g_bound_diagnostic, unblocked_evolved_kernel, unblocked_log_g
+from conftest import g_bound_diagnostic, literal_log_num_integrand, unblocked_evolved_kernel, unblocked_log_g
 
 SQRT15 = math.sqrt(1.5)
 
@@ -255,7 +256,7 @@ def test_minus_sequence_ladder_through_bimodal_rows(double_well):
     s = np.linspace(-13.18, 10.94, 513)
     got = machine.log_g(s)
     r = np.linspace(-8.0, 8.0, 64001)
-    want = [quadrature.log_integral(r, machine._log_num_integrand(r, si)) for si in s]
+    want = [quadrature.log_integral(r, literal_log_num_integrand(machine, r, si)) for si in s]
     want = np.asarray(want) - quadrature.log_integral(r, machine._log_den_integrand(r))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -289,6 +290,25 @@ def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
     s = np.linspace(-6.0, 6.0, block_rows + extra_rows)
     got = machine.log_g(s)
     assert np.array_equal(got, unblocked_log_g(machine, s))
+
+
+def test_log_num_peak_memory(double_well):
+    # the argument buffer, V's output and the two temporaries of the row
+    # reduction (four blocks, whatever the number of s rows), plus a few
+    # grid-length arrays: the parts, the Simpson weights, the rows' results
+    machine = kernels._GMachine(double_well, 50, 1.0, 0.5, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
+    s = np.linspace(-6.0, 6.0, 513)
+    machine._ensure(-6.0, 6.0)
+    machine._log_num(s)
+    block_rows = quadrature.ROW_BLOCK_ELEMENTS // machine.r.size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        machine._log_num(s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 * block_rows + 5) * machine.r.size * 8
 
 
 def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):

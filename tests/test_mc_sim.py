@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import log_ndtr, logsumexp
 from scipy.stats import chi2, ks_2samp
 
+from conftest import allocating_reject_samples
 from gibbsdyn import kernels, mc_sim, potential as pot
 from gibbsdyn.errors import ConfigError, InsufficientStatisticsError
 
@@ -198,6 +200,38 @@ def test_auto_reject_builds_magnetisation_table_once(double_well, monkeypatch):
     assert builds == [16]
     forced = mc_sim.evolve_and_condition(replace(cfg, method=mc_sim.METHOD_REJECT), double_well)
     assert np.array_equal(emp.samples, forced.samples)
+
+
+@pytest.mark.parametrize(
+    "name, n, t, alpha, h",
+    [("zero", 2, 0.5, 0.3, 0.05), ("double_well", 16, 1.0, 1.2, 0.05), ("double_well", 64, 0.1, 1.4, 0.2)],
+    ids=["zero-n2", "dw-n16", "dw-n64"],
+)
+def test_in_place_reject_blocks_are_bitwise_allocating(builtin_specs, name, n, t, alpha, h):
+    # one full block and a partial one: the replica count is no block multiple
+    config = mc_sim.SimConfig(n=n, t=t, alpha_target=alpha, replicas=mc_sim._BLOCK + 1234, seed=5,
+                              bin_halfwidth=h, method="reject")
+    table = mc_sim._initial_magnetisation_table(builtin_specs[name], n)
+    got = mc_sim._evolve_reject(table, config)
+    want, replicas = allocating_reject_samples(table, config)
+    assert got.samples.tobytes() == want.tobytes()
+    assert got.acceptance_rate == want.size / replicas
+
+
+def test_reject_block_peak_memory(double_well):
+    # the two (block, n) buffers, where each block used to hold about five
+    config = mc_sim.SimConfig(n=64, t=0.1, alpha_target=1.4, replicas=mc_sim._BLOCK, bin_halfwidth=0.2,
+                              method="reject")
+    table = mc_sim._initial_magnetisation_table(double_well, config.n)
+    mc_sim._evolve_reject(table, config)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc_sim._evolve_reject(table, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * mc_sim._BLOCK * config.n * 8
 
 
 def test_insufficient_statistics_error(double_well):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import check_nonneg_on_grid, phi2_symmetric_form, uncached_glued_c_beta
+from conftest import check_nonneg_on_grid, phi2_symmetric_form, polyval_eval, uncached_glued_c_beta
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
 
@@ -21,6 +21,55 @@ def ordered_triple():
 
 
 # --- evaluation -------------------------------------------------------------
+
+
+POLY_INPUTS = {
+    "0-d": np.array(-1.3),
+    "0-d -0.0": np.array(-0.0),
+    "float -0.0": -0.0,
+    "(1,)": np.array([0.7]),
+    "(1,) -0.0": np.array([-0.0]),
+    "(8, 4097)": np.random.default_rng(0).normal(scale=4.0, size=(8, 4097)),
+    "large": np.array([1e300, -1e300, 3e77, -2e100, 1e154, 0.0, -0.0]),
+}
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [[3.0, 0.0, -4.0, 0.0, 1.0], [1.0, 0.0, -0.5, 0.0, 1.0], [0.5, -1.0, 2.0], [-3.0], [-0.0], [2.0, 1e-3, 0.0, -7.0, 5.0, 0.5, 3.0]],
+    ids=["double_well", "shallow_quartic", "quadratic", "negative_constant", "minus_zero", "degree6"],
+)
+@pytest.mark.parametrize("name", list(POLY_INPUTS))
+def test_polynomial_horner_is_bitwise_polyval(coefficients, name):
+    spec = pot.polynomial(coefficients)
+    r = POLY_INPUTS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(pot.eval(spec, r), polyval_eval(spec, r))
+        for order in (1, 2):
+            # deriv evaluates on atleast_1d(r) and unwraps scalars
+            want = polyval_eval(spec, np.atleast_1d(np.asarray(r, dtype=float)), order)
+            got = pot.deriv(spec, r, order)
+            assert _same_bits(np.atleast_1d(got), want)
+
+
+LITERAL_FAMILIES = {
+    "cosine_beta04": lambda s, r: 2.0 * s.beta * (1.0 + np.cos(r)),
+    "cos_of_square": lambda s, r: 1.0 - np.cos(r**2),
+    "glued_beta1": lambda s, r: pot._glue(np.abs(r) - 1.0) - s.beta * r**2 - s.c_beta,
+}
+
+
+@pytest.mark.parametrize("family", list(LITERAL_FAMILIES))
+@pytest.mark.parametrize("name", list(POLY_INPUTS))
+def test_in_place_families_are_bitwise_literal(builtin_specs, family, name):
+    spec, r = builtin_specs[family], POLY_INPUTS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(pot.eval(spec, r), LITERAL_FAMILIES[family](spec, np.asarray(r, dtype=float)))
 
 
 def test_eval_zero(zero):
