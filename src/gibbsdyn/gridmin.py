@@ -20,13 +20,11 @@ REFINE_TOL = 1e-13  # golden-section x-tolerance, relative to max(1, |lo| + |hi|
 def _drive(runs: list, f) -> list:
     """Step coroutines together and return their return values. Each yields
     the next point it needs f at and is sent the value; a round makes one
-    call f(x, j) -> array, for the points x of the coroutines j still open.
-    The index array j is rebuilt only in rounds after a coroutine returned."""
+    call f(x, j) -> array, for the points x of the coroutines j still open."""
     out, live = [None] * len(runs), list(range(len(runs)))
-    j = np.arange(len(runs))
     points = [next(run) for run in runs]
     while live:
-        values = f(np.asarray(points, dtype=float), j).tolist()
+        values = f(np.asarray(points, dtype=float), np.asarray(live, dtype=int)).tolist()
         still, points = [], []
         for k, v in zip(live, values):
             try:
@@ -34,8 +32,6 @@ def _drive(runs: list, f) -> list:
                 still.append(k)
             except StopIteration as stop:
                 out[k] = stop.value
-        if len(still) < len(live):
-            j = np.asarray(still, dtype=int)
         live = still
     return out
 

@@ -234,11 +234,6 @@ class _GMachine:
         self.r = None
         self.s_span = None
 
-    def _grid_parts(self, r):
-        """The s-free parts of the integrands on the grid r, computed once per
-        grid: r (1 - 1/n) and k2 (r - c)^2."""
-        return r * (1.0 - 1.0 / self.n), self.k2 * (r - self.center) ** 2
-
     def _log_integrand(self, arg, quad):
         """-n (V(arg) - floor) - quad, built in pot.eval's output array."""
         out = pot.eval(self.spec, arg)
@@ -249,16 +244,7 @@ class _GMachine:
 
     def _log_den_integrand(self, r):
         r = np.asarray(r)
-        return self._log_integrand(r, self._grid_parts(r)[1])
-
-    def _log_num_rows(self, parts, s, out):
-        """Numerator log-integrands -n (V(r (1 - 1/n) + s/n) - floor) -
-        k2 (r - c)^2, one row per entry of the 1-D array s, on the grid of
-        parts = _grid_parts(r). The V argument is built in out, of shape
-        (s.size, r.size)."""
-        ra, quad = parts
-        np.add(ra, s[:, None] / self.n, out=out)
-        return self._log_integrand(out, quad)
+        return self._log_integrand(r, self.k2 * (r - self.center) ** 2)
 
     def _build(self, s_lo: float, s_hi: float, extra_drop: float = 0.0, hot_s=()):
         n, c, k2 = self.n, self.center, self.k2
@@ -278,17 +264,20 @@ class _GMachine:
         def log_union(r):
             # normalise each probe integrand by its own peak so that rows whose
             # overall level is suppressed still contribute their support
-            parts = self._grid_parts(r)
-            arg = np.empty((1, r.size))
-            rows = [self._log_integrand(r, parts[1])]
-            rows += [self._log_num_rows(parts, np.asarray([s]), arg)[0] for s in probes]
-            return np.maximum.reduce([p - p.max() for p in rows])
+            quad = k2 * (r - c) ** 2
+            parts = [self._log_integrand(r, quad)]
+            parts += [self._log_integrand(r * (1.0 - 1.0 / n) + s / n, quad) for s in probes]
+            return np.maximum.reduce([p - p.max() for p in parts])
 
         lo, hi, _ = localize(log_union, c - R, c + R, 16385, drop=drop)
         self.r = simpson_grid(lo, hi, self.cfg.grid_n)
         self.s_span = (s_lo, s_hi)
-        self._den_integrand = self._log_den_integrand(self.r)
-        self._log_den = float(log_integral(self.r, self._den_integrand))
+        # the s-free parts of the integrands on this grid, for every _log_num
+        self._ra = self.r * (1.0 - 1.0 / n)
+        self._quad = k2 * (self.r - c) ** 2
+        self._lw = simpson_log_weights(self.r)
+        self._den_integrand = self._log_integrand(self.r, self._quad)
+        self._log_den = float(log_integral(self.r, self._den_integrand, lw=self._lw))
 
     def _ensure(self, s_lo: float, s_hi: float):
         if self.s_span is None or s_lo < self.s_span[0] or s_hi > self.s_span[1]:
@@ -300,16 +289,16 @@ class _GMachine:
         """Numerator log-integrals for every s, built and reduced in row
         blocks, and each row's (left, right) edge value minus its peak."""
         r = self.r
-        parts = self._grid_parts(r)
-        lw = simpson_log_weights(r)
         log_num = np.empty(s_arr.size)
         edges = np.empty((s_arr.size, 2))
         blocks = row_blocks(s_arr.size, r.size)
-        arg = np.empty((min(blocks[0].stop, s_arr.size), r.size))
+        buf = np.empty((min(blocks[0].stop, s_arr.size), r.size))
         for rows in blocks:
             s = s_arr[rows]
-            L = self._log_num_rows(parts, s, arg[: s.size])
-            log_num[rows] = log_integral(r, L, axis=1, lw=lw)
+            # V argument r (1 - 1/n) + s/n, built in one buffer per call
+            arg = np.add(self._ra, s[:, None] / self.n, out=buf[: s.size])
+            L = self._log_integrand(arg, self._quad)
+            log_num[rows] = log_integral(r, L, axis=1, lw=self._lw)
             edges[rows] = L[:, [0, -1]] - L.max(axis=1)[:, None]
         return log_num, edges
 

@@ -254,12 +254,12 @@ def from_json(source) -> PotentialSpec:
 def eval(spec: PotentialSpec, r):
     """Evaluate V at r (scalar or array). Non-finite input is a domain error.
 
-    An array result is a fresh array, built in place: callers may overwrite it."""
+    An array result is a fresh array: callers may overwrite it."""
     arr = np.asarray(r, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("potential argument must be finite")
     # one point is computed on a float: scalar arithmetic costs a fraction
-    # of an in-place ufunc call on a one-element array
+    # of the in-place ufunc calls of Horner on a one-element array
     x = arr.item() if arr.size == 1 else arr
     fam = spec.family
     if fam == "zero":
@@ -267,21 +267,11 @@ def eval(spec: PotentialSpec, r):
     elif fam == "polynomial":
         out = _poly_val(spec.coefficients, x)
     elif fam == "cosine_well":
-        out = np.cos(x)
-        out += 1.0
-        out *= 2.0 * spec.beta
+        out = 2.0 * spec.beta * (1.0 + np.cos(x))
     elif fam == "cos_of_square":
-        out = np.cos(np.square(x))
-        out *= -1.0
-        out += 1.0  # 1 - cos: IEEE subtraction adds the (exact) negation
+        out = 1.0 - np.cos(np.square(x))
     elif fam == "glued_exp":
-        out = np.abs(x)
-        out -= 1.0
-        out = _glue(out)
-        sq = np.square(x)
-        sq *= spec.beta
-        out -= sq
-        out -= spec.c_beta
+        out = _glue(np.abs(x) - 1.0) - spec.beta * np.square(x) - spec.c_beta
     elif fam == "abs":
         out = np.abs(x)
     elif fam == "custom_table":
@@ -332,7 +322,9 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     if fam == "zero":
         out = np.zeros_like(arr)
     elif fam == "polynomial":
-        out = _poly_val(_poly_deriv_coeffs(spec.coefficients, order), arr)
+        # one point on a float, as in eval
+        x = arr.item() if arr.size == 1 else arr
+        out = np.reshape(_poly_val(_poly_deriv_coeffs(spec.coefficients, order), x), arr.shape)
     elif fam == "cosine_well":
         out = -2.0 * spec.beta * (np.sin(arr) if order == 1 else np.cos(arr))
     elif fam == "cos_of_square":

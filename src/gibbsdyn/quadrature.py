@@ -23,7 +23,7 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     a = np.asarray(a, dtype=float)
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    shifted = np.subtract(a, amax, out=np.empty_like(a))
+    shifted = a - amax
     np.exp(shifted, out=shifted)  # in place: one temporary the size of a
     out = np.log(np.sum(shifted, axis=axis)) + np.squeeze(amax, axis=axis if axis is not None else None)
     return out

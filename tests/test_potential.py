@@ -66,7 +66,8 @@ LITERAL_FAMILIES = {
 
 @pytest.mark.parametrize("family", list(LITERAL_FAMILIES))
 @pytest.mark.parametrize("name", list(POLY_INPUTS))
-def test_in_place_families_are_bitwise_literal(builtin_specs, family, name):
+def test_one_point_families_are_bitwise_literal(builtin_specs, family, name):
+    # eval computes one point on a Python float, more points on the array
     spec, r = builtin_specs[family], POLY_INPUTS[name]
     with np.errstate(over="ignore", invalid="ignore"):
         assert _same_bits(pot.eval(spec, r), LITERAL_FAMILIES[family](spec, np.asarray(r, dtype=float)))
