@@ -22,6 +22,14 @@ The two 2-D quadratures, the g-factor numerator over s x r and the N(s, t)
 mixture over x x s, run in row blocks of bounded memory
 (quadrature.row_blocks), each block built in place in one buffer per call
 and each row reduced exactly as on the whole array.
+
+The s-law's support is located by probes that integrate the numerator on
+every k-th node of the g machine's r grid (k = 8 for the default grid; see
+_probe_stride), with the Simpson weights of that strided grid. The strided
+grid keeps both end nodes, so a probe sees the same edge values, and probe
+rows with a hot edge are redone on the full grid, so every rebuild of the
+machine is decided there. The fine s pass, the denominator and the mixture
+use the full grid.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ from gibbsdyn.quadrature import (
 )
 
 N_CAP = 100_000  # beyond this the LDP concentration under-resolves any fixed grid
+PROBE_STRIDES = (8, 4, 2)  # r-grid strides tried for the s-support probes, largest first
+PROBE_MIN_NODES = 129  # fewest r nodes a strided probe grid may keep
 
 SEQ_CONSTANT = "constant"
 SEQ_MINUS = "minus_inv_sqrt"
@@ -209,6 +219,16 @@ def eta_kernel(
     return _build_kernel(log_f, (c - R, c + R), cfg, n_coarse=16385)
 
 
+def _probe_stride(m: int) -> int:
+    """Largest stride k in PROBE_STRIDES that leaves an odd Simpson grid of
+    at least PROBE_MIN_NODES nodes on an m-node grid ((m - 1) % 2k == 0),
+    else 1."""
+    for k in PROBE_STRIDES:
+        if (m - 1) % (2 * k) == 0 and (m - 1) // k + 1 >= PROBE_MIN_NODES:
+            return k
+    return 1
+
+
 class _GMachine:
     """Shared-grid evaluator for the tilt weight g_{n,t}(alpha, .).
 
@@ -276,6 +296,8 @@ class _GMachine:
         self._ra = self.r * (1.0 - 1.0 / n)
         self._quad = k2 * (self.r - c) ** 2
         self._lw = simpson_log_weights(self.r)
+        self._stride = _probe_stride(self.r.size)
+        self._probe_lw = simpson_log_weights(self.r[:: self._stride])
         self._den_integrand = self._log_integrand(self.r, self._quad)
         self._log_den = float(log_integral(self.r, self._den_integrand, lw=self._lw))
 
@@ -285,10 +307,12 @@ class _GMachine:
             span_hi = max(s_hi, self.s_span[1]) if self.s_span else s_hi
             self._build(span_lo, span_hi)
 
-    def _log_num(self, s_arr: np.ndarray):
-        """Numerator log-integrals for every s, built and reduced in row
-        blocks, and each row's (left, right) edge value minus its peak."""
-        r = self.r
+    def _log_num(self, s_arr: np.ndarray, stride: int = 1):
+        """Numerator log-integrals for every s on every stride-th r node,
+        built and reduced in row blocks, and each row's (left, right) edge
+        value minus its peak."""
+        r, ra, quad = self.r[::stride], self._ra[::stride], self._quad[::stride]
+        lw = self._lw if stride == 1 else self._probe_lw
         log_num = np.empty(s_arr.size)
         edges = np.empty((s_arr.size, 2))
         blocks = row_blocks(s_arr.size, r.size)
@@ -296,18 +320,41 @@ class _GMachine:
         for rows in blocks:
             s = s_arr[rows]
             # V argument r (1 - 1/n) + s/n, built in one buffer per call
-            arg = np.add(self._ra, s[:, None] / self.n, out=buf[: s.size])
-            L = self._log_integrand(arg, self._quad)
-            log_num[rows] = log_integral(r, L, axis=1, lw=self._lw)
+            arg = np.add(ra, s[:, None] / self.n, out=buf[: s.size])
+            L = self._log_integrand(arg, quad)
+            log_num[rows] = log_integral(r, L, axis=1, lw=lw)
             edges[rows] = L[:, [0, -1]] - L.max(axis=1)[:, None]
         return log_num, edges
 
-    def log_g(self, s_arr: np.ndarray) -> np.ndarray:
+    def _redo_hot_rows(self, s_arr, log_num, edges, cold, one_suffices):
+        """Redo on the full grid, in place, the rows whose strided edges are
+        hotter than `cold`. The strided grid keeps both end nodes and its
+        peak is no higher than the full grid's, so every other row is cold on
+        the full grid too. With one_suffices (the first rebuild depends only
+        on whether some row is hot), the hottest row goes first, and when it
+        is hot on the full grid the rest keep their strided edges."""
+        hot = np.flatnonzero(edges.max(axis=1) > cold)
+        if one_suffices and hot.size:
+            hottest = hot[[np.argmax(edges[hot].max(axis=1))]]
+            log_num[hottest], edges[hottest] = self._log_num(s_arr[hottest])
+            if edges[hottest].max() > cold:
+                return
+            hot = np.flatnonzero(edges.max(axis=1) > cold)
+        if hot.size:
+            log_num[hot], edges[hot] = self._log_num(s_arr[hot])
+
+    def log_g(self, s_arr: np.ndarray, probe: bool = False) -> np.ndarray:
+        """log g at every s; a probe integrates the numerator on every
+        _stride-th r node, and every rebuild is still decided on full-grid
+        edges (see _redo_hot_rows)."""
         s_arr = np.asarray(s_arr, dtype=float)
         self._ensure(float(s_arr.min()), float(s_arr.max()))
         cold = -(self.cfg.drop - 15.0)
+        stride = self._stride if probe else 1
         for attempt in range(3):
-            log_num, edges = self._log_num(s_arr)
+            log_num, edges = self._log_num(s_arr, stride)
+            if stride > 1:
+                self._redo_hot_rows(s_arr, log_num, edges, cold, one_suffices=attempt == 0)
             num_edge = float(np.max(edges))
             den_edge = float(
                 max(self._den_integrand[0], self._den_integrand[-1]) - self._den_integrand.max()
@@ -380,12 +427,8 @@ def evolved_kernel(
     n = _capped(n)
     machine = _GMachine(spec, n, t, alpha, cfg, tol)
 
-    def log_h(s):
-        s = np.asarray(s, dtype=float)
-        return machine.log_g(s) - s**2 / 2.0
-
     # s-law support: anchored at 0 and at the limit means -V'(q), then grown
-    # until the edges are cold.
+    # until the edges are cold, probed on the strided r grid.
     anchors = [0.0]
     if pot.has_analytic_deriv(spec, 1):
         for q in machine.ms.locations:
@@ -395,11 +438,14 @@ def evolved_kernel(
                 pass
     pad = math.sqrt(2.0 * cfg.drop) + 2.0
     s_lo, s_hi, _ = expanding_localize(
-        log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=513, drop=cfg.drop
+        lambda s: machine.log_g(s, probe=True) - s**2 / 2.0,
+        min(anchors) - pad,
+        max(anchors) + pad,
+        n_coarse=513,
+        drop=cfg.drop,
     )
     s = simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
-    Lh = log_h(s)
-    log_w = Lh + simpson_log_weights(s)
+    log_w = machine.log_g(s) - s**2 / 2.0 + simpson_log_weights(s)
     log_w = log_w - logsumexp(log_w)  # normalised s-law weights
 
     zpad = math.sqrt(2.0 * cfg.drop * t) + 2.0

@@ -93,17 +93,33 @@ def _glue_d1(u: np.ndarray) -> np.ndarray:
 def _poly_val(coeffs: tuple[float, ...], r) -> np.ndarray:
     """Horner's rule in one output array: numpy's polyval recurrence
     c + out*r, computed as out *= r; out += c. IEEE addition and
-    multiplication commute, so the bits are polyval's."""
-    out = np.multiply(r, 0.0)
-    out += coeffs[-1]
-    for c in coeffs[-2::-1]:
+    multiplication commute, so the bits are polyval's. polyval starts from
+    r*0 + c_last, which is c_last when c_last != 0, so then the first step
+    is one multiply, r*c_last + c_next."""
+    if len(coeffs) >= 2 and coeffs[-1] != 0.0:
+        out = np.multiply(r, coeffs[-1])
+        out += coeffs[-2]
+        rest = coeffs[-3::-1]
+    else:
+        out = np.multiply(r, 0.0)
+        out += coeffs[-1]
+        rest = coeffs[-2::-1]
+    for c in rest:
         out *= r
         out += c
     return out
 
 
 def _poly_deriv_coeffs(coeffs: tuple[float, ...], order: int) -> tuple[float, ...]:
-    c = np.asarray(coeffs, dtype=float)
+    """polyder applied `order` times, memoised (_poly_deriv_memo). Equal
+    tuples can differ in the sign of a zero, which reaches polyder's bits,
+    so the memo is keyed on the coefficients' bit pattern."""
+    return _poly_deriv_memo(np.array(coeffs, dtype=float).tobytes(), order)
+
+
+@functools.lru_cache(maxsize=64)
+def _poly_deriv_memo(coeff_bits: bytes, order: int) -> tuple[float, ...]:
+    c = np.frombuffer(coeff_bits, dtype=float)
     for _ in range(order):
         c = np.polynomial.polynomial.polyder(c)
     return tuple(c)
@@ -251,12 +267,17 @@ def from_json(source) -> PotentialSpec:
     return _BUILDERS[family](doc.get("params", {}))
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # one point is checked on a float, a fraction of np.isfinite's cost
+    return math.isfinite(arr.item()) if arr.size == 1 else bool(np.isfinite(arr).all())
+
+
 def eval(spec: PotentialSpec, r):
     """Evaluate V at r (scalar or array). Non-finite input is a domain error.
 
     An array result is a fresh array: callers may overwrite it."""
     arr = np.asarray(r, dtype=float)
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise DomainError("potential argument must be finite")
     # one point is computed on a float: scalar arithmetic costs a fraction
     # of the in-place ufunc calls of Horner on a one-element array
@@ -305,7 +326,7 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     arr = np.asarray(r, dtype=float)
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise DomainError("potential argument must be finite")
     scalar = np.isscalar(r) or arr.ndim == 0
     arr = np.atleast_1d(arr)

@@ -159,15 +159,17 @@ def unblocked_log_g(machine, s):
     return log_num - machine._log_den
 
 
-def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g):
     """Slow oracle for kernels.evolved_kernel on a call whose g machine never
     rebuilds: the same s-law support and grids, with the numerator and the
-    N(s, t) mixture each built as one full array and reduced in one call."""
+    N(s, t) mixture each built as one full array and reduced in one call.
+    Every log g, the s-support probes included, is log_g(machine, s) on the
+    machine's full r grid."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
 
     def log_h(s):
         s = np.asarray(s, dtype=float)
-        return unblocked_log_g(machine, s) - s**2 / 2.0
+        return log_g(machine, s) - s**2 / 2.0
 
     anchors = [0.0]
     if pot.has_analytic_deriv(spec, 1):
@@ -190,6 +192,13 @@ def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
     log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
     defect = abs(1.0 - math.exp(float(quadrature.log_integral(x, log_px))))
     return kernels._kernel_from_log_density(x, log_px, extra_defect=defect)
+
+
+def full_probe_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+    """Oracle for kernels.evolved_kernel's strided s-support probes: the
+    unblocked pipeline with every log g, probes included, from the g
+    machine's own log_g on its full r grid, so the machine may rebuild."""
+    return unblocked_evolved_kernel(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s))
 
 
 def scalar_golden_section(f, lo: float, hi: float):

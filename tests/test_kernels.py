@@ -8,7 +8,13 @@ import pytest
 from gibbsdyn import kernels, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
 
-from conftest import g_bound_diagnostic, literal_log_num_integrand, unblocked_evolved_kernel, unblocked_log_g
+from conftest import (
+    full_probe_evolved_kernel,
+    g_bound_diagnostic,
+    literal_log_num_integrand,
+    unblocked_evolved_kernel,
+    unblocked_log_g,
+)
 
 SQRT15 = math.sqrt(1.5)
 
@@ -290,6 +296,65 @@ def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
     s = np.linspace(-6.0, 6.0, block_rows + extra_rows)
     got = machine.log_g(s)
     assert np.array_equal(got, unblocked_log_g(machine, s))
+
+
+# The evolved kernels of the finite_n benchmark at seed 0 (ladder centre
+# FINITE_N_BASE), then double_well calls whose g machine rebuilds while the
+# s-support is probed.
+FINITE_N_BASE = 0.0006888437030500962
+STRIDED_PROBE_CASES = [
+    *[
+        ("double_well", n, t, FINITE_N_BASE + sign / math.sqrt(n))
+        for t in (1.0, 0.2)
+        for n in (50, 3200)
+        for sign in (1.0, -1.0)
+    ],
+    ("double_well", 64, 0.1, 0.0051590880588060495),
+    ("cosine_beta1", 100, 1.0, 0.284114316166169),
+    ("glued_beta1", 100, 1.0, 0.2517833500585927),
+    ("double_well", 50, 1.0, 1.0 / math.sqrt(50)),
+    ("double_well", 50, 1.0, -1.0 / math.sqrt(50)),
+    ("double_well", 64, 0.1, 0.0),
+]
+
+
+def _assert_same_kernel(got, want):
+    assert np.array_equal(got.grid, want.grid)
+    assert np.array_equal(got.density, want.density)
+    assert (got.mean, got.variance, got.total_mass_defect) == (want.mean, want.variance, want.total_mass_defect)
+
+
+@pytest.mark.parametrize("name, n, t, alpha", STRIDED_PROBE_CASES)
+def test_strided_probes_give_the_full_probe_kernel(builtin_specs, name, n, t, alpha):
+    spec = builtin_specs[name]
+    _assert_same_kernel(kernels.evolved_kernel(spec, n, t, alpha), full_probe_evolved_kernel(spec, n, t, alpha))
+
+
+@pytest.mark.parametrize("grid_n, stride", [(4096, 8), (64, 1), (1000, 4)])
+def test_strided_probes_grid_fallbacks(double_well, grid_n, stride):
+    # 65 nodes leave too few for any stride; 1000 % 16 != 0 but 1000 % 8 == 0
+    cfg = kernels.QuadratureConfig(grid_n=grid_n)
+    assert kernels._probe_stride(quadrature.odd_count(grid_n)) == stride
+    alpha = 1.0 / math.sqrt(50)
+    _assert_same_kernel(
+        kernels.evolved_kernel(double_well, 50, 1.0, alpha, cfg),
+        full_probe_evolved_kernel(double_well, 50, 1.0, alpha, cfg),
+    )
+
+
+def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
+    points = [0]
+    real_eval = kernels.pot.eval
+
+    def counting_eval(spec, r):
+        points[0] += np.size(r)
+        return real_eval(spec, r)
+
+    monkeypatch.setattr(kernels.pot, "eval", counting_eval)
+    kernels.evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
+    strided, points[0] = points[0], 0
+    full_probe_evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
+    assert strided <= 0.6 * points[0]
 
 
 def test_log_num_peak_memory(double_well):

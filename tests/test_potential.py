@@ -39,10 +39,21 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# The constants, and the quadratic's second derivative, have one coefficient
+# and start Horner from r*0 + c; the rest start from r*c_last. The constants
+# 0.0 and -0.0 are equal tuples whose derivatives differ in the sign of zero.
 @pytest.mark.parametrize(
     "coefficients",
-    [[3.0, 0.0, -4.0, 0.0, 1.0], [1.0, 0.0, -0.5, 0.0, 1.0], [0.5, -1.0, 2.0], [-3.0], [-0.0], [2.0, 1e-3, 0.0, -7.0, 5.0, 0.5, 3.0]],
-    ids=["double_well", "shallow_quartic", "quadratic", "negative_constant", "minus_zero", "degree6"],
+    [
+        [3.0, 0.0, -4.0, 0.0, 1.0],
+        [1.0, 0.0, -0.5, 0.0, 1.0],
+        [0.5, -1.0, 2.0],
+        [-3.0],
+        [0.0],
+        [-0.0],
+        [2.0, 1e-3, 0.0, -7.0, 5.0, 0.5, 3.0],
+    ],
+    ids=["double_well", "shallow_quartic", "quadratic", "negative_constant", "zero_constant", "minus_zero", "degree6"],
 )
 @pytest.mark.parametrize("name", list(POLY_INPUTS))
 def test_polynomial_horner_is_bitwise_polyval(coefficients, name):
@@ -100,6 +111,30 @@ def test_eval_rejects_nonfinite(zero):
         pot.eval(zero, math.nan)
     with pytest.raises(DomainError):
         pot.eval(zero, math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "wrap", [float, np.array, lambda v: np.array([v]), lambda v: np.array([[v]])], ids=["float", "0-d", "(1,)", "(1, 1)"]
+)
+def test_one_point_nonfinite_is_domain_error(double_well, cosine1, bad, wrap):
+    # a one-point argument is checked on a float, larger ones by np.isfinite
+    for spec in (double_well, cosine1):
+        with pytest.raises(DomainError):
+            pot.eval(spec, wrap(bad))
+        for order in (1, 2):
+            with pytest.raises(DomainError):
+                pot.deriv(spec, wrap(bad), order)
+
+
+def test_poly_deriv_coeffs_memoised():
+    coeffs = (3.0, 0.0, -4.0, 0.0, 1.0)
+    for order in (1, 2):
+        first = pot._poly_deriv_coeffs(coeffs, order)
+        assert pot._poly_deriv_coeffs(coeffs, order) is first
+    # equal tuples that differ in the sign of a zero keep their own bits
+    assert math.copysign(1.0, pot._poly_deriv_coeffs((0.0,), 1)[0]) == 1.0
+    assert math.copysign(1.0, pot._poly_deriv_coeffs((-0.0,), 1)[0]) == -1.0
 
 
 def test_builtin_nonnegativity_on_grid(builtin_specs):
