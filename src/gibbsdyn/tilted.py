@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,17 +288,29 @@ class BadScanResult:
 
 
 def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, int]]]:
-    """Lower convex hull of the points (xs, g) by Andrew's monotone chain, as
-    (hull indices, bridging edges (i1, i2)). An edge bridges when it spans at
-    least three grid steps and rises above the samples between by more than
-    max(1e-9, 3 x the windowed max of |second difference|): the second
-    difference is the offset a grid makes where it straddles a minimum."""
-    d2 = np.pad(np.abs(np.diff(g, 2)), 1, mode="edge")
-    loc = np.lib.stride_tricks.sliding_window_view(np.pad(d2, 3, mode="wrap"), 7).max(axis=1)
-    # double buffers: a quarter of the memory of float lists, at half the speed
-    x, y = (array("d", np.asarray(v, dtype=float).tobytes()) for v in (xs, g))
+    """Lower convex hull of the points (xs, g), xs increasing, at least three
+    of them, as (hull indices, bridging edges (i1, i2)).
+
+    The hull is Andrew's monotone chain with its decisions unchanged: point i
+    pops the stack top while cross(top two, i) <= 0. When the top two are
+    consecutive grid points (i-1, i), the next test is cross(i-1, i, i+1);
+    that is computed for every i at once, in the chain's operand order, so
+    each sign is the chain's bit for bit, and every run of points up to the
+    next test that pops is pushed as one slice. Only pops and the points of
+    non-convex stretches go through the scalar loop.
+
+    An edge bridges when it spans at least three grid steps and rises above
+    the samples between by more than max(1e-9, 3 x the max of |second
+    difference| within three points of the edge): the second difference is
+    the offset a grid makes where it straddles a minimum."""
+    xa, ya = np.asarray(xs, dtype=float), np.asarray(g, dtype=float)
+    n = xa.size
+    c = (xa[1:-1] - xa[:-2]) * (ya[2:] - ya[:-2]) - (xa[2:] - xa[:-2]) * (ya[1:-1] - ya[:-2])
+    stops = (np.flatnonzero(c <= 0.0) + 1).tolist() + [n - 1]  # middles whose test pops; n-1 ends the last run
+    x, y = (array("d", v.tobytes()) for v in (xa, ya))
     hull = array("q", [0])
-    for i in range(1, len(x)):
+    i = 1
+    while i < n:
         while len(hull) >= 2:
             i1, i2 = hull[-2], hull[-1]
             if (x[i2] - x[i1]) * (y[i] - y[i1]) - (x[i] - x[i1]) * (y[i2] - y[i1]) <= 0.0:
@@ -305,13 +318,23 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
             else:
                 break
         hull.append(i)
+        i += 1
+        if hull[-2] == i - 2:  # the top two are consecutive: push up to the next middle whose test pops
+            stop = stops[bisect_left(stops, i - 1)]
+            hull.frombytes(np.arange(i, stop + 1, dtype=np.int64).tobytes())
+            i = stop + 1
+
+    h = np.frombuffer(hull, dtype=np.int64)
+    k = np.flatnonzero(np.diff(h) >= SEPARATION_STEPS)
+    d2 = np.pad(np.abs(np.diff(ya, 2)), 1, mode="edge")
+    dpad = np.pad(d2, 3, mode="wrap")
 
     def rises(i1, i2):
         between = slice(i1 + 1, i2)
-        chord = g[i1] + (g[i2] - g[i1]) * (xs[between] - xs[i1]) / (xs[i2] - xs[i1])
-        return float(np.max(g[between] - chord)) > max(1e-9, 3.0 * float(loc[i1 : i2 + 1].max()))
+        chord = ya[i1] + (ya[i2] - ya[i1]) * (xa[between] - xa[i1]) / (xa[i2] - xa[i1])
+        return float(np.max(ya[between] - chord)) > max(1e-9, 3.0 * float(dpad[i1 : i2 + 7].max()))
 
-    return hull, [(i1, i2) for i1, i2 in zip(hull, hull[1:]) if i2 - i1 >= SEPARATION_STEPS and rises(i1, i2)]
+    return hull, [(i1, i2) for i1, i2 in zip(h[k].tolist(), h[k + 1].tolist()) if rises(i1, i2)]
 
 
 class _ConvexMinorant:

@@ -225,6 +225,31 @@ def scalar_golden_section(f, lo: float, hi: float):
     return d, fd
 
 
+def literal_lower_hull(xs, g):
+    """Oracle for tilted.lower_hull: Andrew's monotone chain one point at a
+    time, every hull pair tested for a bridge, and each rise threshold from
+    a 7-wide sliding max over the whole grid (wrapped at the ends)."""
+    d2 = np.pad(np.abs(np.diff(g, 2)), 1, mode="edge")
+    loc = np.lib.stride_tricks.sliding_window_view(np.pad(d2, 3, mode="wrap"), 7).max(axis=1)
+    x, y = np.asarray(xs, dtype=float).tolist(), np.asarray(g, dtype=float).tolist()
+    hull = [0]
+    for i in range(1, len(x)):
+        while len(hull) >= 2:
+            i1, i2 = hull[-2], hull[-1]
+            if (x[i2] - x[i1]) * (y[i] - y[i1]) - (x[i] - x[i1]) * (y[i2] - y[i1]) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+
+    def rises(i1, i2):
+        between = slice(i1 + 1, i2)
+        chord = g[i1] + (g[i2] - g[i1]) * (xs[between] - xs[i1]) / (xs[i2] - xs[i1])
+        return float(np.max(g[between] - chord)) > max(1e-9, 3.0 * float(loc[i1 : i2 + 1].max()))
+
+    return hull, [(i1, i2) for i1, i2 in zip(hull, hull[1:]) if i2 - i1 >= tilted.SEPARATION_STEPS and rises(i1, i2)]
+
+
 def phi2_symmetric_form(f, x: float, y: float, z: float) -> float:
     """Oracle for potential.phi2: the equivalent three-term form
     f(x)/((x-y)(x-z)) + f(y)/((y-x)(y-z)) + f(z)/((z-x)(z-y))."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimisers
+from conftest import brute_force_minimisers, literal_lower_hull
 from gibbsdyn import potential as pot
 from gibbsdyn import tilted
 from gibbsdyn.errors import ConfigError, DomainError
@@ -394,3 +394,36 @@ def test_scan_and_limitpot_refine_in_batches(double_well, monkeypatch):
     calls.clear()
     assert tilted.limiting_potential(double_well, 0.3, np.linspace(-4.0, 4.0, 101)).shape == (101,)
     assert 101 in calls and len(calls) <= 1 + 2 * 8
+
+
+def _hull_inputs(builtin_specs):
+    for name, spec in builtin_specs.items():
+        for t in (0.2, 1.0, 2.5):
+            for window in ((-3.0, 3.0), (-8.0, 5.0)):
+                xs = np.linspace(*window, tilted.COARSE_GRID_N)
+                yield name, xs, np.asarray(pot.eval(spec, xs)) + (1.0 + t) / (2.0 * t) * xs**2
+    xs = np.linspace(-50.0, 50.0, 4 * tilted.COARSE_GRID_N)  # the finer hull of the wide-window scan
+    yield "glued_beta1-4x", xs, np.asarray(pot.eval(builtin_specs["glued_beta1"], xs)) + xs**2
+    rng = np.random.default_rng(20261019)
+    for n in (3, 4, 5, 7, 16, 100, 1000, 5000):
+        for _ in range(4):
+            xs = np.unique(rng.uniform(-2.0, 2.0, n))
+            yield "random", xs, rng.normal(size=xs.size)
+            xs = np.linspace(-1.0, 1.0, n)
+            yield "noise-1e-17", xs, 1e-17 * rng.normal(size=n)
+            yield "quantised", xs, np.round(4.0 * rng.normal(size=n).cumsum()) / 4.0
+            yield "parabola-noise", xs, xs**2 + 1e-13 * rng.normal(size=n)
+            yield "line", xs, rng.uniform(-3.0, 3.0) * xs + rng.uniform(-1.0, 1.0)  # signs of rounding only
+
+
+def test_lower_hull_is_the_literal_chain(builtin_specs):
+    # the fast-forwarded chain takes every decision of the one-point-at-a-time
+    # chain: hull indices and bridges are equal, not close; glued_beta1 at
+    # t = 1 is the flat envelope, where the tests' signs are rounding noise
+    checked = 0
+    for name, xs, g in _hull_inputs(builtin_specs):
+        hull, bridges = tilted.lower_hull(xs, g)
+        want_hull, want_bridges = literal_lower_hull(xs, g)
+        assert list(hull) == want_hull and bridges == want_bridges, (name, xs.size)
+        checked += 1
+    assert checked == 9 * 6 + 1 + 8 * 4 * 5
