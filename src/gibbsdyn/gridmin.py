@@ -67,13 +67,11 @@ def local_minima_indices(values: np.ndarray) -> np.ndarray:
     """Indices of interior grid points that are <= both neighbours, plus the
     endpoints when they are below their single neighbour."""
     v = np.asarray(values)
-    idx = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
-    out = list(idx)
-    if v.size >= 2 and v[0] < v[1]:
-        out.insert(0, 0)
-    if v.size >= 2 and v[-1] < v[-2]:
-        out.append(v.size - 1)
-    return np.asarray(sorted(set(out)), dtype=int)
+    low = np.zeros(v.size, dtype=bool)
+    low[1:-1] = (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
+    if v.size >= 2:
+        low[0], low[-1] = v[0] < v[1], v[-1] < v[-2]
+    return np.flatnonzero(low)
 
 
 def global_minimum(f, lo: float, hi: float, n_grid: int):

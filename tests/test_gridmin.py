@@ -74,3 +74,24 @@ def test_global_minimum_equals_scalar_refinement(b):
     want = min(found, key=lambda m: (m[1], m[0]))
     assert gridmin.global_minimum(objective, 0.0, radius, 200001) == want
     assert pot.glued_exp(b).c_beta == want[1]
+
+
+def test_local_minima_indices_matches_the_set_form():
+    # the former list/set/sorted construction: equal arrays, dtype included,
+    # on plateaus (quantised values), endpoint minima, NaNs and 0-3 points
+    def set_form(v):
+        out = list(np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1)
+        if v.size >= 2 and v[0] < v[1]:
+            out.insert(0, 0)
+        if v.size >= 2 and v[-1] < v[-2]:
+            out.append(v.size - 1)
+        return np.asarray(sorted(set(out)), dtype=int)
+
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 2, 3, 4, 9, 200):
+        for _ in range(20):
+            v = np.round(rng.normal(size=n) * 2.0) / 2.0
+            if n and rng.random() < 0.3:
+                v[rng.integers(n)] = np.nan
+            got, want = gridmin.local_minima_indices(v), set_form(v)
+            assert got.dtype == want.dtype and np.array_equal(got, want), v
