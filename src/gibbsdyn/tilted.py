@@ -301,8 +301,9 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
 
     An edge bridges when it spans at least three grid steps and rises above
     the samples between by more than max(1e-9, 3 x the max of |second
-    difference| within three points of the edge): the second difference is
-    the offset a grid makes where it straddles a minimum."""
+    difference| within three points of the edge, clipped to the grid): the
+    second difference is the offset a grid makes where it straddles a
+    minimum."""
     xa, ya = np.asarray(xs, dtype=float), np.asarray(g, dtype=float)
     n = xa.size
     c = (xa[1:-1] - xa[:-2]) * (ya[2:] - ya[:-2]) - (xa[2:] - xa[:-2]) * (ya[1:-1] - ya[:-2])
@@ -327,12 +328,11 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
     h = np.frombuffer(hull, dtype=np.int64)
     k = np.flatnonzero(np.diff(h) >= SEPARATION_STEPS)
     d2 = np.pad(np.abs(np.diff(ya, 2)), 1, mode="edge")
-    dpad = np.pad(d2, 3, mode="wrap")
 
     def rises(i1, i2):
         between = slice(i1 + 1, i2)
         chord = ya[i1] + (ya[i2] - ya[i1]) * (xa[between] - xa[i1]) / (xa[i2] - xa[i1])
-        return float(np.max(ya[between] - chord)) > max(1e-9, 3.0 * float(dpad[i1 : i2 + 7].max()))
+        return float(np.max(ya[between] - chord)) > max(1e-9, 3.0 * float(d2[max(i1 - 3, 0) : i2 + 4].max()))
 
     return hull, [(i1, i2) for i1, i2 in zip(h[k].tolist(), h[k + 1].tolist()) if rises(i1, i2)]
 

@@ -228,9 +228,9 @@ def scalar_golden_section(f, lo: float, hi: float):
 def literal_lower_hull(xs, g):
     """Oracle for tilted.lower_hull: Andrew's monotone chain one point at a
     time, every hull pair tested for a bridge, and each rise threshold from
-    a 7-wide sliding max over the whole grid (wrapped at the ends)."""
+    a 7-wide sliding max over the whole grid (clipped at the ends)."""
     d2 = np.pad(np.abs(np.diff(g, 2)), 1, mode="edge")
-    loc = np.lib.stride_tricks.sliding_window_view(np.pad(d2, 3, mode="wrap"), 7).max(axis=1)
+    loc = np.lib.stride_tricks.sliding_window_view(np.pad(d2, 3, mode="edge"), 7).max(axis=1)
     x, y = np.asarray(xs, dtype=float).tolist(), np.asarray(g, dtype=float).tolist()
     hull = [0]
     for i in range(1, len(x)):

@@ -261,6 +261,9 @@ def test_equivalence_oracle_examples():
     assert classify.equivalence_sides(quartic, 4.1, (-6, 6), 301) == (False, False)
     for beta in (0.3, 1.0, 3.5, 4.01):
         assert classify.equivalence_oracle(quartic, beta, (-6, 6), 201)
+    # on [0, 6] the hump at 0 is a window end: the edge from it to the well
+    # bridges, by a rise threshold taken near 0, not near 6 where x^4 curves
+    assert classify.equivalence_sides(quartic, 3.5, (0, 6), 201) == (True, True)
 
 
 def make_piecewise_quadratic(rng):

@@ -427,3 +427,17 @@ def test_lower_hull_is_the_literal_chain(builtin_specs):
         assert list(hull) == want_hull and bridges == want_bridges, (name, xs.size)
         checked += 1
     assert checked == 9 * 6 + 1 + 8 * 4 * 5
+
+
+def test_end_edge_rise_threshold_stays_on_its_own_end():
+    # the edge from the left end to the parabola's tangent point x = 0.3
+    # rises 0.04 above a bump on [0, 0.1], against a threshold of 0.0021 from
+    # the kink at 0.1; the right end's |second difference| is 0.2. A window
+    # wrapped around the grid would take the threshold from there (0.6) and
+    # hide the bridge
+    xs = np.linspace(0.0, 1.0, 1001)
+    g = np.where(xs < 0.1, xs * (0.1 - xs), (xs - 0.5) ** 2 - 0.16) + 1e5 * np.maximum(xs - 0.95, 0.0) ** 2
+    _, bridges = tilted.lower_hull(xs, g)
+    assert len(bridges) == 1 and bridges[0][0] == 0 and abs(bridges[0][1] - 300) <= 1
+    _, mirrored = tilted.lower_hull(xs, g[::-1])
+    assert [(1000 - i2, 1000 - i1) for i1, i2 in mirrored] == bridges
