@@ -220,6 +220,19 @@ def test_evolved_kernel_selection_split(double_well):
     assert minus.mean == pytest.approx(-plus.mean, abs=1e-6)
 
 
+@pytest.mark.parametrize("t, means", [(0.20, (4.260, 4.331, 4.283)), (0.12, (3.978, 2.132, 0.860))])
+def test_selection_split_opens_at_the_first_bad_time(double_well, t, means):
+    # beta = 4: the convex minorant of g_t first bridges at t = 1/(2 beta - 1)
+    # = 1/7, below the t_c = 2/7 that classify reports. At t = 0.20 alpha = 0
+    # is bad and the means along alpha = +-1/sqrt(n) stay split near the scan
+    # limit -V'(+-q) = +-4.243, 4 q^2 = 7 - 1/t; at t = 0.12 it is good and the
+    # split closes as n grows
+    for n, want in zip((50, 400, 3200), means):
+        plus = kernels.evolved_kernel(double_well, n, t, 1.0 / math.sqrt(n)).mean
+        minus = kernels.evolved_kernel(double_well, n, t, -1.0 / math.sqrt(n)).mean
+        assert plus == pytest.approx(want, abs=5e-4) and minus == pytest.approx(-plus, abs=1e-9), n
+
+
 def test_smoothing_identity(double_well):
     # evolved = convolution of the g-weighted normalised s-law with N(0, t):
     # rebuild by an independent linear-space two-stage quadrature
