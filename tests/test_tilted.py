@@ -404,7 +404,7 @@ def _hull_inputs(builtin_specs):
                 yield name, xs, np.asarray(pot.eval(spec, xs)) + (1.0 + t) / (2.0 * t) * xs**2
     xs = np.linspace(-50.0, 50.0, 4 * tilted.COARSE_GRID_N)  # the finer hull of the wide-window scan
     yield "glued_beta1-4x", xs, np.asarray(pot.eval(builtin_specs["glued_beta1"], xs)) + xs**2
-    rng = np.random.default_rng(20261019)
+    rng = np.random.default_rng(3)
     for n in (3, 4, 5, 7, 16, 100, 1000, 5000):
         for _ in range(4):
             xs = np.unique(rng.uniform(-2.0, 2.0, n))
@@ -413,20 +413,24 @@ def _hull_inputs(builtin_specs):
             yield "noise-1e-17", xs, 1e-17 * rng.normal(size=n)
             yield "quantised", xs, np.round(4.0 * rng.normal(size=n).cumsum()) / 4.0
             yield "parabola-noise", xs, xs**2 + 1e-13 * rng.normal(size=n)
-            yield "line", xs, rng.uniform(-3.0, 3.0) * xs + rng.uniform(-1.0, 1.0)  # signs of rounding only
+            yield "line", xs, rng.uniform(-3.0, 3.0) * xs + rng.uniform(-1.0, 1.0)
+    for n in (16, 100):  # convex at the rounding level: the signs depend on the operand order
+        xs = np.linspace(-1.0, 1.0, n)
+        for _ in range(40):
+            yield "line-curving", xs, rng.uniform(-3.0, 3.0) * xs + rng.uniform(-1.0, 1.0) + 1e-16 * ((n - 1) / 2.0) ** 2 * xs**2
 
 
 def test_lower_hull_is_the_literal_chain(builtin_specs):
     # the fast-forwarded chain takes every decision of the one-point-at-a-time
     # chain: hull indices and bridges are equal, not close; glued_beta1 at
-    # t = 1 is the flat envelope, where the tests' signs are rounding noise
+    # t = 1 is the flat envelope, where the cross products are rounding noise
     checked = 0
     for name, xs, g in _hull_inputs(builtin_specs):
         hull, bridges = tilted.lower_hull(xs, g)
         want_hull, want_bridges = literal_lower_hull(xs, g)
         assert list(hull) == want_hull and bridges == want_bridges, (name, xs.size)
         checked += 1
-    assert checked == 9 * 6 + 1 + 8 * 4 * 5
+    assert checked == 9 * 6 + 1 + 8 * 4 * 5 + 2 * 40
 
 
 def test_end_edge_rise_threshold_stays_on_its_own_end():
