@@ -9,8 +9,9 @@ differentiable V) determines the crossover time through the closed form
 
 Status at t = t_c depends on whether the curvature infimum is attained on an
 interval (flat piece -> not Gibbs at t_c) or only at isolated points
-(-> Gibbs at t_c); the numerical proxy measures the extent of the set where
-the curvature is within a small band of its infimum.
+(-> Gibbs at t_c). It is read off the convex minorant of V + b r^2 for b just
+below beta (see _status_at_tc): the widest bridging edge shrinks with
+beta - b around an isolated infimum and keeps the length of a flat piece.
 
 Note: the direct two-layer scan (tilted.bad_set_scan) first reports bad
 magnetisations at t = 1/(2*beta - 1), a factor 2 below the closed-form t_c
@@ -40,10 +41,6 @@ METHOD_SECOND_DERIVATIVE = "second_derivative"
 METHOD_PHI2_SCAN = "phi2_scan"
 
 UNBOUNDED_SENTINEL = 1e6  # curvature below -2*this reports beta = +inf
-FLAT_VALUE_BAND_ANALYTIC = 1e-8
-FLAT_VALUE_BAND_FD = 1e-4  # finite-difference curvature carries ~1e-6 noise
-FLAT_INTERVAL_LENGTH = 1e-3  # near-inf set at least this long -> non_gibbs
-ISOLATED_EXTENT = 5e-4  # near-inf set at most this long -> gibbs
 
 PHI2_MIN_SPACING = 1e-4  # smaller triples amplify rounding in the quotient
 MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the curvature and Phi2 scans
@@ -178,45 +175,28 @@ class ClassificationReport:
         return d
 
 
-def _flat_set_extent(spec: pot.PotentialSpec, inf_curv: float, radius: float) -> float:
-    """Length of the largest connected component of the near-infimum set
-    {r : V''(r) <= inf V'' + band}, measured on progressively finer local
-    grids around each coarse component."""
-    band = FLAT_VALUE_BAND_ANALYTIC if pot.has_analytic_deriv(spec, 2) else FLAT_VALUE_BAND_FD
-    xs = np.linspace(-radius, radius, 32769)
-    vals = _curvature_values(spec, xs)
-    near = vals <= inf_curv + band
-    if not near.any():
-        return 0.0
+def _status_at_tc(spec: pot.PotentialSpec, beta: float, radius: float) -> str:
+    """Gibbs status at t_c, read off the convex minorant of g_t = V + b r^2
+    with b = (1 + t)/(2t) just below beta: at t = (1 + eps)/(2 beta - 1) for
+    eps = 1e-2 and 1e-4, the widest polished edge of the tilted._ConvexMinorant
+    whose tilt centres span [-radius, radius] (0 when there is none).
 
-    # coarse components
-    idx = np.flatnonzero(near)
-    splits = np.flatnonzero(np.diff(idx) > 1)
-    comps = np.split(idx, splits + 1)
-    dx = xs[1] - xs[0]
+    At b = beta, V + b r^2 is convex, with an affine stretch exactly where the
+    curvature infimum is attained on an interval. Around an isolated infimum
+    of contact order 2k the width shrinks like eps^(1/(2k)), a ratio of 10,
+    3.16, 2.15, ... over the two decades; over a flat piece it tends to the
+    piece's length, a ratio near 1. Gibbs when the finer width is 0 or the
+    ratio is at least 2, non_gibbs at most 1.25, unknown in between."""
 
-    longest = 0.0
-    for comp in comps:
-        lo = xs[comp[0]] - dx
-        hi = xs[comp[-1]] + dx
-        # refine the component's true extent on a fine local grid
-        fine = np.linspace(lo, hi, 16385)
-        fvals = _curvature_values(spec, fine)
-        fnear = np.flatnonzero(fvals <= inf_curv + band)
-        if fnear.size == 0:
-            continue
-        extent = float(fine[fnear[-1]] - fine[fnear[0]])
-        longest = max(longest, extent)
-    return longest
+    def widest(eps):
+        t = (1.0 + eps) / (2.0 * beta - 1.0)
+        minorant = tilted._ConvexMinorant(spec, t, [-(1.0 + t) * radius, (1.0 + t) * radius])
+        return max((q2 - q1 for _, q1, q2, _, _ in minorant.edges), default=0.0)
 
-
-def _status_at_tc(spec: pot.PotentialSpec, inf_curv: float, radius: float) -> str:
-    extent = _flat_set_extent(spec, inf_curv, radius)
-    if extent >= FLAT_INTERVAL_LENGTH:
-        return NON_GIBBS
-    if extent <= ISOLATED_EXTENT:
+    coarse, fine = widest(1e-2), widest(1e-4)
+    if fine == 0.0 or coarse >= 2.0 * fine:
         return GIBBS
-    return UNKNOWN
+    return NON_GIBBS if coarse <= 1.25 * fine else UNKNOWN
 
 
 def crossover_time(
@@ -266,19 +246,16 @@ def _classification(spec: pot.PotentialSpec, radius: float, float_bits: bytes):
     cache."""
     if spec.smoothness == pot.C2_ANALYTIC:
         method = METHOD_SECOND_DERIVATIVE
-        inf_curv, _ = _curvature_infimum_with_growth_check(spec)
-        beta = math.inf if inf_curv == -math.inf else -0.5 * inf_curv
+        beta = -0.5 * _curvature_infimum_with_growth_check(spec)[0]
     else:
         method = METHOD_PHI2_SCAN
-        inf_phi2 = phi2_infimum(spec, radius)
-        beta = math.inf if inf_phi2 == -math.inf else -inf_phi2
-        inf_curv = -2.0 * beta if math.isfinite(beta) else -math.inf
+        beta = -phi2_infimum(spec, radius)
 
-    if beta == math.inf or beta > UNBOUNDED_SENTINEL:
+    if beta > UNBOUNDED_SENTINEL:
         return math.inf, 0.0, UNKNOWN, method
     if beta <= 0.5:
         return beta, math.inf, UNKNOWN, method
-    return beta, 1.0 / (beta - 0.5), _status_at_tc(spec, inf_curv, radius), method
+    return beta, 1.0 / (beta - 0.5), _status_at_tc(spec, beta, radius), method
 
 
 def _find_bad_witness(spec, t_probe, tol):

@@ -150,7 +150,12 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
     or the polynomial must be constant. With normalize=True the constant is
     shifted so that inf V = 0.
     """
-    coeffs = [float(c) for c in coefficients]
+    try:
+        coeffs = [] if isinstance(coefficients, str) else [float(c) for c in coefficients]
+    except (TypeError, ValueError):
+        coeffs = []
+    if not coeffs:
+        raise DomainError(f"polynomial coefficients must be a non-empty list of numbers, got {coefficients!r}")
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
     deg = len(coeffs) - 1
@@ -261,10 +266,17 @@ def from_json(source) -> PotentialSpec:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+        raise DomainError("a potential spec is a JSON object {\"family\": ..., \"params\": {...}}")
     family = doc.get("family")
     if family not in _BUILDERS:
         raise DomainError(f"unknown potential family {family!r}; expected one of {FAMILIES}")
-    return _BUILDERS[family](doc.get("params", {}))
+    try:
+        return _BUILDERS[family](doc.get("params", {}))
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as err:  # a parameter of the wrong type, such as beta = "x"
+        raise DomainError(f"invalid {family} params: {err}") from err
 
 
 def _all_finite(arr: np.ndarray) -> bool:

@@ -106,6 +106,25 @@ def test_gibbs_at_tc(builtin_specs):
     assert classify.gibbs_at_tc(builtin_specs["cosine_beta1"]) == classify.GIBBS
     assert classify.gibbs_at_tc(builtin_specs["glued_beta1"]) == classify.NON_GIBBS
     assert classify.gibbs_at_tc(builtin_specs["double_well"]) == classify.GIBBS
+    grid = np.linspace(-4.0, 4.0, 81)
+    gibbs = [
+        pot.cosine_well(2.5),
+        # V'' = 30 r^4 - 6: an isolated infimum of contact order 4
+        pot.polynomial([0, 0, -3, 0, 0, 0, 1], normalize=True),
+        pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0),
+    ]
+    rng = np.random.default_rng(0)
+    for i in range(20):  # random normalised quartics and sextics
+        c = rng.normal(size=(5, 7)[i % 2])
+        c[-1] = abs(c[-1])
+        spec = pot.polynomial(c.tolist(), normalize=True)
+        if 0.5 < classify.crossover_time(spec, find_witness=False).beta < 1e3:
+            gibbs.append(spec)
+    assert len(gibbs) == 3 + 8
+    for spec in gibbs:
+        assert classify.gibbs_at_tc(spec) == classify.GIBBS, spec.params
+    for b in (0.8, 2.5):  # V'' = -2 b on the flat piece [-1, 1]
+        assert classify.gibbs_at_tc(pot.glued_exp(b)) == classify.NON_GIBBS, b
     with pytest.raises(DomainError):
         classify.gibbs_at_tc(builtin_specs["zero"])  # t_c = inf
     with pytest.raises(DomainError):

@@ -227,6 +227,29 @@ def test_malformed_arguments_exit_2(spec, argv, request, tmp_path, capsys):
     assert not (out.exists() and any(out.iterdir()))  # no report for a rejected call
 
 
+# Spec files that ended in an uncaught exception before the spec reader
+# validated them.
+MALFORMED_SPECS = [
+    pytest.param("[1, 2]", id="list"),
+    pytest.param('"zero"', id="string"),
+    pytest.param('{"family": "polynomial", "params": {"coefficients": "abc"}}', id="coefficients-string"),
+    pytest.param('{"family": "cosine_well", "params": {"beta": "x"}}', id="beta-string"),
+    pytest.param('{"family": "polynomial", "params": {"coefficients": []}}', id="coefficients-empty"),
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECS)
+def test_malformed_spec_files_exit_2(text, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert cli.run(["tc", "--potential", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gibbs-dyn: invalid potential spec") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "tc.json").exists()
+
+
 EVERY_COMMAND = [
     ("cosine_json", ["tc"]),
     ("doublewell_json", ["bad-scan", "--t", "1", "--window=-3,3", "--grid", "31"]),

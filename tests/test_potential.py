@@ -156,6 +156,9 @@ def test_polynomial_coercivity_validation():
         pot.polynomial([0.0, 1.0, 2.0, 1.0])  # odd leading degree
     with pytest.raises(DomainError):
         pot.polynomial([0.0, 0.0, -1.0])  # negative leading coefficient
+    for coefficients in ([], "abc", "123", 5, [1.0, "x", 1.0]):  # not a non-empty list of numbers
+        with pytest.raises(DomainError):
+            pot.polynomial(coefficients)
 
 
 def test_glued_exp_c1_at_glue_points(glued1):

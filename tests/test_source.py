@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import gibbsdyn
@@ -22,3 +23,24 @@ def test_no_broad_except_in_package():
         if isinstance(node, ast.ExceptHandler) and _is_broad(node)
     ]
     assert offenders == []
+
+
+def test_every_module_constant_is_used():
+    # a threshold or setting that nothing reads has outlived its code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = [
+        (name, target.id)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    ]
+    loads = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+    assert defined  # the scan sees the constants
+    assert [f"{module}:{constant}" for module, constant in defined if constant not in loads] == []
