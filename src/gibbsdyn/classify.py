@@ -131,16 +131,17 @@ def _min_consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> float:
     return float(np.min(np.diff(slopes) / (xs[2:] - xs[:-2])))
 
 
-def phi2_infimum(spec: pot.PotentialSpec, radius: float | None = None):
+def phi2_infimum(spec: pot.PotentialSpec):
     """Infimum of Phi2(V): the smaller of the minimum over the triples of a
-    uniform grid on [-radius, radius] and half the growth-checked infimum of
-    V'' (the limit of shrinking symmetric triples).
+    uniform grid on the working window [-R, R] (R = pot.window_radius) and
+    half the growth-checked infimum of V'' (the limit of shrinking symmetric
+    triples).
 
     By the consecutive-triple identity (see _min_consecutive_phi2) one pass
     over the consecutive triples gives the exact minimum over all triples of
     the grid. The grid spacing is PHI2_MIN_SPACING, unless the point count
     would exceed MAX_SCAN_POINTS."""
-    radius = radius if radius is not None else pot.window_radius(spec)
+    radius = pot.window_radius(spec)
     inf_curv, _ = _curvature_infimum_with_growth_check(spec)
     if inf_curv == -math.inf:
         return -math.inf
@@ -175,11 +176,12 @@ class ClassificationReport:
         return d
 
 
-def _status_at_tc(spec: pot.PotentialSpec, beta: float, radius: float) -> str:
+def _status_at_tc(spec: pot.PotentialSpec, beta: float) -> str:
     """Gibbs status at t_c, read off the convex minorant of g_t = V + b r^2
     with b = (1 + t)/(2t) just below beta: at t = (1 + eps)/(2 beta - 1) for
     eps = 1e-2 and 1e-4, the widest polished edge of the tilted._ConvexMinorant
-    whose tilt centres span [-radius, radius] (0 when there is none).
+    whose tilt centres span the working window [-R, R] (R = pot.window_radius;
+    0 when there is no edge).
 
     At b = beta, V + b r^2 is convex, with an affine stretch exactly where the
     curvature infimum is attained on an interval. Around an isolated infimum
@@ -187,6 +189,8 @@ def _status_at_tc(spec: pot.PotentialSpec, beta: float, radius: float) -> str:
     3.16, 2.15, ... over the two decades; over a flat piece it tends to the
     piece's length, a ratio near 1. Gibbs when the finer width is 0 or the
     ratio is at least 2, non_gibbs at most 1.25, unknown in between."""
+
+    radius = pot.window_radius(spec)
 
     def widest(eps):
         t = (1.0 + eps) / (2.0 * beta - 1.0)
@@ -209,9 +213,9 @@ def crossover_time(
     finite and positive.
 
     beta, t_c, the status and the method depend on the potential alone and
-    are computed once per potential and window radius (see _classification);
-    only the witness search, which depends on tol, runs on every call."""
-    beta, t_c, status, method = _classification(spec, pot.window_radius(spec), _float_bits(spec))
+    are computed once per potential (see _classification); only the witness
+    search, which depends on tol, runs on every call."""
+    beta, t_c, status, method = _classification(spec, _float_bits(spec))
     witness_alpha = None
     witness = None
     if find_witness and 0.0 < t_c < math.inf:
@@ -236,26 +240,24 @@ def _float_bits(spec: pot.PotentialSpec) -> bytes:
 
 
 @functools.lru_cache(maxsize=CLASSIFICATION_CACHE_SIZE)
-def _classification(spec: pot.PotentialSpec, radius: float, float_bits: bytes):
+def _classification(spec: pot.PotentialSpec, float_bits: bytes):
     """(beta, t_c, status at t_c, method) of the potential, memoised.
 
-    The key is the spec's value plus its window radius, which lives in
-    PotentialSpec.params and so takes no part in spec equality; float_bits
-    (see _float_bits) only sharpens the key. Errors such as InconclusiveError
-    propagate and are not cached. _classification.cache_clear() empties the
-    cache."""
+    The key is the spec's value; float_bits (see _float_bits) only sharpens
+    it. Errors such as InconclusiveError propagate and are not cached.
+    _classification.cache_clear() empties the cache."""
     if spec.smoothness == pot.C2_ANALYTIC:
         method = METHOD_SECOND_DERIVATIVE
         beta = -0.5 * _curvature_infimum_with_growth_check(spec)[0]
     else:
         method = METHOD_PHI2_SCAN
-        beta = -phi2_infimum(spec, radius)
+        beta = -phi2_infimum(spec)
 
     if beta > UNBOUNDED_SENTINEL:
         return math.inf, 0.0, UNKNOWN, method
     if beta <= 0.5:
         return beta, math.inf, UNKNOWN, method
-    return beta, 1.0 / (beta - 0.5), _status_at_tc(spec, beta, radius), method
+    return beta, 1.0 / (beta - 0.5), _status_at_tc(spec, beta), method
 
 
 def _find_bad_witness(spec, t_probe, tol):
@@ -278,11 +280,11 @@ def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
     """Sequential Gibbsianness at time t per the crossover classification:
     True below t_c, False above, the t_c status at t_c (within 1e-9 relative).
 
-    The classification is memoised per potential and window radius, so a
-    sweep over many t classifies the potential once (see crossover_time).
+    The classification is memoised per potential, so a sweep over many t
+    classifies the potential once (see crossover_time).
     At t = 0 a continuously differentiable potential is sequentially Gibbs;
     otherwise the initial kernel is probed along selection sequences."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise DomainError("gibbs_at requires t >= 0")
     if t == 0:
         if spec.smoothness in (pot.C2_ANALYTIC, pot.C1_ONLY):

@@ -39,8 +39,10 @@ log = logging.getLogger("gibbsdyn")
 
 FORMAT_CHOICES = ("csv", "json", "both")
 CSV_BLOCK_ROWS = 4096  # rows formatted per write of a CSV table
-# parsed arguments every command has; the others are the command's own params
-_SHARED = ("command", "potential", "out", "format", "eps_val_rel", "delta_cluster", "truncation_mass", "quad_grid")
+# tolerance option (parsed name) -> its key in a report's tolerances block
+_TOLERANCES = {"eps_val_rel": "eps_val_rel", "delta_cluster": "delta_cluster", "quad_grid": "grid_n"}
+# parsed arguments that are not the command's own params
+_SHARED = ("command", "potential", "out", "format", *_TOLERANCES)
 
 
 def _configure_logging():
@@ -110,25 +112,23 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _tolerances(args):
-    """ToleranceConfig and QuadratureConfig from the override flags."""
-    return (
-        tilted.ToleranceConfig(eps_val_rel=args.eps_val_rel, delta_cluster=args.delta_cluster),
-        kernels.QuadratureConfig(truncation_mass=args.truncation_mass, grid_n=args.quad_grid),
-    )
+def _tol(args) -> tilted.ToleranceConfig:
+    return tilted.ToleranceConfig(eps_val_rel=args.eps_val_rel, delta_cluster=args.delta_cluster)
+
+
+def _quad(args) -> kernels.QuadratureConfig:
+    return kernels.QuadratureConfig(grid_n=args.quad_grid)
 
 
 # Each command calls the library and returns (results, [(csv_name, header, columns), ...]).
 
 
 def _cmd_tc(args, spec):
-    tol, _ = _tolerances(args)
-    return classify.crossover_time(spec, tol).to_json_dict(), []
+    return classify.crossover_time(spec, _tol(args)).to_json_dict(), []
 
 
 def _cmd_bad_scan(args, spec):
-    tol, _ = _tolerances(args)
-    result = tilted.bad_set_scan(spec, args.t, args.window, args.grid, tol=tol)
+    result = tilted.bad_set_scan(spec, args.t, args.window, args.grid, tol=_tol(args))
     results = {
         "intervals": [list(iv) for iv in result.intervals],
         "n_bad_intervals": len(result.intervals),
@@ -143,7 +143,7 @@ def _kernel_table(name: str, k: kernels.KernelEstimate):
 
 
 def _cmd_kernel(args, spec):
-    tol, quad = _tolerances(args)
+    tol, quad = _tol(args), _quad(args)
     if args.t == 0.0:
         k, kind = kernels.initial_kernel(spec, args.n, args.alpha, quad), "initial"
     else:
@@ -152,14 +152,13 @@ def _cmd_kernel(args, spec):
 
 
 def _cmd_eta(args, spec):
-    tol, quad = _tolerances(args)
+    tol, quad = _tol(args), _quad(args)
     k = kernels.eta_kernel(spec, args.n, args.t, args.alpha, quad, tol)
     return k.moment_summary(), [_kernel_table("eta", k)]
 
 
 def _cmd_traj(args, spec):
-    tol, _ = _tolerances(args)
-    trajectories = paths.minimising_trajectories(spec, args.t, args.alpha, grid_n=args.grid, tol=tol)
+    trajectories = paths.minimising_trajectories(spec, args.t, args.alpha, grid_n=args.grid, tol=_tol(args))
     results = {
         "n_trajectories": len(trajectories),
         "starting_points": [p.start for p in trajectories],
@@ -179,7 +178,7 @@ def _cmd_simulate(args, spec):
         bin_halfwidth=args.binwidth,
         method=args.method,
     )
-    tol, quad = _tolerances(args)
+    tol, quad = _tol(args), _quad(args)
     emp = mc_sim.evolve_and_condition(config, spec)
     reference = kernels.evolved_kernel(spec, args.n, args.t, args.alpha, quad, tol)
     emp = mc_sim.attach_ks(emp, reference)
@@ -226,12 +225,7 @@ def _write_outputs(args, spec, outdir: Path, results: dict, tables):
             "command": args.command,
             "potential": spec.to_json_dict(),
             "params": {k: v for k, v in vars(args).items() if k not in _SHARED},
-            "tolerances": {
-                "eps_val_rel": args.eps_val_rel,
-                "delta_cluster": args.delta_cluster,
-                "truncation_mass": args.truncation_mass,
-                "grid_n": args.quad_grid,
-            },
+            "tolerances": {key: getattr(args, dest) for dest, key in _TOLERANCES.items() if hasattr(args, dest)},
             "results": results,
         }
         path = outdir / f"{args.command.replace('-', '_')}.json"
@@ -269,26 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, t=False, alpha=False, n=False, window=None, grid=None):
+    def common(p, *, t=False, alpha=False, n=False, window=None, grid=None, tol=False, quad=False):
+        """The options every command has, plus those it reads: tol adds the
+        minimiser tolerances, quad the quadrature grid."""
         p.add_argument("--potential", required=True, help="path to a potential spec JSON")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--format", choices=FORMAT_CHOICES, default="both")
-        p.add_argument(
-            "--eps-val-rel", type=float, default=tilted.DEFAULT_TOL.eps_val_rel,
-            help="relative tie band for minimiser values (default: %(default)g)",
-        )
-        p.add_argument(
-            "--delta-cluster", type=float, default=tilted.DEFAULT_TOL.delta_cluster,
-            help="minimum separation of reported minimisers (default: %(default)g)",
-        )
-        p.add_argument(
-            "--truncation-mass", type=float, default=kernels.DEFAULT_QUAD.truncation_mass,
-            help="Gaussian tail mass dropped by quadrature windows (default: %(default)g)",
-        )
-        p.add_argument(
-            "--quad-grid", type=int, default=kernels.DEFAULT_QUAD.grid_n,
-            help="quadrature grid points (default: %(default)d)",
-        )
+        if tol:
+            p.add_argument(
+                "--eps-val-rel", type=float, default=tilted.DEFAULT_TOL.eps_val_rel,
+                help="relative tie band for minimiser values (default: %(default)g)",
+            )
+            p.add_argument(
+                "--delta-cluster", type=float, default=tilted.DEFAULT_TOL.delta_cluster,
+                help="minimum separation of reported minimisers (default: %(default)g)",
+            )
+        if quad:
+            p.add_argument(
+                "--quad-grid", type=int, default=kernels.DEFAULT_QUAD.grid_n,
+                help="quadrature grid points (default: %(default)d)",
+            )
         if t:
             p.add_argument("--t", type=_finite_float, required=True, help="evolution time")
         if alpha:
@@ -300,15 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
         if grid is not None:
             p.add_argument("--grid", type=_positive_int, default=grid, help="grid point count")
 
-    common(sub.add_parser("tc", help="crossover time and Gibbs status"))
-    common(sub.add_parser("bad-scan", help="scan for bad magnetisations"), t=True, window="-5,5", grid=1001)
+    common(sub.add_parser("tc", help="crossover time and Gibbs status"), tol=True)
+    pb = sub.add_parser("bad-scan", help="scan for bad magnetisations")
+    common(pb, t=True, window="-5,5", grid=1001, tol=True)
     pk = sub.add_parser("kernel", help="first-spin conditional kernel")
-    common(pk, alpha=True, n=True)
+    common(pk, alpha=True, n=True, tol=True, quad=True)
     pk.add_argument("--t", type=_finite_float, default=0.0, help="time (0 selects the initial kernel)")
-    common(sub.add_parser("eta", help="two-layer magnetisation kernel"), t=True, alpha=True, n=True)
-    common(sub.add_parser("traj", help="minimising trajectories"), t=True, alpha=True, grid=1024)
+    pe = sub.add_parser("eta", help="two-layer magnetisation kernel")
+    common(pe, t=True, alpha=True, n=True, tol=True, quad=True)
+    common(sub.add_parser("traj", help="minimising trajectories"), t=True, alpha=True, grid=1024, tol=True)
     ps = sub.add_parser("simulate", help="Monte Carlo conditional sampling")
-    common(ps, t=True, alpha=True, n=True)
+    common(ps, t=True, alpha=True, n=True, tol=True, quad=True)
     ps.add_argument("--replicas", type=int, default=100_000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--binwidth", type=float, default=0.05, help="conditioning bin halfwidth")

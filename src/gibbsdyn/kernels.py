@@ -67,19 +67,11 @@ SEQ_PLUS = "plus_inv_sqrt"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    truncation_mass: float = 1e-12
     grid_n: int = 4096
 
     def __post_init__(self):
-        if not (0.0 < self.truncation_mass <= 1e-6):
-            raise ConfigError("truncation_mass must lie in (0, 1e-6]")
         if self.grid_n < 64:
             raise ConfigError("grid_n must be >= 64")
-
-    @property
-    def drop(self) -> float:
-        """Log-depth below the integrand max that is kept on the grid."""
-        return max(DEFAULT_DROP, -math.log(self.truncation_mass) + 8.0)
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -128,10 +120,10 @@ def _kernel_from_log_density(x: np.ndarray, L: np.ndarray, extra_defect: float =
 
 
 def _build_kernel(log_f, window: tuple[float, float], cfg: QuadratureConfig, n_coarse: int) -> KernelEstimate:
-    lo, hi, _ = localize(log_f, window[0], window[1], n_coarse, drop=cfg.drop)
+    lo, hi, _ = localize(log_f, window[0], window[1], n_coarse)
     x = simpson_grid(lo, hi, cfg.grid_n)
     L = np.asarray(log_f(x), dtype=float)
-    x, L = refine_if_rough(x, L, log_f, drop=cfg.drop)
+    x, L = refine_if_rough(x, L, log_f)
     return _kernel_from_log_density(x, L)
 
 
@@ -175,7 +167,7 @@ def initial_kernel(spec: pot.PotentialSpec, n: int, alpha: float, cfg: Quadratur
 
     # V - floor >= 0, so exp(-x^2/2) dominates and the mass obeys
     # x^2/2 <= n*(V(abar)-floor) + drop around the x = 0 anchor.
-    B = math.sqrt(2.0 * (n * v_anchor + cfg.drop)) + 2.0
+    B = math.sqrt(2.0 * (n * v_anchor + DEFAULT_DROP)) + 2.0
     # steep potentials squeeze the integrand onto an x-scale of 1/sqrt(|V''|/n + 1);
     # keep the coarse spacing below it so the localization cannot skip the mass
     h = pot.fd_step(abar)
@@ -214,7 +206,7 @@ def eta_kernel(
     k = tr.tilt_curvature
     floor = min(spec.v_floor, 0.0)
     const = alpha**2 / (2.0 * (1.0 + t))
-    excess = max(u_min - floor - const, 0.0) + (cfg.drop + 5.0) / n
+    excess = max(u_min - floor - const, 0.0) + (DEFAULT_DROP + 5.0) / n
     R = math.sqrt(excess / k)
     return _build_kernel(log_f, (c - R, c + R), cfg, n_coarse=16385)
 
@@ -278,7 +270,7 @@ class _GMachine:
                 )
             anchors.append(n * (float(pot.eval(self.spec, q)) - self.floor) + k2 * (q - c) ** 2)
         A = min(anchors)
-        drop = self.cfg.drop + extra_drop
+        drop = DEFAULT_DROP + extra_drop
         R = math.sqrt((A + drop + 5.0) / k2) + (abs(s_lo) + abs(s_hi)) / n
 
         def log_union(r):
@@ -349,7 +341,7 @@ class _GMachine:
         edges (see _redo_hot_rows)."""
         s_arr = np.asarray(s_arr, dtype=float)
         self._ensure(float(s_arr.min()), float(s_arr.max()))
-        cold = -(self.cfg.drop - 15.0)
+        cold = -(DEFAULT_DROP - 15.0)
         stride = self._stride if probe else 1
         for attempt in range(3):
             log_num, edges = self._log_num(s_arr, stride)
@@ -436,19 +428,18 @@ def evolved_kernel(
                 anchors.append(-float(pot.deriv(spec, q, 1)))
             except NotDifferentiableError:
                 pass
-    pad = math.sqrt(2.0 * cfg.drop) + 2.0
+    pad = math.sqrt(2.0 * DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = expanding_localize(
         lambda s: machine.log_g(s, probe=True) - s**2 / 2.0,
         min(anchors) - pad,
         max(anchors) + pad,
         n_coarse=513,
-        drop=cfg.drop,
     )
     s = simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
     log_w = machine.log_g(s) - s**2 / 2.0 + simpson_log_weights(s)
     log_w = log_w - logsumexp(log_w)  # normalised s-law weights
 
-    zpad = math.sqrt(2.0 * cfg.drop * t) + 2.0
+    zpad = math.sqrt(2.0 * DEFAULT_DROP * t) + 2.0
     x = simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
     log_px = np.empty(x.size)
     blocks = row_blocks(x.size, s.size)

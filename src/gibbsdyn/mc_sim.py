@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from gibbsdyn import potential as pot
-from gibbsdyn.errors import ConfigError, DomainError, InsufficientStatisticsError
+from gibbsdyn.errors import ConfigError, InsufficientStatisticsError
 from gibbsdyn.kernels import KernelEstimate
 from gibbsdyn.quadrature import localize, log_integral, simpson_grid, trapezoid_cdf
 
@@ -141,25 +141,6 @@ def _initial_magnetisation_table(spec: pot.PotentialSpec, n: int) -> _Magnetisat
 
     v0 = float(pot.eval(spec, 0.0)) - floor
     return _tabulate(log_density, math.sqrt(2.0 * (n * v0 + 45.0) / n) + 1.0)
-
-
-def sample_initial_magnetisation(spec: pot.PotentialSpec, n: int, rng: np.random.Generator, size: int = 1):
-    """Draws from the time-0 magnetisation law via tabulated inverse CDF."""
-    if n < 1:
-        raise DomainError("sample_initial_magnetisation requires n >= 1")
-    table = _initial_magnetisation_table(spec, n)
-    out = table.sample(rng.random(size))
-    return float(out[0]) if size == 1 else out
-
-
-def sample_spins_given_magnetisation(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
-    """A standard Gaussian vector conditioned on its empirical mean being s:
-    draw z i.i.d. N(0,1) and return s + z - mean(z). Each coordinate then has
-    variance (n-1)/n and the mean is exactly s."""
-    if n < 2:
-        raise DomainError("sample_spins_given_magnetisation requires n >= 2")
-    z = rng.standard_normal(n)
-    return s + z - z.mean()
 
 
 def _companion_sd(n: int, t: float) -> float:
@@ -280,18 +261,6 @@ def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> Empirica
     if config.method == METHOD_AUTO and rate * config.replicas >= 10.0 * MIN_ACCEPTED:
         return _evolve_reject(table, config)
     return _evolve_exact(table, config, rate)
-
-
-def simulate_joint_magnetisation(
-    spec: pot.PotentialSpec, n: int, t: float, replicas: int, seed: int = 0
-):
-    """Unconditioned replica draws of (m_n(0), m_n(t)); the time-t value is
-    the time-0 value plus N(0, t/n) noise."""
-    rng = _rng(seed)
-    table = _initial_magnetisation_table(spec, n)
-    m0 = table.sample(rng.random(replicas))
-    mt = m0 + math.sqrt(t / n) * rng.standard_normal(replicas)
-    return m0, mt
 
 
 def ks_distance(empirical: EmpiricalKernel | np.ndarray, reference: KernelEstimate) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,6 +220,10 @@ def absolute() -> PotentialSpec:
 
 
 def custom_table(grid, values, smoothness: str = C1_ONLY) -> PotentialSpec:
+    """Linear interpolation of (grid, values). The interpolant has kinks at
+    the nodes, so it is C1_only at best; lsc_only marks it non-differentiable."""
+    if smoothness not in (C1_ONLY, LSC_ONLY):
+        raise DomainError(f"custom_table smoothness must be {C1_ONLY!r} or {LSC_ONLY!r}, got {smoothness!r}")
     r = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.size < 2 or r.shape != v.shape:
@@ -239,16 +243,24 @@ def custom_table(grid, values, smoothness: str = C1_ONLY) -> PotentialSpec:
     )
 
 
+def _table_from_params(p: dict) -> PotentialSpec:
+    if p.get("interpolation", "linear") != "linear":
+        raise DomainError(f"custom_table interpolation must be 'linear', got {p['interpolation']!r}")
+    return custom_table(p["grid"], p["values"], p.get("smoothness", C1_ONLY))
+
+
+# family -> (the params keys it reads, its builder); from_json rejects other keys
 _BUILDERS = {
-    "zero": lambda p: zero(),
-    "polynomial": lambda p: polynomial(p["coefficients"], bool(p.get("normalize", False))),
-    "cosine_well": lambda p: cosine_well(p["beta"]),
-    "cos_of_square": lambda p: cos_of_square(),
-    "glued_exp": lambda p: glued_exp(p["beta"]),
-    "abs": lambda p: absolute(),
-    "custom_table": lambda p: custom_table(
-        p["grid"], p["values"], p.get("smoothness", C1_ONLY)
+    "zero": ((), lambda p: zero()),
+    "polynomial": (
+        ("coefficients", "normalize"),
+        lambda p: polynomial(p["coefficients"], bool(p.get("normalize", False))),
     ),
+    "cosine_well": (("beta",), lambda p: cosine_well(p["beta"])),
+    "cos_of_square": ((), lambda p: cos_of_square()),
+    "glued_exp": (("beta",), lambda p: glued_exp(p["beta"])),
+    "abs": ((), lambda p: absolute()),
+    "custom_table": (("grid", "values", "smoothness", "interpolation"), _table_from_params),
 }
 
 
@@ -271,8 +283,13 @@ def from_json(source) -> PotentialSpec:
     family = doc.get("family")
     if family not in _BUILDERS:
         raise DomainError(f"unknown potential family {family!r}; expected one of {FAMILIES}")
+    keys, build = _BUILDERS[family]
+    params = doc.get("params", {})
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise DomainError(f"{family} takes no params {unknown}; it reads {list(keys)}")
     try:
-        return _BUILDERS[family](doc.get("params", {}))
+        return build(params)
     except DomainError:
         raise
     except (TypeError, ValueError) as err:  # a parameter of the wrong type, such as beta = "x"
@@ -403,14 +420,9 @@ def phi2_grid(values: np.ndarray, xs: np.ndarray, i, j, k) -> np.ndarray:
     return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
 
 
-def with_window(spec: PotentialSpec, radius: float) -> PotentialSpec:
-    """Spec copy annotated with a non-default working window radius."""
-    params = dict(spec.params)
-    params["window_radius"] = radius
-    return replace(spec, params=params)
-
-
 def window_radius(spec: PotentialSpec) -> float:
+    """Half-width of the working window: the table's range for
+    custom_table, else DEFAULT_WINDOW_RADIUS."""
     if spec.family == "custom_table":
         return float(max(abs(spec.table_r[0]), abs(spec.table_r[-1])))
-    return float(spec.params.get("window_radius", DEFAULT_WINDOW_RADIUS))
+    return DEFAULT_WINDOW_RADIUS

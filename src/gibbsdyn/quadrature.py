@@ -80,9 +80,9 @@ def localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_D
     return float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax
 
 
-def expanding_localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_DROP):
+def expanding_localize(log_f, lo: float, hi: float, n_coarse: int):
     """localize(), but first widen the window until the edges are cold
-    (log_f at both edges at least `drop` below the running max): each hot
+    (log_f at both edges at least DEFAULT_DROP below the running max): each hot
     edge moves out by (EXPAND_GROW - 1)/2 x the width, for at most 10 rounds."""
     for _ in range(10):
         xs = np.linspace(lo, hi, odd_count(n_coarse))
@@ -91,10 +91,10 @@ def expanding_localize(log_f, lo: float, hi: float, n_coarse: int, drop: float =
         if not finite.any():
             raise ValueError("log-integrand is nowhere finite on the coarse window")
         Lmax = float(L[finite].max())
-        hot_left = np.isfinite(L[0]) and L[0] > Lmax - drop
-        hot_right = np.isfinite(L[-1]) and L[-1] > Lmax - drop
+        hot_left = np.isfinite(L[0]) and L[0] > Lmax - DEFAULT_DROP
+        hot_right = np.isfinite(L[-1]) and L[-1] > Lmax - DEFAULT_DROP
         if not hot_left and not hot_right:
-            keep = np.flatnonzero(finite & (L >= Lmax - drop))
+            keep = np.flatnonzero(finite & (L >= Lmax - DEFAULT_DROP))
             pad = xs[1] - xs[0]
             return float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax
         width = hi - lo
@@ -109,10 +109,11 @@ def simpson_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, odd_count(n))
 
 
-def refine_if_rough(x: np.ndarray, L: np.ndarray, log_f, drop: float = DEFAULT_DROP):
+def refine_if_rough(x: np.ndarray, L: np.ndarray, log_f):
     """One adaptive refinement pass: if the second difference of the
-    log-integrand exceeds the threshold anywhere mass lives, double the grid."""
-    relevant = L >= (np.max(L) - drop)
+    log-integrand exceeds the threshold anywhere mass lives (within
+    DEFAULT_DROP of the max), double the grid."""
+    relevant = L >= (np.max(L) - DEFAULT_DROP)
     if relevant.sum() >= 3:
         d2 = np.abs(np.diff(L, 2))
         mask = relevant[1:-1]

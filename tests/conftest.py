@@ -178,15 +178,13 @@ def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=
                 anchors.append(-float(pot.deriv(spec, q, 1)))
             except NotDifferentiableError:
                 pass
-    pad = math.sqrt(2.0 * cfg.drop) + 2.0
-    s_lo, s_hi, _ = quadrature.expanding_localize(
-        log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=513, drop=cfg.drop
-    )
+    pad = math.sqrt(2.0 * quadrature.DEFAULT_DROP) + 2.0
+    s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=513)
     s = quadrature.simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
     log_w = log_h(s) + quadrature.simpson_log_weights(s)
     log_w = log_w - quadrature.logsumexp(log_w)
 
-    zpad = math.sqrt(2.0 * cfg.drop * t) + 2.0
+    zpad = math.sqrt(2.0 * quadrature.DEFAULT_DROP * t) + 2.0
     x = quadrature.simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
     log_px = quadrature.logsumexp(log_w[None, :] - (x[:, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
     log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
@@ -299,8 +297,8 @@ def g_bound_diagnostic(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, tol=tilted.D
     spread = max(1.0, max(abs(q) for q in m.ms.locations), abs(c))
     lo0, hi0 = c - 4.0 * spread - 4.0, c + 4.0 * spread + 4.0
 
-    dlo, dhi, _ = quadrature.expanding_localize(log_den, lo0, hi0, n_coarse=2049, drop=cfg.drop)
-    nlo, nhi, _ = quadrature.expanding_localize(log_num, lo0, hi0, n_coarse=2049, drop=cfg.drop)
+    dlo, dhi, _ = quadrature.expanding_localize(log_den, lo0, hi0, n_coarse=2049)
+    nlo, nhi, _ = quadrature.expanding_localize(log_num, lo0, hi0, n_coarse=2049)
     rd = quadrature.simpson_grid(dlo, dhi, cfg.grid_n)
     rn = quadrature.simpson_grid(nlo, nhi, cfg.grid_n)
     return float(np.exp(quadrature.log_integral(rn, log_num(rn)) - quadrature.log_integral(rd, log_den(rd))))

@@ -90,8 +90,9 @@ def test_gibbs_at(builtin_specs):
     assert classify.gibbs_at(builtin_specs["abs"], 1.0) is True  # convex potential
     assert classify.gibbs_at(builtin_specs["cos_of_square"], 0.0) is True
     assert classify.gibbs_at(builtin_specs["cos_of_square"], 0.3) is False
-    with pytest.raises(DomainError):
-        classify.gibbs_at(cw, -0.5)
+    for t in (-0.5, math.nan):  # NaN fails every comparison, `t < 0` too
+        with pytest.raises(DomainError):
+            classify.gibbs_at(cw, t)
 
 
 def test_gibbs_at_monotone(builtin_specs):
@@ -188,29 +189,12 @@ def _json(report) -> str:
     return json.dumps(report.to_json_dict(), sort_keys=True)  # tells -0.0 from 0.0
 
 
-def test_window_radius_is_part_of_the_cache_key(glued1, monkeypatch):
-    # params (where the radius lives) take no part in spec equality
-    specs = [glued1, pot.with_window(glued1, 5.0), pot.with_window(glued1, 40.0)]
-    assert specs[0] == specs[1] == specs[2]
-    classify._classification.cache_clear()
-    fresh = []
-    for spec in specs:
-        fresh.append(_json(classify.crossover_time(spec, find_witness=False)))
-        classify._classification.cache_clear()
-    assert len(set(fresh)) == 3  # the three windows give three betas
-
-    # one shared cache: each window is classified once, by its own scan
-    scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
-    for _ in range(2):
-        assert [_json(classify.crossover_time(spec, find_witness=False)) for spec in specs] == fresh
-        assert len(scans) == 3
-
-
 @pytest.mark.parametrize("radius", [5.0, 10.0])
 def test_unsettled_curvature_scan_is_inconclusive(monkeypatch, radius):
-    # V'' of 1 - cos(r^2) falls like -4 r^2: from these radii seven doublings
-    # neither settle nor pass the unboundedness sentinel
-    spec = pot.with_window(pot.cos_of_square(), radius)
+    # V'' of 1 - cos(r^2) falls like -4 r^2: from these working-window radii
+    # seven doublings neither settle nor pass the unboundedness sentinel
+    monkeypatch.setattr(pot, "DEFAULT_WINDOW_RADIUS", radius)
+    spec = pot.cos_of_square()
     classify._classification.cache_clear()
     scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
     for _ in range(2):

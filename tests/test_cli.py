@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import csv_writer_table
-from gibbsdyn import cli, mc_sim, potential
+from gibbsdyn import classify, cli, mc_sim, potential
 
 
 @pytest.fixture()
@@ -170,12 +170,11 @@ def test_tolerance_overrides_recorded(zero_json, tmp_path):
     out = tmp_path / "out"
     rc = cli.run(
         ["kernel", "--potential", zero_json, "--n", "7", "--t", "1", "--alpha", "3",
-         "--quad-grid", "2048", "--truncation-mass", "1e-10", "--out", str(out)]
+         "--quad-grid", "2048", "--eps-val-rel", "1e-8", "--out", str(out)]
     )
     assert rc == 0
     doc = json.loads((out / "kernel.json").read_text())
-    assert doc["tolerances"]["grid_n"] == 2048
-    assert doc["tolerances"]["truncation_mass"] == 1e-10
+    assert doc["tolerances"] == {"eps_val_rel": 1e-8, "delta_cluster": 1e-6, "grid_n": 2048}
     assert doc["results"]["grid_n"] == 2049  # odd-point Simpson grid
 
 
@@ -206,6 +205,12 @@ MALFORMED = [
     pytest.param("cosine_json", ["tc", "--eps-val-rel", "nan"], id="tc-eps-val-rel-nan"),
     pytest.param("doublewell_json", ["oracle", "--beta", "inf"], id="oracle-beta-inf"),
     pytest.param("doublewell_json", ["limitpot", "--t", "1e308", "--grid", "3", "--window=-1,1"], id="limitpot-t-1e308"),
+    # options a command does not read are not registered for it
+    pytest.param("doublewell_json", ["limitpot", "--t", "1", "--eps-val-rel", "1e-3"], id="limitpot-eps-val-rel"),
+    pytest.param("doublewell_json", ["oracle", "--beta", "1", "--quad-grid", "64"], id="oracle-quad-grid"),
+    pytest.param("cosine_json", ["tc", "--quad-grid", "64"], id="tc-quad-grid"),
+    pytest.param("zero_json", ["kernel", "--n", "7", "--alpha", "0", "--truncation-mass", "1e-10"],
+                 id="kernel-truncation-mass"),
     pytest.param(
         "doublewell_json",
         ["simulate", "--n", "16", "--t", "1", "--alpha", "0", "--replicas", "1000", "--binwidth", "inf"],
@@ -235,6 +240,19 @@ MALFORMED_SPECS = [
     pytest.param('{"family": "polynomial", "params": {"coefficients": "abc"}}', id="coefficients-string"),
     pytest.param('{"family": "cosine_well", "params": {"beta": "x"}}', id="beta-string"),
     pytest.param('{"family": "polynomial", "params": {"coefficients": []}}', id="coefficients-empty"),
+    pytest.param(
+        '{"family": "custom_table", "params": {"grid": [-1, 0, 1], "values": [1, 0, 1], "smoothness": "bogus"}}',
+        id="table-smoothness-bogus",
+    ),
+    pytest.param(
+        '{"family": "custom_table", "params": {"grid": [-1, 0, 1], "values": [1, 0, 1], "smoothness": "C2_analytic"}}',
+        id="table-smoothness-C2",
+    ),
+    pytest.param(
+        '{"family": "polynomial", "params": {"coefficients": [3, 0, -4, 0, 1], "normalise": true}}',
+        id="unknown-key-normalise",
+    ),
+    pytest.param('{"family": "cosine_well", "params": {"beta": 1, "window_radius": 5}}', id="unknown-key-window-radius"),
 ]
 
 
@@ -262,14 +280,28 @@ EVERY_COMMAND = [
 ]
 
 
+# the settings each command reads, as its report's tolerances block names them
+READS = {
+    "tc": {"eps_val_rel", "delta_cluster"},
+    "bad-scan": {"eps_val_rel", "delta_cluster"},
+    "kernel": {"eps_val_rel", "delta_cluster", "grid_n"},
+    "eta": {"eps_val_rel", "delta_cluster", "grid_n"},
+    "traj": {"eps_val_rel", "delta_cluster"},
+    "simulate": {"eps_val_rel", "delta_cluster", "grid_n"},
+    "limitpot": set(),
+    "oracle": set(),
+}
+
+
 @pytest.mark.parametrize("spec, argv", EVERY_COMMAND, ids=[a[0] for _, a in EVERY_COMMAND])
 def test_stdout_is_the_report_results(spec, argv, request, tmp_path, capsys):
-    assert sorted(a[0] for _, a in EVERY_COMMAND) == sorted(cli._COMMANDS)
+    assert sorted(a[0] for _, a in EVERY_COMMAND) == sorted(cli._COMMANDS) == sorted(READS)
     path = request.getfixturevalue(spec)
     out = tmp_path / "out"
     assert cli.run([argv[0], "--potential", path, *argv[1:], "--out", str(out)]) == 0
     doc = json.loads((out / f"{argv[0].replace('-', '_')}.json").read_text())
     assert capsys.readouterr().out == json.dumps(doc["results"], sort_keys=True) + "\n"
+    assert set(doc["tolerances"]) == READS[argv[0]]
 
 
 def test_negative_values_in_scientific_notation(zero_json, doublewell_json, tmp_path, capsys):
@@ -291,8 +323,11 @@ def test_negative_values_in_scientific_notation(zero_json, doublewell_json, tmp_
 
 
 def test_tc_inconclusive_exits_2(tmp_path, monkeypatch, capsys):
-    # on a radius-5 working window the curvature scan of cos_of_square cannot decide
+    # on a radius-5 working window the curvature scan of cos_of_square cannot decide;
+    # the classification cache is keyed on the spec alone, so it may hold the
+    # radius-20 result of an earlier test
     monkeypatch.setattr(potential, "DEFAULT_WINDOW_RADIUS", 5.0)
+    classify._classification.cache_clear()
     spec = tmp_path / "cos_sq.json"
     spec.write_text('{"family": "cos_of_square", "params": {}}')
     out = tmp_path / "out"

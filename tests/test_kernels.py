@@ -56,10 +56,6 @@ def quadratic_evolved_oracle(n, t, alpha):
 
 def test_quadrature_config_validation():
     with pytest.raises(ConfigError):
-        kernels.QuadratureConfig(truncation_mass=0.0)
-    with pytest.raises(ConfigError):
-        kernels.QuadratureConfig(truncation_mass=1e-3)
-    with pytest.raises(ConfigError):
         kernels.QuadratureConfig(grid_n=32)
 
 
@@ -489,11 +485,3 @@ def test_g_bound_divergence_guard(zero):
     with pytest.raises(AccuracyError):
         g_bound_diagnostic(zero, 3, 1.0, 0.0)  # tilt curvature below growth
 
-
-def test_window_radius_override(cosine1):
-    spec = pot.with_window(cosine1, 8.0)
-    assert pot.window_radius(spec) == 8.0
-    # classification is insensitive to the window for this periodic potential
-    from gibbsdyn import classify
-
-    assert classify.crossover_time(spec, find_witness=False).t_c == pytest.approx(2.0, abs=1e-6)

@@ -36,8 +36,13 @@ def test_config_validation():
 # --- initial magnetisation sampling ---------------------------------------------
 
 
+def initial_draws(spec, n, rng, size):
+    """Draws from the time-0 magnetisation law by the samplers' inverse CDF."""
+    return mc_sim._initial_magnetisation_table(spec, n).sample(rng.random(size))
+
+
 def test_initial_magnetisation_flat(zero):
-    draws = mc_sim.sample_initial_magnetisation(zero, 25, rng_for(1), size=100_000)
+    draws = initial_draws(zero, 25, rng_for(1), size=100_000)
     se_mean = (1 / math.sqrt(25)) / math.sqrt(draws.size)
     assert abs(draws.mean()) < 3 * se_mean
     assert draws.var() == pytest.approx(1 / 25, rel=0.05)
@@ -46,7 +51,7 @@ def test_initial_magnetisation_flat(zero):
 def test_initial_magnetisation_quadratic(quadratic):
     # density ~ exp(-n (s^2 + s^2/2) * ...): variance 1/(3n)
     n = 25
-    draws = mc_sim.sample_initial_magnetisation(quadratic, n, rng_for(2), size=100_000)
+    draws = initial_draws(quadratic, n, rng_for(2), size=100_000)
     var_want = 1.0 / (3 * n)
     se_var = var_want * math.sqrt(2.0 / draws.size)
     assert abs(draws.var() - var_want) < 3 * se_var
@@ -54,7 +59,7 @@ def test_initial_magnetisation_quadratic(quadratic):
 
 def test_initial_magnetisation_double_well_modes(double_well):
     # minimisers of V(s) + s^2/2 = s^4 - 3.5 s^2 + 3 sit at +-sqrt(1.75)
-    draws = mc_sim.sample_initial_magnetisation(double_well, 50, rng_for(3), size=100_000)
+    draws = initial_draws(double_well, 50, rng_for(3), size=100_000)
     hist, edges = np.histogram(draws, bins=201, range=(-2.5, 2.5))
     centers = 0.5 * (edges[1:] + edges[:-1])
     top = centers[np.flatnonzero((hist[1:-1] > hist[:-2]) & (hist[1:-1] >= hist[2:])) + 1]
@@ -66,7 +71,7 @@ def test_initial_magnetisation_double_well_modes(double_well):
 
 def test_initial_magnetisation_chi_square_gof(quadratic):
     n = 25
-    draws = mc_sim.sample_initial_magnetisation(quadratic, n, rng_for(4), size=100_000)
+    draws = initial_draws(quadratic, n, rng_for(4), size=100_000)
     table = mc_sim._initial_magnetisation_table(quadratic, n)
     edges = np.linspace(-0.6, 0.6, 41)
     counts, _ = np.histogram(draws, bins=edges)
@@ -76,33 +81,6 @@ def test_initial_magnetisation_chi_square_gof(quadratic):
     expected = probs[keep] * draws.size
     stat = float(np.sum((counts[keep] - expected) ** 2 / expected))
     assert stat < chi2.ppf(0.99, df=keep.sum() - 1)
-
-
-# --- bridge sampling --------------------------------------------------------------
-
-
-def test_bridge_mean_is_exact():
-    rng = rng_for(5)
-    for _ in range(100):
-        x = mc_sim.sample_spins_given_magnetisation(10, 3.0, rng)
-        assert x.mean() == pytest.approx(3.0, abs=1e-12)
-
-
-def test_bridge_pair_structure():
-    rng = rng_for(6)
-    us = np.array([mc_sim.sample_spins_given_magnetisation(2, 0.0, rng)[0] for _ in range(100_000)])
-    # pairs are (u, -u) with u ~ N(0, 1/2)
-    se = 0.5 * math.sqrt(2.0 / us.size)
-    assert abs(us.var() - 0.5) < 3 * se
-
-
-def test_bridge_coordinate_variance():
-    rng = rng_for(7)
-    n = 100
-    draws = np.array([mc_sim.sample_spins_given_magnetisation(n, 0.0, rng)[0] for _ in range(50_000)])
-    want = (n - 1) / n
-    se = want * math.sqrt(2.0 / draws.size)
-    assert abs(draws.var() - want) < 3 * se
 
 
 # --- conditional evolution ---------------------------------------------------------
@@ -240,19 +218,6 @@ def test_insufficient_statistics_error(double_well):
     )
     with pytest.raises(InsufficientStatisticsError):
         mc_sim.evolve_and_condition(cfg, double_well)
-
-
-def test_magnetisation_dynamics_regression(quadratic):
-    # m_t = m_0 + N(0, t/n): regression slope 1, residual variance t/n
-    n, t, reps = 32, 0.7, 200_000
-    m0, mt = mc_sim.simulate_joint_magnetisation(quadratic, n, t, reps, seed=8)
-    slope = np.cov(m0, mt)[0, 1] / np.var(m0)
-    resid = mt - m0
-    se_slope = math.sqrt((t / n) / (np.var(m0) * reps))
-    assert abs(slope - 1.0) < 3 * se_slope
-    var_want = t / n
-    se_var = var_want * math.sqrt(2.0 / reps)
-    assert abs(resid.var() - var_want) < 3 * se_var
 
 
 def test_conditioning_sanity_h_sweep(zero, double_well):

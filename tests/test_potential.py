@@ -271,8 +271,38 @@ def test_from_json_variants(tmp_path):
     path.write_text('{"family": "polynomial", "params": {"coefficients": [0, 0, 1]}}')
     spec2 = pot.from_json(str(path))
     assert pot.eval(spec2, 3.0) == 9.0
-    with pytest.raises(DomainError):
-        pot.from_json({"family": "nope", "params": {}})
+    for family, params in [
+        ("nope", {}),
+        # params keys the family does not read
+        ("polynomial", {"coefficients": [3, 0, -4, 0, 1], "normalise": True}),
+        ("cosine_well", {"beta": 1.0, "window_radius": 5.0}),
+        ("zero", {"beta": 1.0}),
+        # a value the family cannot honour
+        ("custom_table", {"grid": [-1, 0, 1], "values": [1, 0, 1], "interpolation": "cubic"}),
+    ]:
+        with pytest.raises(DomainError):
+            pot.from_json({"family": family, "params": params})
+
+
+def test_embedded_specs_parse_back(builtin_specs):
+    # the spec a report embeds (to_json_dict) rebuilds an equal spec, the
+    # normalised polynomial's "normalize" and the table's "interpolation" included
+    table = pot.custom_table(np.linspace(-2, 2, 81), np.abs(np.linspace(-2, 2, 81)))
+    specs = {**builtin_specs, "normalised": pot.polynomial([3, 0, -4, 0, 1], normalize=True), "table": table}
+    for name, spec in specs.items():
+        assert pot.from_json(spec.to_json_dict()) == spec, name
+    assert table.to_json_dict()["params"]["interpolation"] == "linear"
+    assert specs["normalised"].to_json_dict()["params"]["normalize"] is True
+
+
+def test_custom_table_smoothness_tags():
+    grid, values = [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]
+    for tag in (pot.C1_ONLY, pot.LSC_ONLY):
+        assert pot.custom_table(grid, values, tag).smoothness == tag
+    # a piecewise-linear table has kinks, so it is never C2_analytic
+    for tag in (pot.C2_ANALYTIC, "bogus"):
+        with pytest.raises(DomainError):
+            pot.custom_table(grid, values, tag)
 
 
 # --- second difference quotient ---------------------------------------------

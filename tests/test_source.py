@@ -1,10 +1,13 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gibbsdyn
 
 PACKAGE = Path(gibbsdyn.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:
@@ -44,3 +47,13 @@ def test_every_module_constant_is_used():
     }
     assert defined  # the scan sees the constants
     assert [f"{module}:{constant}" for module, constant in defined if constant not in loads] == []
+
+
+def test_benchmark_tracer_bindings_hold():
+    # the benchmark's tracer pins bindings such as classify's golden_section
+    # and initial_kernel; a package refactor that drops one breaks the tracer
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "selftest.Bindings"],
+        cwd=PERFBENCH, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
