@@ -1,10 +1,13 @@
 """One-dimensional global minimisation by dense grid scan plus golden-section
-refinement of each candidate basin.
+refinement of each candidate basin, and the batch driver of every bracket
+refinement.
 
 All scans are vectorised over numpy arrays. A refinement runs one scalar
 iteration per bracket, written as a coroutine, and _drive steps them all
-together with one objective call per round; golden section converges
-linearly with ratio 1/phi.
+together with one objective call per round. Golden section converges
+linearly with ratio 1/phi, about 50 rounds from a grid bracket to
+REFINE_TOL; tilted._refine therefore steps Newton through _drive first and
+runs golden section only on the brackets where Newton does not settle.
 """
 
 from __future__ import annotations

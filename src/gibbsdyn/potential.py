@@ -234,13 +234,10 @@ def custom_table(grid, values, smoothness: str = C1_ONLY) -> PotentialSpec:
         raise DomainError("custom_table samples must be finite")
     if v.min() < -1e-12:
         raise DomainError("custom_table values must be non-negative")
-    return PotentialSpec(
-        "custom_table",
-        smoothness,
-        table_r=tuple(r),
-        table_v=tuple(v),
-        params={"grid": list(r), "values": list(v), "interpolation": "linear"},
-    )
+    params = {"grid": list(r), "values": list(v), "interpolation": "linear"}
+    if smoothness == LSC_ONLY:  # C1_only is the default: its JSON omits the key
+        params["smoothness"] = LSC_ONLY
+    return PotentialSpec("custom_table", smoothness, table_r=tuple(r), table_v=tuple(v), params=params)
 
 
 def _table_from_params(p: dict) -> PotentialSpec:

@@ -36,6 +36,7 @@ SEPARATION_STEPS = 3  # grid points fewer steps apart than this touch one minimi
 # are near-ties: flagged indeterminate rather than silently resolved
 INDETERMINATE_FACTOR = 10.0
 TRUNCATION_MARGIN = 10.0  # quadratic tilt must exceed best-so-far by this much outside
+NEWTON_RESIDUAL = 1e-13  # a Newton start has settled once |V'(x) + x + (x - alpha)/t| is below this
 
 
 def _tie(gap, eps):
@@ -158,12 +159,17 @@ def _shifted_rate(tr: TiltedRate):
     return J
 
 
-def _newton_polish(tr: TiltedRate, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton steps on the first-order condition from each start
-    q[j] for tr.alpha[j], clipped to [lo[j], hi[j]], in one batch. Golden
-    section is value-based and stalls at x-accuracy ~sqrt(eps); polishing the
-    root of the derivative recovers full precision. A start stays where its
-    residual grew or V' does not exist at one of its points."""
+def _newton_polish(tr: TiltedRate, q: np.ndarray, lo: np.ndarray, hi: np.ndarray, first: bool = False):
+    """Safeguarded Newton steps on the first-order condition V'(x) + x +
+    (x - alpha)/t = 0 from each start q[j] for tr.alpha[j], in one batch, as
+    (x, settled) arrays: settled where the residual fell below
+    NEWTON_RESIDUAL. A start stays where its residual grew or V' does not
+    exist at one of its points, and a step that leaves [lo[j], hi[j]] is
+    clipped to it. A first try (first=True, the safeguard of rtsafe, Press et
+    al., Numerical Recipes 3rd ed., section 9.4) gives up at once instead
+    when a step leaves the bracket, and after 4 steps; a polish of a golden
+    section point (value-based, so stalled at x-accuracy ~sqrt(eps)) takes
+    up to 8 steps."""
 
     def deriv(x, j):  # V'(x), NaN where it does not exist
         try:
@@ -177,35 +183,46 @@ def _newton_polish(tr: TiltedRate, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
         x = q
         f = f_start = yield from foc(q)
-        for _ in range(8):
-            if abs(f) < 1e-13:
+        for _ in range(4 if first else 8):
+            if abs(f) < NEWTON_RESIDUAL:
                 break
             h = 1e-7 * max(1.0, abs(x))
             up, down = (yield from foc(x + h)), (yield from foc(x - h))
             if math.isnan(up) or math.isnan(down):
-                return q
+                return q, False
             fp = (up - down) / (2 * h)
             if fp <= 0 or not math.isfinite(fp):
                 break
             step = f / fp
-            if not math.isfinite(step):
+            if not math.isfinite(step) or (first and not lo <= x - step <= hi):
                 break
             x = min(max(x - step, lo), hi)
             f = yield from foc(x)
-        return x if abs(f) <= abs(f_start) else q
+        return (x, abs(f) < NEWTON_RESIDUAL) if abs(f) <= abs(f_start) else (q, False)
 
     starts = zip(q.tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())
-    return np.asarray(_drive([newton(*p) for p in starts], deriv), dtype=float)
+    out = _drive([newton(*p) for p in starts], deriv)
+    return np.array([x for x, _ in out], dtype=float), np.array([s for _, s in out], dtype=bool)
 
 
 def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, U(x)) arrays: for each j, the minimum for tr.alpha[j] in the basin
-    of grid point idx[j], bracketed by its neighbours. One golden section
-    over all brackets, then one Newton polish when V' is analytic."""
+    of grid point idx[j], bracketed by its neighbours. When V' is analytic,
+    Newton first: a first try (_newton_polish) from every grid vertex, in one
+    batch; only the brackets where it does not settle (a kink, a flat or
+    non-convex stretch, a minimum at the bracket's edge) take golden section,
+    then the Newton polish. Without an analytic V', golden section alone."""
     lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
-    x, _ = golden_section(_shifted_rate(tr), lo, hi)
-    if pot.has_analytic_deriv(tr.potential, 1):
-        x = _newton_polish(tr, x, lo, hi)
+    x, rest = xs[idx], np.ones(idx.size, dtype=bool)
+    smooth = pot.has_analytic_deriv(tr.potential, 1)
+    if smooth:
+        x, settled = _newton_polish(tr, x, lo, hi, first=True)
+        rest = ~settled
+    if rest.any():
+        sub = TiltedRate(tr.potential, tr.t, tr.alpha[rest])
+        x[rest], _ = golden_section(_shifted_rate(sub), lo[rest], hi[rest])
+        if smooth:
+            x[rest] = _newton_polish(sub, x[rest], lo[rest], hi[rest])[0]
     return x, eval_rate(tr, x)
 
 
@@ -214,10 +231,10 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     a coarse scan of the truncation window (_window, tightened once by the
     coarse minimum); near-minimal grid candidates fewer than three grid steps
     apart form one run, whose lowest point is refined, and both ends too when
-    the run spans three or more steps (golden section, then Newton polish when
-    V is differentiable); the refined values that tie are clustered at
-    delta_cluster. A continuum of minimisers is reported by a few refined
-    contacts, its two ends included."""
+    the run spans three or more steps (_refine: Newton first when V' is
+    analytic, golden section where it does not settle); the refined values
+    that tie are clustered at delta_cluster. A continuum of minimisers is
+    reported by a few refined contacts, its two ends included."""
     J = _shifted_rate(tr)
     c = tr.center
     lo, hi = _window(tr.potential, tr.t, [tr.alpha])
@@ -345,9 +362,10 @@ class _ConvexMinorant:
     (i1, i2) spanning at least SEPARATION_STEPS grid steps (bridging, or a
     piece of an affine stretch of g_t) is a candidate; edges holds its common
     tangent (alpha*, q1, q2, v1, v2), in increasing alpha*. All candidates
-    are polished together: both contacts of every edge are refined at slope
-    alpha*/t in one batch, and each alpha* moves to its chord slope until it
-    settles, for at most 8 rounds."""
+    are polished together: both contacts of every edge are refined (_refine,
+    Newton first from the hull vertex) at slope alpha*/t in one batch, and
+    each alpha* moves to its chord slope until it settles, for at most 8
+    rounds."""
 
     def __init__(self, spec: pot.PotentialSpec, t: float, alphas):
         self.spec, self.t = spec, t

@@ -223,6 +223,17 @@ def scalar_golden_section(f, lo: float, hi: float):
     return d, fd
 
 
+def golden_then_polish_refine(tr, xs, idx):
+    """Slow oracle for tilted._refine: every bracket [xs[idx - 1], xs[idx + 1]]
+    by golden section on the shifted rate, then, when V' is analytic, the
+    Newton polish of the golden-section point. Returns (x, U(x)) arrays."""
+    lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
+    x, _ = gridmin.golden_section(tilted._shifted_rate(tr), lo, hi)
+    if pot.has_analytic_deriv(tr.potential, 1):
+        x = tilted._newton_polish(tr, x, lo, hi)[0]
+    return x, tilted.eval_rate(tr, x)
+
+
 def literal_lower_hull(xs, g):
     """Oracle for tilted.lower_hull: Andrew's monotone chain one point at a
     time, every hull pair tested for a bridge, and each rise threshold from

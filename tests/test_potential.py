@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import check_nonneg_on_grid, phi2_symmetric_form, polyval_eval, uncached_glued_c_beta
-from gibbsdyn import potential as pot
+from gibbsdyn import classify, potential as pot
 from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -303,6 +303,18 @@ def test_custom_table_smoothness_tags():
     for tag in (pot.C2_ANALYTIC, "bogus"):
         with pytest.raises(DomainError):
             pot.custom_table(grid, values, tag)
+
+
+def test_custom_table_smoothness_survives_json():
+    # the spec a report embeds keeps an lsc_only table's tag, so the rebuilt
+    # spec classifies alike; a C1_only table, the default, writes no key
+    grid = np.linspace(-3.0, 3.0, 61)
+    for tag, gibbs in ((pot.C1_ONLY, True), (pot.LSC_ONLY, False)):
+        spec = pot.custom_table(grid, np.abs(grid), tag)
+        back = pot.from_json(spec.to_json_dict())
+        assert back == spec and back.smoothness == tag
+        assert classify.gibbs_at(spec, 0.0) is gibbs and classify.gibbs_at(back, 0.0) is gibbs
+    assert "smoothness" not in pot.custom_table(grid, np.abs(grid)).to_json_dict()["params"]
 
 
 # --- second difference quotient ---------------------------------------------

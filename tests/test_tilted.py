@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimisers, literal_lower_hull
-from gibbsdyn import potential as pot
+from conftest import brute_force_minimisers, golden_then_polish_refine, literal_lower_hull
+from gibbsdyn import classify, gridmin, potential as pot
 from gibbsdyn import tilted
 from gibbsdyn.errors import ConfigError, DomainError
 
@@ -196,7 +196,7 @@ def test_flat_envelope_gives_minimiser_continuum(glued1):
 
 def polish(spec, t, alphas, q, lo, hi):
     tr = tilted.TiltedRate(spec, t, np.asarray(alphas, dtype=float))
-    return tilted._newton_polish(tr, *(np.asarray(v, dtype=float) for v in (q, lo, hi)))
+    return tilted._newton_polish(tr, *(np.asarray(v, dtype=float) for v in (q, lo, hi)))[0]
 
 
 def test_newton_polish_at_kink_returns_start():
@@ -382,18 +382,119 @@ def test_limiting_potential_scalar_matches_vector_on_wide_window(glued1):
     assert scalar == pytest.approx(2370.7123, abs=1e-4)
 
 
+def _count_batches(monkeypatch, *modules):
+    """(brackets, rounds) of every _drive batch that the modules run."""
+    batches, drive = [], gridmin._drive
+
+    def counted(runs, f):
+        rounds = []
+        out = drive(runs, lambda x, j: rounds.append(x.size) or f(x, j))
+        batches.append((len(runs), len(rounds)))
+        return out
+
+    for module in modules:
+        monkeypatch.setattr(module, "_drive", counted)
+    return batches
+
+
 def test_scan_and_limitpot_refine_in_batches(double_well, monkeypatch):
-    # one golden-section batch for all rows (or points), plus at most two per
-    # round of the common-tangent polish, which has at most 8 rounds
-    calls = []
-    batched = tilted.golden_section
-    monkeypatch.setattr(tilted, "golden_section", lambda f, lo, hi: calls.append(np.size(lo)) or batched(f, lo, hi))
+    # one refinement batch (_drive) for all rows (or points), plus at most two
+    # per round of the common-tangent polish, which has at most 8 rounds. Newton
+    # settles every row of the double well in 7 rounds (two steps); golden
+    # section would take 49 rounds, then 4 of Newton polish
+    batches = _count_batches(monkeypatch, gridmin, tilted)
     res = tilted.bad_set_scan(double_well, 0.3, (-5.0, 5.0), 201)
     assert len(res.rows) == 201 and [lo for lo, _ in res.intervals] == pytest.approx([0.0], abs=1e-12)
-    assert 201 in calls and len(calls) <= 1 + 2 * 8
-    calls.clear()
+    row_rounds = [r for n, r in batches if n == 201]
+    assert len(row_rounds) == 1 and row_rounds[0] <= 10 and len(batches) <= 1 + 2 * 8
+    batches.clear()
     assert tilted.limiting_potential(double_well, 0.3, np.linspace(-4.0, 4.0, 101)).shape == (101,)
-    assert 101 in calls and len(calls) <= 1 + 2 * 8
+    assert [n for n, _ in batches].count(101) == 1 and len(batches) <= 1 + 2 * 8
+
+
+def _first_bad_time_sides(spec):
+    # times on both sides of the first bad time 1/(2 beta - 1); none below 0
+    # when beta is infinite, and two plain times when no time is bad
+    beta = classify.crossover_time(spec, find_witness=False).beta
+    if math.isinf(beta):
+        return (0.1, 0.5)
+    return (0.8 / (2.0 * beta - 1.0), 1.25 / (2.0 * beta - 1.0)) if beta > 0.5 else (0.5, 2.0)
+
+
+def _rate_curvature(tr, q):
+    """U'' at q: from V'' where the family has it in closed form, else the
+    central second difference at steps 1e-4 and 1e-5, NaN where the two
+    differ by more than 1% (a kink of V within reach: U'' does not exist)."""
+    if pot.has_analytic_deriv(tr.potential, 2):
+        return float(pot.deriv(tr.potential, q, 2)) + 1.0 + 1.0 / tr.t
+    d2 = [float((tilted.eval_rate(tr, q + h) - 2.0 * tilted.eval_rate(tr, q) + tilted.eval_rate(tr, q - h)) / h**2)
+          for h in (1e-4, 1e-5)]
+    return d2[0] if abs(d2[0] - d2[1]) <= 1e-2 * abs(d2[0]) else math.nan
+
+
+def _assert_same_contacts(tr, fast, slow, where):
+    # each side is (count, near-tie flag, value, locations)
+    assert fast[:2] == slow[:2], where
+    assert abs(fast[2] - slow[2]) <= 1e-12 * max(1.0, abs(slow[2])), where
+    for p, q in zip(fast[3], slow[3]):
+        assert not _rate_curvature(tr, q) >= 1e-3 or abs(p - q) <= 1e-9, where
+
+
+@pytest.mark.parametrize("name", ["zero", "r^2", "double_well", "shallow_quartic", "cosine_beta1", "cosine_beta04",
+                                  "cos_of_square", "glued_beta1", "abs", "glued_beta25"])
+def test_newton_first_contacts_equal_golden_then_polish(builtin_specs, name, monkeypatch):
+    # the same minimiser counts, near-tie flags and bad alphas as the oracle
+    # refinement; values within 1e-12 relative, and locations within 1e-9
+    # wherever U'' >= 1e-3 at the contact (a flatter bottom pins x less, and
+    # at the kink of |r| the oracle's polish cannot step, so it keeps golden
+    # section's x-accuracy ~sqrt(eps))
+    spec = builtin_specs[name] if name != "glued_beta25" else pot.glued_exp(2.5)
+    alphas = np.linspace(-3.0, 3.0, 13)
+    for t in _first_bad_time_sides(spec):
+        answers = []
+        for refine in (tilted._refine, golden_then_polish_refine):
+            monkeypatch.setattr(tilted, "_refine", refine)
+            minimisers = [tilted.global_minimisers(tilted.TiltedRate(spec, t, a)) for a in alphas]
+            answers.append((minimisers, tilted.bad_set_scan(spec, t, (-3.0, 3.0), 25)))
+        (fast, fast_scan), (slow, slow_scan) = answers
+        for a, f, s in zip(alphas, fast, slow):
+            sides = [(len(m.locations), m.indeterminate, m.value, m.locations) for m in (f, s)]
+            _assert_same_contacts(tilted.TiltedRate(spec, t, a), *sides, (name, t, a))
+        assert len(fast_scan.intervals) == len(slow_scan.intervals), (name, t)
+        assert np.ravel(fast_scan.intervals) == pytest.approx(np.ravel(slow_scan.intervals), abs=1e-12), (name, t)
+        for f, s in zip(fast_scan.rows, slow_scan.rows):
+            sides = [(r.n_minimisers, r.indeterminate, r.value, (r.q_min, r.q_max)) for r in (f, s)]
+            _assert_same_contacts(tilted.TiltedRate(spec, t, s.alpha), *sides, (name, t, s.alpha))
+
+
+def test_newton_first_falls_back_where_it_does_not_settle(builtin_specs, monkeypatch):
+    T = tilted.TiltedRate
+    # V' does not exist at the kink of |r|: a first try there keeps its start
+    q, lo, hi = np.array([[0.0], [-0.1], [0.1]])
+    x, settled = tilted._newton_polish(T(pot.absolute(), 1.0, np.zeros(1)), q, lo, hi, first=True)
+    assert x.tolist() == [0.0] and settled.tolist() == [False]
+    specs = {name: builtin_specs[name] for name in ("abs", "glued_beta1", "cosine_beta1")}
+    batches = _count_batches(monkeypatch, tilted)
+    fast, first_try = {}, {}
+    for name, spec in specs.items():
+        batches.clear()
+        fast[name] = tilted.global_minimisers(T(spec, 1.0, 0.0))
+        first_try[name] = batches[0][1]
+    # where Newton does not settle it gives up at its first step (3 rounds);
+    # clipped steps would run on for 4 steps and cost more than they save
+    assert first_try["abs"] <= 4 and first_try["glued_beta1"] <= 4
+    monkeypatch.undo()
+    monkeypatch.setattr(tilted, "_refine", golden_then_polish_refine)
+    slow = {name: tilted.global_minimisers(T(spec, 1.0, 0.0)) for name, spec in specs.items()}
+    # the kink and the continuum of glued_exp(1) take golden section and the
+    # polish: the oracle's bits
+    assert fast["abs"] == slow["abs"] and abs(fast["abs"].value) < 1e-14 and abs(fast["abs"].q_min) < 1e-14
+    assert fast["glued_beta1"] == slow["glued_beta1"] and len(fast["glued_beta1"].locations) == 5
+    # the quartic bottom of cosine_well(1) at t = 1 pins its value, not its
+    # location: U = 4 + r^4/12 + O(r^6) differs from 4 by less than rounding
+    # for |r| < 3e-4
+    assert fast["cosine_beta1"].value == slow["cosine_beta1"].value
+    assert len(fast["cosine_beta1"].locations) == 1 and abs(fast["cosine_beta1"].q_min) <= 1e-4
 
 
 def _hull_inputs(builtin_specs):
