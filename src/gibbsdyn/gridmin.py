@@ -6,8 +6,9 @@ All scans are vectorised over numpy arrays. A refinement runs one scalar
 iteration per bracket, written as a coroutine, and _drive steps them all
 together with one objective call per round. Golden section converges
 linearly with ratio 1/phi, about 50 rounds from a grid bracket to
-REFINE_TOL; tilted._refine therefore steps Newton through _drive first and
-runs golden section only on the brackets where Newton does not settle.
+REFINE_TOL; tilted._refine therefore runs safeguarded Newton with bisection
+on the sign of U' through _drive wherever V' is in closed form, and golden
+section only on tabulated potentials.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi ~ 0.618034
-REFINE_TOL = 1e-13  # golden-section x-tolerance, relative to max(1, |lo| + |hi|)
+REFINE_TOL = 1e-13  # bracket x-tolerance of every refinement, relative to max(1, |lo| + |hi|)
 
 
 def _drive(runs: list, f) -> list:

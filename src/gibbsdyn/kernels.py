@@ -237,7 +237,6 @@ class _GMachine:
         self.t = t
         self.alpha = alpha
         self.cfg = cfg
-        self.tol = tol
         tr = tilted.TiltedRate(spec, t, alpha)
         self.ms = tilted.global_minimisers(tr, tol)
         self.center = tr.center
@@ -253,10 +252,6 @@ class _GMachine:
         out *= -self.n
         out -= quad
         return out
-
-    def _log_den_integrand(self, r):
-        r = np.asarray(r)
-        return self._log_integrand(r, self.k2 * (r - self.center) ** 2)
 
     def _build(self, s_lo: float, s_hi: float, extra_drop: float = 0.0, hot_s=()):
         n, c, k2 = self.n, self.center, self.k2

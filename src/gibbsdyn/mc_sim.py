@@ -48,6 +48,7 @@ METHOD_EXACT = "exact"
 
 MIN_ACCEPTED = 100
 _BLOCK = 32768  # replicas are drawn in fixed-size blocks, in replica order
+_BLOCK_ELEMENTS = 2**21  # spins per reject block at most: 16 MB of float64
 
 
 @dataclass(frozen=True)
@@ -168,14 +169,15 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
     a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
 
-    # two (block, n) buffers for the whole run; each block is built in
-    # place, with the draws in the order random, normal, normal
-    rows = min(_BLOCK, config.replicas)
+    # two (block, n) buffers for the whole run, of at most _BLOCK_ELEMENTS
+    # each; each block is built in place, with the draws in the order
+    # random, normal, normal
+    rows = min(_BLOCK, config.replicas, max(1, _BLOCK_ELEMENTS // n))
     spins_buf, noise_buf = np.empty((rows, n)), np.empty((rows, n))
     accepted: list[np.ndarray] = []
     done = 0
     while done < config.replicas:
-        block = min(_BLOCK, config.replicas - done)
+        block = min(rows, config.replicas - done)
         s0 = table.sample(rng.random(block))
         spins = rng.standard_normal(out=spins_buf[:block])
         mean = spins.mean(axis=1, keepdims=True)

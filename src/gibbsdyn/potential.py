@@ -56,7 +56,6 @@ class PotentialSpec:
     table_r: tuple[float, ...] = ()
     table_v: tuple[float, ...] = ()
     v_floor: float = 0.0  # min(inf V, 0); 0 for families that are >= 0 by construction
-    normalized: bool = False
     params: dict = field(default_factory=dict, compare=False)
 
     def __call__(self, r):
@@ -150,12 +149,16 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
     or the polynomial must be constant. With normalize=True the constant is
     shifted so that inf V = 0.
     """
+    if not isinstance(normalize, bool):
+        raise DomainError(f"polynomial normalize must be true or false, got {normalize!r}")
     try:
         coeffs = [] if isinstance(coefficients, str) else [float(c) for c in coefficients]
     except (TypeError, ValueError):
         coeffs = []
     if not coeffs:
         raise DomainError(f"polynomial coefficients must be a non-empty list of numbers, got {coefficients!r}")
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError(f"polynomial coefficients must be finite, got {coefficients!r}")
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
     deg = len(coeffs) - 1
@@ -173,14 +176,13 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
         C2_ANALYTIC,
         coefficients=tuple(coeffs),
         v_floor=min(vmin, 0.0),
-        normalized=normalize,
         params={"coefficients": list(coeffs), "normalize": normalize},
     )
 
 
 def cosine_well(beta: float) -> PotentialSpec:
-    if not (beta > 0):
-        raise DomainError("cosine_well requires beta > 0")
+    if not (0 < beta < math.inf):
+        raise DomainError(f"cosine_well requires a finite beta > 0, got {beta!r}")
     return PotentialSpec("cosine_well", C2_ANALYTIC, beta=float(beta), params={"beta": float(beta)})
 
 
@@ -193,8 +195,8 @@ def glued_exp(beta: float) -> PotentialSpec:
 
     C_beta = inf_s [g(s) - beta*s^2] is computed once per beta in a process
     (_glued_c_beta); every call returns a fresh spec."""
-    if not (beta > 0):
-        raise DomainError("glued_exp requires beta > 0")
+    if not (0 < beta < math.inf):
+        raise DomainError(f"glued_exp requires a finite beta > 0, got {beta!r}")
     b = float(beta)
     return PotentialSpec("glued_exp", C1_ONLY, beta=b, c_beta=_glued_c_beta(b), params={"beta": b})
 
@@ -251,7 +253,7 @@ _BUILDERS = {
     "zero": ((), lambda p: zero()),
     "polynomial": (
         ("coefficients", "normalize"),
-        lambda p: polynomial(p["coefficients"], bool(p.get("normalize", False))),
+        lambda p: polynomial(p["coefficients"], p.get("normalize", False)),
     ),
     "cosine_well": (("beta",), lambda p: cosine_well(p["beta"])),
     "cos_of_square": ((), lambda p: cos_of_square()),

@@ -36,7 +36,10 @@ SEPARATION_STEPS = 3  # grid points fewer steps apart than this touch one minimi
 # are near-ties: flagged indeterminate rather than silently resolved
 INDETERMINATE_FACTOR = 10.0
 TRUNCATION_MARGIN = 10.0  # quadratic tilt must exceed best-so-far by this much outside
-NEWTON_RESIDUAL = 1e-13  # a Newton start has settled once |V'(x) + x + (x - alpha)/t| is below this
+NEWTON_RESIDUAL = 1e-13  # a contact has settled once |U'(x)| = |V'(x) + x + (x - alpha)/t| is below this
+# Newton steps per contact at most, then bisection: a finite-difference slope
+# taken across a kink makes tiny steps that never leave the bracket
+NEWTON_STEPS = 4
 
 
 def _tie(gap, eps):
@@ -159,17 +162,24 @@ def _shifted_rate(tr: TiltedRate):
     return J
 
 
-def _newton_polish(tr: TiltedRate, q: np.ndarray, lo: np.ndarray, hi: np.ndarray, first: bool = False):
-    """Safeguarded Newton steps on the first-order condition V'(x) + x +
-    (x - alpha)/t = 0 from each start q[j] for tr.alpha[j], in one batch, as
-    (x, settled) arrays: settled where the residual fell below
-    NEWTON_RESIDUAL. A start stays where its residual grew or V' does not
-    exist at one of its points, and a step that leaves [lo[j], hi[j]] is
-    clipped to it. A first try (first=True, the safeguard of rtsafe, Press et
-    al., Numerical Recipes 3rd ed., section 9.4) gives up at once instead
-    when a step leaves the bracket, and after 4 steps; a polish of a golden
-    section point (value-based, so stalled at x-accuracy ~sqrt(eps)) takes
-    up to 8 steps."""
+def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, U(x)) arrays: for each j, the minimum for tr.alpha[j] in the basin
+    of grid point idx[j], bracketed by its neighbours, all brackets in one
+    batch (_drive). When V' is analytic, each bracket runs rtsafe (Press et
+    al., Numerical Recipes 3rd ed., section 9.4) on U'(x) = V'(x) + x +
+    (x - alpha)/t: the signs of U' narrow the bracket; Newton from the grid
+    vertex (central-difference slope) while its steps stay inside the
+    bracket, for at most NEWTON_STEPS steps; then bisection on the sign of
+    U', until |U'| < NEWTON_RESIDUAL or the bracket is REFINE_TOL wide. The
+    bisection ends at a point where U' turns from <= 0 to > 0, or at a
+    bracket end where U is monotone. At a kink, where V' does not exist, the
+    signs of U' at x - h and x + h decide: the kink is the minimiser when
+    they turn from <= 0 to >= 0, else they pick the half. Without an
+    analytic V', golden section alone."""
+    lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
+    if not pot.has_analytic_deriv(tr.potential, 1):
+        x, _ = golden_section(_shifted_rate(tr), lo, hi)
+        return x, eval_rate(tr, x)
 
     def deriv(x, j):  # V'(x), NaN where it does not exist
         try:
@@ -177,75 +187,53 @@ def _newton_polish(tr: TiltedRate, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
         except NotDifferentiableError:  # a kink in the batch: NaN there, V' elsewhere
             return np.concatenate([deriv(x[i : i + 1], j) for i in range(x.size)]) if x.size > 1 else np.full(1, np.nan)
 
-    def newton(q, lo, hi, alpha):
-        def foc(x):  # the residual V'(x) + x + (x - alpha)/t, once V'(x) is sent in
+    def rtsafe(x, a, b, alpha):
+        def foc(x):  # U'(x), once V'(x) is sent in
             return (yield x) + x + (x - alpha) / tr.t
 
-        x = q
-        f = f_start = yield from foc(q)
-        for _ in range(4 if first else 8):
-            if abs(f) < NEWTON_RESIDUAL:
-                break
-            h = 1e-7 * max(1.0, abs(x))
-            up, down = (yield from foc(x + h)), (yield from foc(x - h))
-            if math.isnan(up) or math.isnan(down):
-                return q, False
-            fp = (up - down) / (2 * h)
-            if fp <= 0 or not math.isfinite(fp):
-                break
-            step = f / fp
-            if not math.isfinite(step) or (first and not lo <= x - step <= hi):
-                break
-            x = min(max(x - step, lo), hi)
+        steps = 0
+        while True:
             f = yield from foc(x)
-        return (x, abs(f) < NEWTON_RESIDUAL) if abs(f) <= abs(f_start) else (q, False)
+            h = 1e-7 * max(1.0, abs(x))
+            if math.isnan(f):  # V' does not exist at x: a kink
+                down, up = (yield from foc(x - h)), (yield from foc(x + h))
+                if down <= 0.0 <= up:
+                    return x
+                f, steps = (down if down > 0.0 else up), NEWTON_STEPS
+            elif abs(f) < NEWTON_RESIDUAL:
+                return x
+            if f > 0.0:
+                b = x
+            else:
+                a = x
+            if b - a <= REFINE_TOL * max(1.0, abs(a) + abs(b)):
+                return 0.5 * (a + b)
+            if steps < NEWTON_STEPS:
+                up, down = (yield from foc(x + h)), (yield from foc(x - h))
+                slope = (up - down) / (2 * h)
+                newton = x - f / slope if slope > 0.0 else math.nan
+                if a < newton < b:
+                    x, steps = newton, steps + 1
+                    continue
+                steps = NEWTON_STEPS
+            x = 0.5 * (a + b)
 
-    starts = zip(q.tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())
-    out = _drive([newton(*p) for p in starts], deriv)
-    return np.array([x for x, _ in out], dtype=float), np.array([s for _, s in out], dtype=bool)
-
-
-def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, U(x)) arrays: for each j, the minimum for tr.alpha[j] in the basin
-    of grid point idx[j], bracketed by its neighbours. When V' is analytic,
-    Newton first: a first try (_newton_polish) from every grid vertex, in one
-    batch; only the brackets where it does not settle (a kink, a flat or
-    non-convex stretch, a minimum at the bracket's edge) take golden section,
-    then the Newton polish. Without an analytic V', golden section alone."""
-    lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
-    x, rest = xs[idx], np.ones(idx.size, dtype=bool)
-    smooth = pot.has_analytic_deriv(tr.potential, 1)
-    if smooth:
-        x, settled = _newton_polish(tr, x, lo, hi, first=True)
-        rest = ~settled
-    if rest.any():
-        sub = TiltedRate(tr.potential, tr.t, tr.alpha[rest])
-        x[rest], _ = golden_section(_shifted_rate(sub), lo[rest], hi[rest])
-        if smooth:
-            x[rest] = _newton_polish(sub, x[rest], lo[rest], hi[rest])[0]
+    x = np.array(_drive([rtsafe(*p) for p in zip(xs[idx].tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())], deriv))
     return x, eval_rate(tr, x)
 
 
 def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> MinimiserSet:
     """All global minimisers of the tilted rate, by the rules of _ConvexMinorant:
-    a coarse scan of the truncation window (_window, tightened once by the
-    coarse minimum); near-minimal grid candidates fewer than three grid steps
-    apart form one run, whose lowest point is refined, and both ends too when
-    the run spans three or more steps (_refine: Newton first when V' is
-    analytic, golden section where it does not settle); the refined values
-    that tie are clustered at delta_cluster. A continuum of minimisers is
-    reported by a few refined contacts, its two ends included."""
-    J = _shifted_rate(tr)
-    c = tr.center
-    lo, hi = _window(tr.potential, tr.t, [tr.alpha])
-    xs = np.linspace(lo, hi, COARSE_GRID_N)
-    vs = J(xs, 0)
+    a coarse scan of the truncation window (_window); near-minimal grid
+    candidates fewer than three grid steps apart form one run, whose lowest
+    point is refined, and both ends too when the run spans three or more
+    steps (_refine: safeguarded Newton with bisection when V' is analytic,
+    golden section otherwise); the refined values that tie are clustered at
+    delta_cluster. A continuum of minimisers is reported by a few refined
+    contacts, its two ends included."""
+    xs = np.linspace(*_window(tr.potential, tr.t, [tr.alpha]), COARSE_GRID_N)
+    vs = _shifted_rate(tr)(xs, 0)
     b = float(vs.min())
-    R2 = float(_truncation_radius(tr, b))
-    if R2 < 0.25 * (hi - lo):
-        xs = np.linspace(c - R2, c + R2, COARSE_GRID_N)
-        vs = J(xs, 0)
-        b = float(vs.min())
 
     # Discretisation band: a true tie can sit up to ~curvature*dx^2/2 above the
     # sampled minimum.
@@ -363,7 +351,7 @@ class _ConvexMinorant:
     piece of an affine stretch of g_t) is a candidate; edges holds its common
     tangent (alpha*, q1, q2, v1, v2), in increasing alpha*. All candidates
     are polished together: both contacts of every edge are refined (_refine,
-    Newton first from the hull vertex) at slope alpha*/t in one batch, and
+    from the hull vertex) at slope alpha*/t in one batch, and
     each alpha* moves to its chord slope until it settles, for at most 8
     rounds."""
 

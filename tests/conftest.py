@@ -223,14 +223,45 @@ def scalar_golden_section(f, lo: float, hi: float):
     return d, fd
 
 
+def _newton_polish(tr, q, lo, hi, alpha):
+    """Up to 8 Newton steps on U'(x) = V'(x) + x + (x - alpha)/t from q, one
+    point at a time, each step clipped to [lo, hi], with a central-difference
+    slope at step 1e-7 max(1, |x|). Stops once |U'| < NEWTON_RESIDUAL or the
+    slope is not positive and finite; keeps q where V' does not exist at one
+    of its points or the residual grew."""
+
+    def foc(x):
+        try:
+            return pot.deriv(tr.potential, x, 1) + x + (x - alpha) / tr.t
+        except NotDifferentiableError:
+            return math.nan
+
+    x = q
+    f = f_start = foc(q)
+    for _ in range(8):
+        if abs(f) < tilted.NEWTON_RESIDUAL:
+            break
+        h = 1e-7 * max(1.0, abs(x))
+        up, down = foc(x + h), foc(x - h)
+        if math.isnan(up) or math.isnan(down):
+            return q
+        fp = (up - down) / (2 * h)
+        if fp <= 0 or not math.isfinite(fp) or not math.isfinite(f / fp):
+            break
+        x = min(max(x - f / fp, lo), hi)
+        f = foc(x)
+    return x if abs(f) <= abs(f_start) else q
+
+
 def golden_then_polish_refine(tr, xs, idx):
     """Slow oracle for tilted._refine: every bracket [xs[idx - 1], xs[idx + 1]]
     by golden section on the shifted rate, then, when V' is analytic, the
-    Newton polish of the golden-section point. Returns (x, U(x)) arrays."""
+    Newton polish (_newton_polish) of the golden-section point. Returns
+    (x, U(x)) arrays."""
     lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
     x, _ = gridmin.golden_section(tilted._shifted_rate(tr), lo, hi)
     if pot.has_analytic_deriv(tr.potential, 1):
-        x = tilted._newton_polish(tr, x, lo, hi)[0]
+        x = np.array([_newton_polish(tr, *p) for p in zip(x.tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())])
     return x, tilted.eval_rate(tr, x)
 
 
@@ -299,7 +330,10 @@ def g_bound_diagnostic(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, tol=tilted.D
 
     m = kernels._GMachine(spec, n, t, alpha, cfg, tol)
     c, floor = m.center, m.floor
-    log_den = m._log_den_integrand
+
+    def log_den(z):
+        z = np.asarray(z)
+        return m._log_integrand(z, k2 * (z - c) ** 2)
 
     def log_num(z):
         z = np.asarray(z)
@@ -349,10 +383,11 @@ def allocating_reject_samples(table, config):
     n, t = config.n, config.t
     a, h = config.alpha_target, config.bin_halfwidth
     rng = mc_sim._rng(config.seed)
+    rows = min(mc_sim._BLOCK, max(1, mc_sim._BLOCK_ELEMENTS // n))
     accepted = []
     done = 0
     while done < config.replicas:
-        block = min(mc_sim._BLOCK, config.replicas - done)
+        block = min(rows, config.replicas - done)
         s0 = table.sample(rng.random(block))
         z = rng.standard_normal((block, n))
         spins0 = s0[:, None] + z - z.mean(axis=1, keepdims=True)

@@ -253,6 +253,11 @@ MALFORMED_SPECS = [
         id="unknown-key-normalise",
     ),
     pytest.param('{"family": "cosine_well", "params": {"beta": 1, "window_radius": 5}}', id="unknown-key-window-radius"),
+    pytest.param('{"family": "polynomial", "params": {"coefficients": [5, 0, 1], "normalize": "false"}}',
+                 id="normalize-string"),
+    pytest.param('{"family": "polynomial", "params": {"coefficients": [NaN, 0, 1]}}', id="coefficients-nan"),
+    pytest.param('{"family": "cosine_well", "params": {"beta": Infinity}}', id="cosine-beta-infinite"),
+    pytest.param('{"family": "glued_exp", "params": {"beta": Infinity}}', id="glued-beta-infinite"),
 ]
 
 

@@ -212,6 +212,23 @@ def test_reject_block_peak_memory(double_well):
     assert peak <= 2.25 * mc_sim._BLOCK * config.n * 8
 
 
+def test_reject_block_memory_is_capped_in_n(zero):
+    # at n = 512 a block of _BLOCK replicas would need two 134 MB buffers; a
+    # block holds _BLOCK_ELEMENTS spins instead, with the allocating draws
+    config = mc_sim.SimConfig(n=512, t=1.0, alpha_target=0.0, replicas=40_000, method="reject")
+    table = mc_sim._initial_magnetisation_table(zero, config.n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = mc_sim._evolve_reject(table, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * mc_sim._BLOCK_ELEMENTS * 8
+    want, replicas = allocating_reject_samples(table, config)
+    assert got.samples.tobytes() == want.tobytes() and replicas == config.replicas
+
+
 def test_insufficient_statistics_error(double_well):
     cfg = mc_sim.SimConfig(
         n=64, t=0.1, alpha_target=0.0, replicas=10_000, seed=1, bin_halfwidth=0.05, method="reject"

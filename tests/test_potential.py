@@ -161,6 +161,22 @@ def test_polynomial_coercivity_validation():
             pot.polynomial(coefficients)
 
 
+@pytest.mark.parametrize("family, params, names", [
+    ("polynomial", {"coefficients": [5, 0, 1], "normalize": "false"}, "normalize"),
+    ("polynomial", {"coefficients": [5, 0, 1], "normalize": 0}, "normalize"),
+    ("polynomial", {"coefficients": [math.nan, 0, 1]}, "coefficients"),
+    ("polynomial", {"coefficients": [0, 0, math.inf]}, "coefficients"),
+    ("cosine_well", {"beta": math.inf}, "beta"),
+    ("glued_exp", {"beta": math.inf}, "beta"),
+], ids=["normalize-string", "normalize-int", "coefficient-nan", "coefficient-inf", "cosine-beta-inf", "glued-beta-inf"])
+def test_spec_parameters_are_validated_at_construction(family, params, names):
+    # a string or number for normalize is no JSON boolean ("false" would
+    # read as true), and a non-finite coefficient or beta fails only later,
+    # through a misleading error
+    with pytest.raises(DomainError, match=names):
+        pot.from_json({"family": family, "params": params})
+
+
 def test_glued_exp_c1_at_glue_points(glued1):
     # one-sided difference quotients agree at the glue points +-1
     for r0 in (-1.0, 1.0):

@@ -49,6 +49,25 @@ def test_every_module_constant_is_used():
     assert [f"{module}:{constant}" for module, constant in defined if constant not in loads] == []
 
 
+def test_every_private_function_is_used():
+    # a private helper or method that no package code calls has outlived its callers
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.fullmatch(r"_(?!_)\w*(?<!__)", node.name)
+    }
+    loads = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+    assert defined  # the scan sees the private functions
+    assert sorted(defined - loads) == []
+
+
 def test_benchmark_tracer_bindings_hold():
     # the benchmark's tracer pins bindings such as classify's golden_section
     # and initial_kernel; a package refactor that drops one breaks the tracer

@@ -194,31 +194,32 @@ def test_flat_envelope_gives_minimiser_continuum(glued1):
     assert all(tilted._tie(tilted.eval_rate(tr, q) - ms.value, eps)[0] for q in ms.locations)
 
 
-def polish(spec, t, alphas, q, lo, hi):
+def refine(spec, t, alphas, xs, idx):
     tr = tilted.TiltedRate(spec, t, np.asarray(alphas, dtype=float))
-    return tilted._newton_polish(tr, *(np.asarray(v, dtype=float) for v in (q, lo, hi)))[0]
+    return tilted._refine(tr, np.asarray(xs, dtype=float), np.asarray(idx))
 
 
-def test_newton_polish_at_kink_returns_start():
-    # V' does not exist at the kink of |r|: the polish keeps the golden-section point
-    assert polish(pot.absolute(), 1.0, [0.0], [0.0], [-0.1], [0.1]).tolist() == [0.0]
+def test_refine_at_kink_returns_the_kink():
+    # V' does not exist at the kink of |r|, where U' turns from -1 to +1: a
+    # bracket whose grid vertex is the kink returns it, and so does the scan
+    x, value = refine(pot.absolute(), 1.0, [0.0], [-0.1, 0.0, 0.1], [1])
+    assert x.tolist() == [0.0] and value.tolist() == [0.0]
+    ms = tilted.global_minimisers(tilted.TiltedRate(pot.absolute(), 1.0, 0.0))
+    assert ms.locations == (0.0,) and ms.value == 0.0
 
 
 @pytest.mark.parametrize("name", ["abs", "double_well", "glued_beta1"])
-def test_newton_polish_kink_in_a_batch_leaves_the_others_alone(builtin_specs, name):
-    # a start exactly at the kink of |r| keeps its value; every other start of
-    # the batch is polished exactly as it is alone. The other starts sit near
-    # the minimisers of U, where the polish moves them
+def test_refine_kink_in_a_batch_leaves_the_others_alone(builtin_specs, name):
+    # a bracket whose vertex is the kink of |r| returns it; every other
+    # bracket of the batch gets the bits it gets alone. The other vertices
+    # sit near the minimisers of U, where the refinement moves them
     spec, t = builtin_specs[name], 1.0
     alphas = np.array([0.0, 3.0, -2.5, 1.8])
-    starts = []
-    for a in alphas:
-        ms = tilted.global_minimisers(tilted.TiltedRate(spec, t, float(a)))
-        starts.append(ms.locations[0] + 3e-6)
-    starts[0] = 0.0
-    lo, hi = np.asarray(starts) - 0.01, np.asarray(starts) + 0.01
-    batch = polish(spec, t, alphas, starts, lo, hi)
-    alone = [polish(spec, t, [a], [q], [l], [h])[0] for a, q, l, h in zip(alphas, starts, lo, hi)]
+    starts = [0.0] + [tilted.global_minimisers(tilted.TiltedRate(spec, t, float(a))).locations[0] + 3e-6
+                      for a in alphas[1:]]
+    xs = np.ravel([(q - 0.01, q, q + 0.01) for q in starts])  # bracket j is xs[3j : 3j + 3]
+    batch, _ = refine(spec, t, alphas, xs, 3 * np.arange(alphas.size) + 1)
+    alone = [refine(spec, t, [a], xs[3 * j : 3 * j + 3], [1])[0][0] for j, a in enumerate(alphas)]
     assert batch.tolist() == alone
     if name == "abs":
         assert batch[0] == 0.0
@@ -469,27 +470,32 @@ def test_newton_first_contacts_equal_golden_then_polish(builtin_specs, name, mon
 
 def test_newton_first_falls_back_where_it_does_not_settle(builtin_specs, monkeypatch):
     T = tilted.TiltedRate
-    # V' does not exist at the kink of |r|: a first try there keeps its start
-    q, lo, hi = np.array([[0.0], [-0.1], [0.1]])
-    x, settled = tilted._newton_polish(T(pot.absolute(), 1.0, np.zeros(1)), q, lo, hi, first=True)
-    assert x.tolist() == [0.0] and settled.tolist() == [False]
-    specs = {name: builtin_specs[name] for name in ("abs", "glued_beta1", "cosine_beta1")}
+    # from the kink of |r| with |alpha| = 1.0004 at t = 1, U' has one sign on
+    # both sides: the side values pick the half, and bisection finds the
+    # minimiser (|alpha| - t)/(1 + t) = 2e-4 off the kink
+    x, _ = refine(pot.absolute(), 1.0, [1.0004, -1.0004], [-0.01, 0.0, 0.01], [1, 1])
+    assert x == pytest.approx([2e-4, -2e-4], rel=0.0, abs=1e-12)
+    for alpha in (1.0004, -1.0004):
+        ms = tilted.global_minimisers(T(pot.absolute(), 1.0, alpha))
+        assert ms.locations == pytest.approx([math.copysign(2e-4, alpha)], rel=0.0, abs=1e-12)
+    # Newton stops after 4 steps: a finite-difference slope taken across the
+    # kink makes tiny steps that never leave the bracket (44 rounds measured)
     batches = _count_batches(monkeypatch, tilted)
-    fast, first_try = {}, {}
-    for name, spec in specs.items():
-        batches.clear()
-        fast[name] = tilted.global_minimisers(T(spec, 1.0, 0.0))
-        first_try[name] = batches[0][1]
-    # where Newton does not settle it gives up at its first step (3 rounds);
-    # clipped steps would run on for 4 steps and cost more than they save
-    assert first_try["abs"] <= 4 and first_try["glued_beta1"] <= 4
+    tilted.bad_set_scan(pot.absolute(), 2.0, (-5.0, 5.0), 201)
+    row_rounds = [r for n, r in batches if n == 201]
+    assert len(row_rounds) == 1 and row_rounds[0] <= 60
     monkeypatch.undo()
+    specs = {name: builtin_specs[name] for name in ("glued_beta1", "cosine_beta1")}
+    fast = {name: tilted.global_minimisers(T(spec, 1.0, 0.0)) for name, spec in specs.items()}
     monkeypatch.setattr(tilted, "_refine", golden_then_polish_refine)
     slow = {name: tilted.global_minimisers(T(spec, 1.0, 0.0)) for name, spec in specs.items()}
-    # the kink and the continuum of glued_exp(1) take golden section and the
-    # polish: the oracle's bits
-    assert fast["abs"] == slow["abs"] and abs(fast["abs"].value) < 1e-14 and abs(fast["abs"].q_min) < 1e-14
-    assert fast["glued_beta1"] == slow["glued_beta1"] and len(fast["glued_beta1"].locations) == 5
+    # the continuum of glued_exp(1) keeps its 5 contacts that tie, where
+    # Newton does not settle and bisection finishes
+    glued = fast["glued_beta1"]
+    assert len(glued.locations) == 5 and not glued.indeterminate
+    assert glued.locations == pytest.approx(slow["glued_beta1"].locations, rel=0.0, abs=1e-12)
+    tr, eps = T(specs["glued_beta1"], 1.0, 0.0), tilted.DEFAULT_TOL.eps_val(glued.value)
+    assert all(tilted._tie(tilted.eval_rate(tr, q) - glued.value, eps)[0] for q in glued.locations)
     # the quartic bottom of cosine_well(1) at t = 1 pins its value, not its
     # location: U = 4 + r^4/12 + O(r^6) differs from 4 by less than rounding
     # for |r| < 3e-4
