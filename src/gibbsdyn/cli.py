@@ -158,11 +158,13 @@ def _cmd_eta(args, spec):
 
 
 def _cmd_traj(args, spec):
-    trajectories = paths.minimising_trajectories(spec, args.t, args.alpha, grid_n=args.grid, tol=_tol(args))
+    # one minimisation gives the starting points and the C_{t,alpha} of every rate
+    ms = tilted.global_minimisers(tilted.TiltedRate(spec, args.t, args.alpha), _tol(args))
+    trajectories = [paths.optimal_path(q, args.alpha, args.t, args.grid) for q in ms.locations]
     results = {
         "n_trajectories": len(trajectories),
         "starting_points": [p.start for p in trajectories],
-        "rates": [paths.path_rate(spec, args.t, args.alpha, p) for p in trajectories],
+        "rates": [paths._rate(spec, args.t, args.alpha, p, ms.value) for p in trajectories],
     }
     tables = [(f"traj_{i}", ["s", "phi"], paths.path_columns(p)) for i, p in enumerate(trajectories)]
     return results, tables

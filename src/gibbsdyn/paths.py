@@ -9,6 +9,10 @@ conditioning time). The rate of an admissible path is
 with C_{t,alpha} the two-layer minimum; minimising paths are the straight
 lines from a tilted-rate minimiser at time 0 to alpha at time t, and their
 rate equals the normalised two-layer rate of their starting point.
+
+The `traj` command minimises once per query: one global_minimisers call,
+made with the command's tolerance flags, gives the paths' starting points and
+the C_{t,alpha} that every reported rate is measured against.
 """
 
 from __future__ import annotations
@@ -76,7 +80,17 @@ def kinetic_energy(path: PathOnGrid) -> float:
 
 def path_rate(spec: pot.PotentialSpec, t: float, alpha: float, path: PathOnGrid) -> float:
     """Rate of the path for conditioning value alpha at time t; +inf when the
-    path endpoint does not reach alpha."""
+    path endpoint does not reach alpha. Each call minimises the two-layer rate
+    for C_{t,alpha}. The `traj` command reads every path's rate off the one
+    minimisation that found the paths, made with its tolerance flags, through
+    the same _rate; C_{t,alpha} does not depend on the tolerances, so both
+    give the same bits."""
+    return _rate(spec, t, alpha, path, None)
+
+
+def _rate(spec: pot.PotentialSpec, t: float, alpha: float, path: PathOnGrid, c_t_alpha: float | None) -> float:
+    """path_rate against the two-layer minimum c_t_alpha, minimised here when
+    it is None and the path is admissible."""
     if not (t > 0):
         raise DomainError("path_rate requires t > 0")
     if abs(path.t_end - t) > 1e-12 * max(1.0, t):
@@ -85,8 +99,8 @@ def path_rate(spec: pot.PotentialSpec, t: float, alpha: float, path: PathOnGrid)
         return math.inf
     if not path.is_admissible():
         return math.inf
-    tr = tilted.TiltedRate(spec, t, alpha)
-    c_t_alpha = tilted.global_minimisers(tr).value
+    if c_t_alpha is None:
+        c_t_alpha = tilted.global_minimisers(tilted.TiltedRate(spec, t, alpha)).value
     r0 = path.start
     return float(pot.eval(spec, r0)) + 0.5 * r0**2 + kinetic_energy(path) - c_t_alpha
 

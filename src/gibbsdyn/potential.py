@@ -138,6 +138,29 @@ def _poly_min(coeffs: tuple[float, ...]) -> float:
     return float(vals.min())
 
 
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
+def _has_bool(value) -> bool:
+    """Whether a numeric parameter (a number, or a list or array of numbers)
+    holds a boolean: float(True) is 1.0, so a JSON true would otherwise pass
+    as the number 1."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool
+    if isinstance(value, (list, tuple)):
+        return not _BOOL_TYPES.isdisjoint(map(type, value))
+    return type(value) in _BOOL_TYPES
+
+
+def _beta(family: str, beta) -> float:
+    """beta as a float, once it is checked to be a finite number > 0."""
+    if _has_bool(beta):
+        raise DomainError(f"{family} beta must be a number, not a boolean, got {beta!r}")
+    if not (0 < beta < math.inf):
+        raise DomainError(f"{family} requires a finite beta > 0, got {beta!r}")
+    return float(beta)
+
+
 def zero() -> PotentialSpec:
     return PotentialSpec("zero", C2_ANALYTIC, params={})
 
@@ -151,6 +174,8 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
     """
     if not isinstance(normalize, bool):
         raise DomainError(f"polynomial normalize must be true or false, got {normalize!r}")
+    if _has_bool(coefficients):
+        raise DomainError(f"polynomial coefficients must be numbers, not booleans, got {coefficients!r}")
     try:
         coeffs = [] if isinstance(coefficients, str) else [float(c) for c in coefficients]
     except (TypeError, ValueError):
@@ -181,9 +206,8 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
 
 
 def cosine_well(beta: float) -> PotentialSpec:
-    if not (0 < beta < math.inf):
-        raise DomainError(f"cosine_well requires a finite beta > 0, got {beta!r}")
-    return PotentialSpec("cosine_well", C2_ANALYTIC, beta=float(beta), params={"beta": float(beta)})
+    b = _beta("cosine_well", beta)
+    return PotentialSpec("cosine_well", C2_ANALYTIC, beta=b, params={"beta": b})
 
 
 def cos_of_square() -> PotentialSpec:
@@ -195,9 +219,7 @@ def glued_exp(beta: float) -> PotentialSpec:
 
     C_beta = inf_s [g(s) - beta*s^2] is computed once per beta in a process
     (_glued_c_beta); every call returns a fresh spec."""
-    if not (0 < beta < math.inf):
-        raise DomainError(f"glued_exp requires a finite beta > 0, got {beta!r}")
-    b = float(beta)
+    b = _beta("glued_exp", beta)
     return PotentialSpec("glued_exp", C1_ONLY, beta=b, c_beta=_glued_c_beta(b), params={"beta": b})
 
 
@@ -226,6 +248,9 @@ def custom_table(grid, values, smoothness: str = C1_ONLY) -> PotentialSpec:
     the nodes, so it is C1_only at best; lsc_only marks it non-differentiable."""
     if smoothness not in (C1_ONLY, LSC_ONLY):
         raise DomainError(f"custom_table smoothness must be {C1_ONLY!r} or {LSC_ONLY!r}, got {smoothness!r}")
+    for name, samples in (("grid", grid), ("values", values)):
+        if _has_bool(samples):
+            raise DomainError(f"custom_table {name} must hold numbers, not booleans, got {samples!r}")
     r = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.size < 2 or r.shape != v.shape:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import csv_writer_table
-from gibbsdyn import classify, cli, mc_sim, potential
+from gibbsdyn import classify, cli, mc_sim, paths, potential, tilted
 
 
 @pytest.fixture()
@@ -26,6 +26,20 @@ def zero_json(tmp_path):
 def doublewell_json(tmp_path):
     p = tmp_path / "dw.json"
     p.write_text('{"family": "polynomial", "params": {"coefficients": [3, 0, -4, 0, 1]}}')
+    return str(p)
+
+
+@pytest.fixture()
+def glued_json(tmp_path):
+    p = tmp_path / "glued.json"
+    p.write_text('{"family": "glued_exp", "params": {"beta": 1.0}}')
+    return str(p)
+
+
+@pytest.fixture()
+def abs_json(tmp_path):
+    p = tmp_path / "abs.json"
+    p.write_text('{"family": "abs", "params": {}}')
     return str(p)
 
 
@@ -258,6 +272,14 @@ MALFORMED_SPECS = [
     pytest.param('{"family": "polynomial", "params": {"coefficients": [NaN, 0, 1]}}', id="coefficients-nan"),
     pytest.param('{"family": "cosine_well", "params": {"beta": Infinity}}', id="cosine-beta-infinite"),
     pytest.param('{"family": "glued_exp", "params": {"beta": Infinity}}', id="glued-beta-infinite"),
+    # float(true) is 1.0, so a JSON boolean used to build a spec
+    pytest.param('{"family": "cosine_well", "params": {"beta": true}}', id="cosine-beta-true"),
+    pytest.param('{"family": "glued_exp", "params": {"beta": true}}', id="glued-beta-true"),
+    pytest.param('{"family": "polynomial", "params": {"coefficients": [true, 0, 1]}}', id="coefficients-true"),
+    pytest.param('{"family": "custom_table", "params": {"grid": [-1, 0, true], "values": [1, 0, 1]}}',
+                 id="table-grid-true"),
+    pytest.param('{"family": "custom_table", "params": {"grid": [-1, 0, 1], "values": [true, false, true]}}',
+                 id="table-values-true"),
 ]
 
 
@@ -307,6 +329,66 @@ def test_stdout_is_the_report_results(spec, argv, request, tmp_path, capsys):
     doc = json.loads((out / f"{argv[0].replace('-', '_')}.json").read_text())
     assert capsys.readouterr().out == json.dumps(doc["results"], sort_keys=True) + "\n"
     assert set(doc["tolerances"]) == READS[argv[0]]
+
+
+# --- one minimisation per query ------------------------------------------------
+
+@pytest.fixture()
+def minimiser_calls(monkeypatch):
+    """The (t, alpha) of every tilted.global_minimisers call, in order."""
+    calls = []
+    real = tilted.global_minimisers
+
+    def counting(tr, *args, **kwargs):
+        calls.append((float(tr.t), float(tr.alpha)))
+        return real(tr, *args, **kwargs)
+
+    monkeypatch.setattr(tilted, "global_minimisers", counting)
+    return calls
+
+
+def _run(argv, path, out):
+    assert cli.run([argv[0], "--potential", path, *argv[1:], "--out", str(out)]) == 0
+
+
+GLUED_TRAJ = ("glued_json", ["traj", "--t", "1", "--alpha", "0", "--grid", "64"])
+
+
+@pytest.mark.parametrize("spec, argv", [*EVERY_COMMAND, GLUED_TRAJ],
+                         ids=[a[0] for _, a in EVERY_COMMAND] + ["traj-glued-continuum"])
+def test_no_command_minimises_the_same_query_twice(spec, argv, request, minimiser_calls, tmp_path):
+    _run(argv, request.getfixturevalue(spec), tmp_path / "out")
+    assert len(minimiser_calls) == len(set(minimiser_calls)), minimiser_calls
+
+
+@pytest.mark.parametrize("spec, argv", [EVERY_COMMAND[4], GLUED_TRAJ], ids=["double-well", "glued-continuum"])
+def test_traj_minimises_once_per_run(spec, argv, request, minimiser_calls, tmp_path, capsys):
+    # a second identical run minimises again: nothing is cached across calls
+    path = request.getfixturevalue(spec)
+    query = (float(argv[2]), float(argv[4]))
+    _run(argv, path, tmp_path / "first")
+    assert minimiser_calls == [query]
+    _run(argv, path, tmp_path / "second")
+    assert minimiser_calls == [query, query]
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+
+@pytest.mark.parametrize("spec, t, alpha, n_paths", [
+    ("doublewell_json", 1.0, 0.0, 2),
+    ("doublewell_json", 1.0, 0.7, 1),
+    ("glued_json", 1.0, 0.0, 5),
+    ("abs_json", 2.0, 1.27, 1),
+], ids=["double-well-bad", "double-well-good", "glued-continuum", "abs-t2"])
+def test_traj_rates_are_path_rates(spec, t, alpha, n_paths, request, tmp_path, capsys):
+    path = request.getfixturevalue(spec)
+    _run(["traj", "--t", repr(t), "--alpha", repr(alpha), "--grid", "64"], path, tmp_path / "out")
+    results = json.loads(capsys.readouterr().out)
+    spec = potential.from_json(path)
+    trajectories = paths.minimising_trajectories(spec, t, alpha, grid_n=64)
+    assert results["n_trajectories"] == len(trajectories) == n_paths
+    assert results["starting_points"] == [p.start for p in trajectories]
+    assert results["rates"] == [paths.path_rate(spec, t, alpha, p) for p in trajectories]  # bit for bit
 
 
 def test_negative_values_in_scientific_notation(zero_json, doublewell_json, tmp_path, capsys):

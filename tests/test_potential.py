@@ -168,13 +168,34 @@ def test_polynomial_coercivity_validation():
     ("polynomial", {"coefficients": [0, 0, math.inf]}, "coefficients"),
     ("cosine_well", {"beta": math.inf}, "beta"),
     ("glued_exp", {"beta": math.inf}, "beta"),
-], ids=["normalize-string", "normalize-int", "coefficient-nan", "coefficient-inf", "cosine-beta-inf", "glued-beta-inf"])
+    ("cosine_well", {"beta": True}, "beta"),
+    ("glued_exp", {"beta": True}, "beta"),
+    ("polynomial", {"coefficients": [True, 0, 1]}, "coefficients"),
+    ("custom_table", {"grid": [-1, 0, True], "values": [1, 0, 1]}, "grid"),
+    ("custom_table", {"grid": [-1, 0, 1], "values": [True, False, True]}, "values"),
+], ids=["normalize-string", "normalize-int", "coefficient-nan", "coefficient-inf", "cosine-beta-inf", "glued-beta-inf",
+        "cosine-beta-bool", "glued-beta-bool", "coefficient-bool", "table-grid-bool", "table-values-bool"])
 def test_spec_parameters_are_validated_at_construction(family, params, names):
     # a string or number for normalize is no JSON boolean ("false" would
-    # read as true), and a non-finite coefficient or beta fails only later,
-    # through a misleading error
+    # read as true), a JSON boolean is no number (float(True) is 1.0), and a
+    # non-finite coefficient or beta fails only later, through a misleading
+    # error
     with pytest.raises(DomainError, match=names):
         pot.from_json({"family": family, "params": params})
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda: pot.cosine_well(np.True_), "beta"),
+    (lambda: pot.glued_exp(False), "beta"),
+    (lambda: pot.polynomial((1.0, 0.0, np.True_)), "coefficients"),
+    (lambda: pot.polynomial(np.array([True, False, True])), "coefficients"),
+    (lambda: pot.custom_table(np.array([False, True]), [0.0, 1.0]), "grid"),
+    (lambda: pot.custom_table([0.0, 1.0], (np.False_, 1.0)), "values"),
+], ids=["cosine-numpy-bool", "glued-bool", "coefficient-numpy-bool", "coefficients-bool-array",
+        "table-grid-bool-array", "table-values-numpy-bool"])
+def test_constructors_reject_booleans(build, names):
+    with pytest.raises(DomainError, match=f"{names} must .*not .*boolean"):
+        build()
 
 
 def test_glued_exp_c1_at_glue_points(glued1):
