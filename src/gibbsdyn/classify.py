@@ -332,13 +332,12 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
                      global minimisers on the grid;
         triple side  some grid triple has Phi2 f <= -beta.
 
-    Returns (tilt_side, triple_side). The triple side is exact over all
-    triples of the grid_n-point grid in one linear pass: every triple's
-    quotient is a positive-weight average of consecutive-triple quotients, so
-    their minimum is the minimum over all triples. The tilt side holds when
-    f + beta x^2 on a grid 8x finer has a bridging hull edge (see
-    tilted.lower_hull): a tilt alpha ties two separated global minimisers
-    exactly when a hull edge of slope alpha spans the gap."""
+    f maps a grid array to the array of its values, as a PotentialSpec does,
+    and is called once per grid. Returns (tilt_side, triple_side). The triple
+    side is exact over all triples of the grid (see _min_consecutive_phi2).
+    The tilt side holds when f + beta x^2 on a grid 8x finer has a bridging
+    hull edge (see tilted.lower_hull): a tilt alpha ties two separated global
+    minimisers exactly when a hull edge of slope alpha spans the gap."""
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError("equivalence window must be finite with lo < hi")
@@ -346,18 +345,22 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
         raise ConfigError("equivalence_sides needs grid_n >= 3 (one triple)")
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
-    xs_triple = np.linspace(lo, hi, int(grid_n))
-    fv_triple = np.asarray([float(f(x)) for x in xs_triple])
 
-    side_triple = bool(_min_consecutive_phi2(fv_triple, xs_triple) <= -beta + 1e-12)
+    def grid(n):  # n window points and f's values there
+        xs = np.linspace(lo, hi, n)
+        fv = f(xs)
+        if not isinstance(fv, np.ndarray) or fv.shape != xs.shape:
+            raise ConfigError("equivalence_sides needs f to map a grid array to an array of its shape")
+        return xs, fv
 
-    xs = np.linspace(lo, hi, 8 * int(grid_n) + 1)
-    fv = np.asarray([float(f(x)) for x in xs])
+    xs, fv = grid(int(grid_n))
+    side_triple = bool(_min_consecutive_phi2(fv, xs) <= -beta + 1e-12)
+    xs, fv = grid(8 * int(grid_n) + 1)
     _, bridges = tilted.lower_hull(xs, fv + beta * xs**2)
     return bool(bridges), side_triple
 
 
 def equivalence_oracle(f, beta: float, window: tuple[float, float], grid_n: int = 201) -> bool:
-    """True when the two brute-force sides of equivalence_sides agree."""
+    """True when the two sides of equivalence_sides agree; f maps arrays to arrays."""
     side_tilt, side_triple = equivalence_sides(f, beta, window, grid_n)
     return side_tilt == side_triple

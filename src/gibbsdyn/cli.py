@@ -203,8 +203,7 @@ def _cmd_limitpot(args, spec):
 
 
 def _cmd_oracle(args, spec):
-    agree = classify.equivalence_oracle(lambda x: potential.eval(spec, x), args.beta, args.window, args.grid)
-    return {"agreement": bool(agree)}, []
+    return {"agreement": classify.equivalence_oracle(spec, args.beta, args.window, args.grid)}, []
 
 
 _COMMANDS = {

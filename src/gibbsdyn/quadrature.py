@@ -63,12 +63,8 @@ def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_DROP):
-    """Sub-window of [lo, hi] where log_f reaches within `drop` of its max.
-
-    Returns (sub_lo, sub_hi, max_value). The hull of the kept points is padded
-    by one coarse spacing on each side.
-    """
+def _coarse_window(log_f, lo: float, hi: float, n_coarse: int, drop: float):
+    """(localize's window, the coarse log-values it was read from)."""
     xs = np.linspace(lo, hi, odd_count(n_coarse))
     L = np.asarray(log_f(xs), dtype=float)
     finite = np.isfinite(L)
@@ -77,7 +73,15 @@ def localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_D
     Lmax = float(L[finite].max())
     keep = np.flatnonzero(finite & (L >= Lmax - drop))
     pad = xs[1] - xs[0]
-    return float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax
+    return (float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax), L
+
+
+def localize(log_f, lo: float, hi: float, n_coarse: int, drop: float = DEFAULT_DROP):
+    """Sub-window of [lo, hi] where log_f reaches within `drop` of its max.
+
+    Returns (sub_lo, sub_hi, max_value). The hull of the kept points is padded
+    by one coarse spacing on each side."""
+    return _coarse_window(log_f, lo, hi, n_coarse, drop)[0]
 
 
 def expanding_localize(log_f, lo: float, hi: float, n_coarse: int):
@@ -85,18 +89,11 @@ def expanding_localize(log_f, lo: float, hi: float, n_coarse: int):
     (log_f at both edges at least DEFAULT_DROP below the running max): each hot
     edge moves out by (EXPAND_GROW - 1)/2 x the width, for at most 10 rounds."""
     for _ in range(10):
-        xs = np.linspace(lo, hi, odd_count(n_coarse))
-        L = np.asarray(log_f(xs), dtype=float)
-        finite = np.isfinite(L)
-        if not finite.any():
-            raise ValueError("log-integrand is nowhere finite on the coarse window")
-        Lmax = float(L[finite].max())
-        hot_left = np.isfinite(L[0]) and L[0] > Lmax - DEFAULT_DROP
-        hot_right = np.isfinite(L[-1]) and L[-1] > Lmax - DEFAULT_DROP
+        window, L = _coarse_window(log_f, lo, hi, n_coarse, DEFAULT_DROP)
+        hot_left = np.isfinite(L[0]) and L[0] > window[2] - DEFAULT_DROP
+        hot_right = np.isfinite(L[-1]) and L[-1] > window[2] - DEFAULT_DROP
         if not hot_left and not hot_right:
-            keep = np.flatnonzero(finite & (L >= Lmax - DEFAULT_DROP))
-            pad = xs[1] - xs[0]
-            return float(xs[keep[0]] - pad), float(xs[keep[-1]] + pad), Lmax
+            return window
         width = hi - lo
         if hot_left:
             lo -= 0.5 * (EXPAND_GROW - 1.0) * width

@@ -16,7 +16,7 @@ import math
 
 from scipy.special import logsumexp
 
-from gibbsdyn import gridmin, kernels, mc_sim, potential as pot, quadrature, tilted
+from gibbsdyn import classify, gridmin, kernels, mc_sim, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, DomainError, NotDifferentiableError, OrderingError
 from gibbsdyn.gridmin import INV_PHI, REFINE_TOL
 
@@ -103,6 +103,19 @@ def all_triples_phi2_min(vals, xs):
             q = pot.phi2_grid(vals, xs, np.full(jj.shape, i), jj, kk)
         best = min(best, float(np.min(np.where(valid, q, np.inf))))
     return best
+
+
+def scalar_equivalence_sides(f, beta, window, grid_n=201):
+    """Slow oracle for classify.equivalence_sides: the same two sides with f
+    called on one float at a time, for f a scalar function."""
+    lo, hi = float(window[0]), float(window[1])
+    xs_triple = np.linspace(lo, hi, int(grid_n))
+    fv_triple = np.asarray([float(f(x)) for x in xs_triple])
+    side_triple = bool(classify._min_consecutive_phi2(fv_triple, xs_triple) <= -beta + 1e-12)
+    xs = np.linspace(lo, hi, 8 * int(grid_n) + 1)
+    fv = np.asarray([float(f(x)) for x in xs])
+    _, bridges = tilted.lower_hull(xs, fv + beta * xs**2)
+    return bool(bridges), side_triple
 
 
 def bin_averaged_kernel(spec, n, t, alpha, h):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_triples_phi2_min
+from conftest import all_triples_phi2_min, scalar_equivalence_sides
 from gibbsdyn import classify, potential as pot, tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
@@ -239,6 +239,26 @@ def test_equivalence_sides_rejects_degenerate_input(beta, window, grid_n, error)
         classify.equivalence_sides(lambda x: x**4 - 4 * x**2, beta, window, grid_n)
 
 
+@pytest.mark.parametrize("f", [lambda x: 0.0, lambda x: x[1:], lambda x: list(x)], ids=["scalar", "short", "list"])
+def test_equivalence_sides_rejects_f_that_does_not_map_arrays(f):
+    # f is called once per grid, so it has to return an array of the grid's shape
+    with pytest.raises(ConfigError):
+        classify.equivalence_sides(f, 1.0, (-6, 6), 201)
+
+
+@pytest.mark.parametrize("beta", [0.5, 3.0])
+def test_equivalence_sides_on_specs_matches_scalar_oracle(builtin_specs, beta):
+    grid = np.linspace(-4.0, 4.0, 81)
+    cases = [(spec, (-6.0, 6.0)) for spec in [*builtin_specs.values(), pot.glued_exp(2.5)]]
+    cases.append((pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0), (-4.0, 4.0)))
+    for spec, window in cases:
+        assert classify.equivalence_sides(spec, beta, window, 201) == scalar_equivalence_sides(spec, beta, window, 201)
+        # the spec's array values are its per-point values, bit for bit, on both grids
+        for n in (201, 8 * 201 + 1):
+            xs = np.linspace(*window, n)
+            assert pot.eval(spec, xs).tobytes() == np.array([float(pot.eval(spec, x)) for x in xs]).tobytes()
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="linear interpolation has concave kinks where Phi2 is unbounded below, so beta = inf "
@@ -253,7 +273,7 @@ def test_custom_table_kinks_give_immediate_crossover():
 
 
 def test_equivalence_oracle_examples():
-    assert classify.equivalence_sides(lambda x: 0.0, 1.0, (-6, 6), 201) == (False, False)
+    assert classify.equivalence_sides(np.zeros_like, 1.0, (-6, 6), 201) == (False, False)
     assert classify.equivalence_sides(lambda x: x * x, 0.5, (-6, 6), 201) == (False, False)
     # the quartic's curvature bound is 4: crossing it flips both sides together
     # (the closer beta sits to the bound, the finer the grid has to be to
@@ -281,7 +301,7 @@ def make_piecewise_quadratic(rng):
     vals = np.concatenate(([0.0], np.cumsum(0.5 * (slope[1:] + slope[:-1]) * np.diff(dense))))
     vals -= vals.min()
     bound = -min(curvs) / 2.0
-    return (lambda x, d=dense, v=vals: float(np.interp(x, d, v))), bound
+    return (lambda x, d=dense, v=vals: np.interp(x, d, v)), bound
 
 
 def test_equivalence_oracle_randomised_agreement():

@@ -141,6 +141,20 @@ def test_limitpot_and_oracle(doublewell_json, tmp_path):
     assert doc["results"]["agreement"] is True
 
 
+def test_oracle_on_glued_exp_and_table_matches_library(glued_json, tmp_path, capsys):
+    grid = np.linspace(-4.0, 4.0, 81)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(
+        {"family": "custom_table", "params": {"grid": grid.tolist(), "values": ((grid**2 - 16.0) ** 2 / 16.0).tolist()}}
+    ))
+    for path, window in ((glued_json, (-6.0, 6.0)), (str(table), (-4.0, 4.0))):
+        for beta in (0.5, 3.0):
+            argv = ["oracle", "--potential", path, "--beta", str(beta), f"--window={window[0]},{window[1]}"]
+            assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 0
+            agreement = json.loads(capsys.readouterr().out)["agreement"]
+            assert agreement is classify.equivalence_oracle(potential.from_json(path), beta, window, 201)
+
+
 def test_limitpot_wide_window_of_fast_growing_potential(tmp_path, capsys):
     spec = tmp_path / "glued.json"
     spec.write_text('{"family": "glued_exp", "params": {"beta": 1.0}}')

@@ -7,7 +7,18 @@ from pathlib import Path
 import gibbsdyn
 
 PACKAGE = Path(gibbsdyn.__file__).resolve().parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+
+
+def _loaded_names(trees) -> set[str]:
+    """Every name the trees load, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:
@@ -39,12 +50,7 @@ def test_every_module_constant_is_used():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
     ]
-    loads = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
-    }
+    loads = _loaded_names(trees.values())
     assert defined  # the scan sees the constants
     assert [f"{module}:{constant}" for module, constant in defined if constant not in loads] == []
 
@@ -58,14 +64,24 @@ def test_every_private_function_is_used():
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.fullmatch(r"_(?!_)\w*(?<!__)", node.name)
     }
-    loads = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
-    }
+    loads = _loaded_names(trees)
     assert defined  # the scan sees the private functions
     assert sorted(defined - loads) == []
+
+
+def test_every_public_function_is_reached():
+    # a public function or class that nothing in the package, its tests or the
+    # benchmark names has no caller left, like a private helper without one
+    defined = [
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    sources = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]
+    loads = _loaded_names(ast.parse(path.read_text(encoding="utf-8")) for path in sources)
+    assert defined  # the scan sees the public names
+    assert [f"{module}:{name}" for module, name in defined if name not in loads] == []
 
 
 def test_benchmark_tracer_bindings_hold():
