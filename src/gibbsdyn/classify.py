@@ -14,9 +14,10 @@ below beta (see _status_at_tc): the widest bridging edge shrinks with
 beta - b around an isolated infimum and keeps the length of a flat piece.
 
 Note: the direct two-layer scan (tilted.bad_set_scan) first reports bad
-magnetisations at t = 1/(2*beta - 1), a factor 2 below the closed-form t_c
-above. The two conventions cannot both hold; this module follows the closed
-form, and the discrepancy is documented in the README.
+magnetisations at t = 1/(2*beta - 1) (first_bad_time), a factor 2 below the
+closed-form t_c above. The two conventions cannot both hold; this module
+reports both, keeps t_c as the crossover time, and reads the status at the
+first bad time. The discrepancy is documented in the README.
 """
 
 from __future__ import annotations
@@ -160,10 +161,16 @@ class ClassificationReport:
     witness_alpha: float | None = None
     witness: tilted.MinimiserSet | None = None
 
+    @property
+    def t_first_bad(self) -> float:
+        """First bad time of the direct scan, 1/(2 beta - 1); see first_bad_time."""
+        return first_bad_time(self.beta)
+
     def to_json_dict(self) -> dict:
         d = {
             "beta": self.beta if math.isfinite(self.beta) else "inf",
             "t_c": self.t_c if math.isfinite(self.t_c) else "inf",
+            "t_first_bad": self.t_first_bad if math.isfinite(self.t_first_bad) else "inf",
             "gibbs_at_tc": self.gibbs_at_tc,
             "method": self.method,
         }
@@ -176,10 +183,20 @@ class ClassificationReport:
         return d
 
 
+def first_bad_time(beta: float) -> float:
+    """The first time at which some magnetisation is bad in the direct
+    two-layer picture: the convex minorant of g_t = V + (1 + t)/(2t) r^2
+    first bridges when (1 + t)/(2t) drops below beta, at t = 1/(2 beta - 1).
+    +inf when beta <= 1/2 and 0 when beta = +inf."""
+    if beta <= 0.5:
+        return math.inf
+    return 1.0 / (2.0 * beta - 1.0)
+
+
 def _status_at_tc(spec: pot.PotentialSpec, beta: float) -> str:
     """Gibbs status at t_c, read off the convex minorant of g_t = V + b r^2
-    with b = (1 + t)/(2t) just below beta: at t = (1 + eps)/(2 beta - 1) for
-    eps = 1e-2 and 1e-4, the widest polished edge of the tilted._ConvexMinorant
+    with b = (1 + t)/(2t) just below beta: at t = (1 + eps) first_bad_time(beta)
+    for eps = 1e-2 and 1e-4, the widest polished edge of the tilted._ConvexMinorant
     whose tilt centres span the working window [-R, R] (R = pot.window_radius;
     0 when there is no edge).
 
@@ -193,7 +210,7 @@ def _status_at_tc(spec: pot.PotentialSpec, beta: float) -> str:
     radius = pot.window_radius(spec)
 
     def widest(eps):
-        t = (1.0 + eps) / (2.0 * beta - 1.0)
+        t = (1.0 + eps) * first_bad_time(beta)
         minorant = tilted._ConvexMinorant(spec, t, [-(1.0 + t) * radius, (1.0 + t) * radius])
         return max((q2 - q1 for _, q1, q2, _, _ in minorant.edges), default=0.0)
 

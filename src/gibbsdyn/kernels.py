@@ -1,5 +1,6 @@
-"""Finite-n conditional kernels by log-space quadrature, their large-n limit,
-and the selection-sequence convergence experiments.
+"""Finite-n conditional kernels by quadrature, their large-n limit, and the
+selection-sequence convergence experiments. Every integral runs in log space
+except the evolved kernel's Gaussian mixture (below).
 
 The objects, all probability laws on the line represented as grid densities:
 
@@ -18,18 +19,20 @@ The objects, all probability laws on the line represented as grid densities:
 For V = 0 the pipeline is exact: g factors cancel bitwise and the quadrature
 recovers N(0, 1) / N(0, 1+t) to machine precision.
 
-The two 2-D quadratures, the g-factor numerator over s x r and the N(s, t)
-mixture over x x s, run in row blocks of bounded memory
+The g-factor numerator over s x r runs in row blocks of bounded memory
 (quadrature.row_blocks), each block built in place in one buffer per call
 and each row reduced exactly as on the whole array.
+
+The N(s, t) mixture is a discrete Gaussian convolution in linear space on
+a lattice shared with the s grid (see _lattice and _gaussian_mixture).
 
 The s-law's support is located by probes that integrate the numerator on
 every k-th node of the g machine's r grid (k = 8 for the default grid; see
 _probe_stride), with the Simpson weights of that strided grid. The strided
 grid keeps both end nodes, so a probe sees the same edge values, and probe
 rows with a hot edge are redone on the full grid, so every rebuild of the
-machine is decided there. The fine s pass, the denominator and the mixture
-use the full grid.
+machine is decided there. The fine s pass and the denominator use the full
+grid.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from gibbsdyn.quadrature import (
     localize,
     log_integral,
     logsumexp,
+    odd_count,
     refine_if_rough,
     row_blocks,
     simpson_grid,
@@ -57,8 +61,11 @@ from gibbsdyn.quadrature import (
 )
 
 N_CAP = 100_000  # beyond this the LDP concentration under-resolves any fixed grid
+GRID_N_MIN = 64
+GRID_N_MAX = 65_536  # its s x r numerator holds 16385 x 65537 values, 256x the default's
 PROBE_STRIDES = (8, 4, 2)  # r-grid strides tried for the s-support probes, largest first
 PROBE_MIN_NODES = 129  # fewest r nodes a strided probe grid may keep
+GAUSS_EXP_FLOOR = 700.0  # the mixture's Gaussian table is 0 beyond exp(-this)
 
 SEQ_CONSTANT = "constant"
 SEQ_MINUS = "minus_inv_sqrt"
@@ -67,11 +74,16 @@ SEQ_PLUS = "plus_inv_sqrt"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """grid_n sets the node count of the 1-D kernel grids and of the g
+    machine's r grid, a quarter of it (at least 1025) that of the s grid,
+    and the coarsest spacing of the evolved kernel's x lattice. It lies in
+    [GRID_N_MIN, GRID_N_MAX]: the s x r numerator grows as grid_n^2."""
+
     grid_n: int = 4096
 
     def __post_init__(self):
-        if self.grid_n < 64:
-            raise ConfigError("grid_n must be >= 64")
+        if not GRID_N_MIN <= self.grid_n <= GRID_N_MAX:
+            raise ConfigError(f"grid_n must lie in [{GRID_N_MIN}, {GRID_N_MAX}]")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -397,6 +409,79 @@ def g_factor(
     return float(np.exp(out[0]))
 
 
+def _s_law(machine: _GMachine, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The g-weighted N(0, 1) s-law on its Simpson grid: (s, log_w) with
+    log_w the log of its normalised quadrature weights, so that
+    sum(exp(log_w)) = 1."""
+    # support anchored at 0 and at the limit means -V'(q), then grown until
+    # the edges are cold, probed on the strided r grid
+    anchors = [0.0]
+    if pot.has_analytic_deriv(machine.spec, 1):
+        for q in machine.ms.locations:
+            try:
+                anchors.append(-float(pot.deriv(machine.spec, q, 1)))
+            except NotDifferentiableError:
+                pass
+    pad = math.sqrt(2.0 * DEFAULT_DROP) + 2.0
+    s_lo, s_hi, _ = expanding_localize(
+        lambda s: machine.log_g(s, probe=True) - s**2 / 2.0,
+        min(anchors) - pad,
+        max(anchors) + pad,
+        n_coarse=513,
+    )
+    s = simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
+    log_w = machine.log_g(s) - s**2 / 2.0 + simpson_log_weights(s)
+    return s, log_w - logsumexp(log_w)
+
+
+def _lattice(s: np.ndarray, t: float, cfg: QuadratureConfig) -> tuple[np.ndarray, int, int]:
+    """The x grid of the N(s, t) mixture on the s grid's own lattice:
+    (x, r, P) with x_i = s[0] + (i - P) ds/r.
+
+    r is the smallest integer that keeps the spacing no coarser than
+    cfg.grid_n nodes over [s[0] - zpad, s[-1] + zpad] would give, and P the
+    fewest steps that reach zpad beyond either end of the s grid. The node
+    count 2P + r (s.size - 1) + 1 is odd and at least odd_count(grid_n)."""
+    zpad = math.sqrt(2.0 * DEFAULT_DROP * t) + 2.0
+    ds = (s[-1] - s[0]) / (s.size - 1)
+    h_max = (s[-1] - s[0] + 2.0 * zpad) / (odd_count(cfg.grid_n) - 1)
+    r = max(1, math.ceil(ds / h_max))
+    P = math.ceil(zpad * r / ds)
+    m = 2 * P + r * (s.size - 1) + 1
+    return s[0] + (np.arange(m) - P) * (ds / r), r, P
+
+
+def _gaussian_mixture(s: np.ndarray, log_w: np.ndarray, t: float, cfg: QuadratureConfig):
+    """The N(s, t) mixture of the s-law as (x, log density) on _lattice.
+
+    On the lattice x_i - s_j = (i - P - r j) ds/r is a whole number of
+    steps, so the mixture is the discrete convolution
+    p_i = sum_j w_j G[i - P - r j] with one table G of the Gaussian at every
+    step. It runs in linear space as r direct polyphase np.convolve calls:
+    every term is positive, so nothing cancels, and w = exp(log_w) <= 1.
+    G is 0 where its exponent is below -GAUSS_EXP_FLOOR, so the table has
+    no subnormal exp, and a density above e^-600 loses terms e^-100 smaller
+    than itself (at most s.size of them). An FFT would leave an absolute
+    error near 1e-16 of the peak in every node, which swamps (and can make
+    negative) tails near e^-100. Nodes whose sum underflows get -inf."""
+    x, r, P = _lattice(s, t, cfg)
+    h = (s[-1] - s[0]) / (s.size - 1) / r
+    K = P + r * (s.size - 1)  # the largest |i - P - r j| in steps
+    expo = (np.arange(-K, K + 1) * h) ** 2 / (2.0 * t)
+    G = np.zeros(expo.size)
+    keep = expo <= GAUSS_EXP_FLOOR
+    G[keep] = np.exp(-expo[keep])
+    w = np.exp(log_w)
+    p = np.empty(x.size)
+    # G index k + K of node i and s node j is i + r (s.size - 1 - j), so the
+    # nodes i = a mod r see only G[a::r], each over a full window of w
+    for a in range(r):
+        p[a::r] = np.convolve(w, G[a::r], mode="valid")
+    with np.errstate(divide="ignore"):
+        log_px = np.log(p) - 0.5 * math.log(2.0 * math.pi * t)
+    return x, log_px
+
+
 def evolved_kernel(
     spec: pot.PotentialSpec,
     n: int,
@@ -413,41 +498,8 @@ def evolved_kernel(
         raise DomainError("evolved_kernel requires t > 0")
     n = _capped(n)
     machine = _GMachine(spec, n, t, alpha, cfg, tol)
-
-    # s-law support: anchored at 0 and at the limit means -V'(q), then grown
-    # until the edges are cold, probed on the strided r grid.
-    anchors = [0.0]
-    if pot.has_analytic_deriv(spec, 1):
-        for q in machine.ms.locations:
-            try:
-                anchors.append(-float(pot.deriv(spec, q, 1)))
-            except NotDifferentiableError:
-                pass
-    pad = math.sqrt(2.0 * DEFAULT_DROP) + 2.0
-    s_lo, s_hi, _ = expanding_localize(
-        lambda s: machine.log_g(s, probe=True) - s**2 / 2.0,
-        min(anchors) - pad,
-        max(anchors) + pad,
-        n_coarse=513,
-    )
-    s = simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
-    log_w = machine.log_g(s) - s**2 / 2.0 + simpson_log_weights(s)
-    log_w = log_w - logsumexp(log_w)  # normalised s-law weights
-
-    zpad = math.sqrt(2.0 * DEFAULT_DROP * t) + 2.0
-    x = simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
-    log_px = np.empty(x.size)
-    blocks = row_blocks(x.size, s.size)
-    buf = np.empty((min(blocks[0].stop, x.size), s.size))
-    for rows in blocks:
-        # log_w - (x - s)^2 / (2t), built in place in one buffer
-        B = np.subtract(x[rows, None], s, out=buf[: x[rows].size])
-        np.square(B, out=B)
-        B /= 2.0 * t
-        np.subtract(log_w, B, out=B)
-        log_px[rows] = logsumexp(B, axis=1)
-    log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
-
+    s, log_w = _s_law(machine, cfg)
+    x, log_px = _gaussian_mixture(s, log_w, t, cfg)
     # the mixture is normalised in exact arithmetic; the grid integral's
     # deviation from 1 is the real truncation defect
     defect = abs(1.0 - math.exp(float(log_integral(x, log_px))))

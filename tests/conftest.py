@@ -172,12 +172,11 @@ def unblocked_log_g(machine, s):
     return log_num - machine._log_den
 
 
-def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g):
-    """Slow oracle for kernels.evolved_kernel on a call whose g machine never
-    rebuilds: the same s-law support and grids, with the numerator and the
-    N(s, t) mixture each built as one full array and reduced in one call.
-    Every log g, the s-support probes included, is log_g(machine, s) on the
-    machine's full r grid."""
+def unblocked_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g):
+    """Slow oracle for kernels._s_law on a call whose g machine never
+    rebuilds: the same support search and s grid, with every log g, the
+    s-support probes included, from log_g(machine, s) on the machine's full
+    r grid. Returns (s, log_w)."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
 
     def log_h(s):
@@ -195,21 +194,34 @@ def unblocked_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=
     s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=513)
     s = quadrature.simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
     log_w = log_h(s) + quadrature.simpson_log_weights(s)
-    log_w = log_w - quadrature.logsumexp(log_w)
+    return s, log_w - quadrature.logsumexp(log_w)
 
+
+def full_probe_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+    """Oracle for kernels._s_law's strided s-support probes: the unblocked
+    s-law with every log g, probes included, from the g machine's own log_g
+    on its full r grid, so the machine may rebuild."""
+    return unblocked_s_law(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s))
+
+
+def literal_lattice_mixture(s, log_w, t, cfg=kernels.DEFAULT_QUAD):
+    """Slow oracle for kernels._gaussian_mixture: the x lattice by its rule
+    (spacing ds/r with the least r no coarser than cfg.grid_n nodes over
+    [s[0] - zpad, s[-1] + zpad], P = ceil(zpad r/ds) steps beyond either end)
+    and the mixture as the literal log-space sum, scipy's logsumexp of
+    log_w - (x - s)^2/(2t) over each row of the x x s array, built a few
+    hundred rows at a time. Returns (x, log density)."""
     zpad = math.sqrt(2.0 * quadrature.DEFAULT_DROP * t) + 2.0
-    x = quadrature.simpson_grid(s[0] - zpad, s[-1] + zpad, cfg.grid_n)
-    log_px = quadrature.logsumexp(log_w[None, :] - (x[:, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
-    log_px = log_px - 0.5 * math.log(2.0 * math.pi * t)
-    defect = abs(1.0 - math.exp(float(quadrature.log_integral(x, log_px))))
-    return kernels._kernel_from_log_density(x, log_px, extra_defect=defect)
-
-
-def full_probe_evolved_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
-    """Oracle for kernels.evolved_kernel's strided s-support probes: the
-    unblocked pipeline with every log g, probes included, from the g
-    machine's own log_g on its full r grid, so the machine may rebuild."""
-    return unblocked_evolved_kernel(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s))
+    ds = (s[-1] - s[0]) / (s.size - 1)
+    r = max(1, math.ceil(ds / ((s[-1] - s[0] + 2.0 * zpad) / (quadrature.odd_count(cfg.grid_n) - 1))))
+    P = math.ceil(zpad * r / ds)
+    x = s[0] + (np.arange(2 * P + r * (s.size - 1) + 1) - P) * (ds / r)
+    rows = 256
+    log_px = np.concatenate(
+        [logsumexp(log_w[None, :] - (x[i : i + rows, None] - s[None, :]) ** 2 / (2.0 * t), axis=1)
+         for i in range(0, x.size, rows)]
+    )
+    return x, log_px - 0.5 * math.log(2.0 * math.pi * t)
 
 
 def scalar_golden_section(f, lo: float, hi: float):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_triples_phi2_min, scalar_equivalence_sides
-from gibbsdyn import classify, potential as pot, tilted
+from gibbsdyn import classify, kernels, potential as pot, tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
 
@@ -130,6 +130,41 @@ def test_gibbs_at_tc(builtin_specs):
         classify.gibbs_at_tc(builtin_specs["zero"])  # t_c = inf
     with pytest.raises(DomainError):
         classify.gibbs_at_tc(builtin_specs["cos_of_square"])  # t_c = 0
+
+
+def test_first_bad_time_is_half_the_reported_crossover_time(builtin_specs):
+    assert classify.first_bad_time(4.0) == 1.0 / 7.0
+    assert classify.first_bad_time(math.inf) == 0.0
+    assert math.isinf(classify.first_bad_time(0.5)) and math.isinf(classify.first_bad_time(-1.0))
+    for name, spec in builtin_specs.items():
+        r = classify.crossover_time(spec, find_witness=False)
+        assert r.t_first_bad == classify.first_bad_time(r.beta), name
+        if 0.0 < r.t_c < math.inf:
+            assert r.t_first_bad == pytest.approx(r.t_c / 2.0, rel=1e-12), name
+    doc = classify.crossover_time(builtin_specs["zero"], find_witness=False).to_json_dict()
+    assert doc["t_first_bad"] == "inf"
+
+
+@pytest.mark.parametrize("name", ["double_well", "cosine_beta1", "glued_beta1"])
+def test_kernel_route_agrees_with_the_status_at_the_first_bad_time(builtin_specs, name):
+    # evolved-kernel mean splits along alpha_n = +-1/sqrt(n) at t = 1/(2 beta - 1):
+    # around an isolated curvature infimum they shrink like n^(-1/6) (a factor
+    # 0.71 per 8x in n), over a flat piece they grow towards a limit
+    spec = builtin_specs[name]
+    beta = classify.crossover_time(spec, find_witness=False).beta
+    t = classify.first_bad_time(beta)
+    splits = []
+    for n in (50, 400, 3200):
+        a = 1.0 / math.sqrt(n)
+        splits.append(kernels.evolved_kernel(spec, n, t, -a).mean - kernels.evolved_kernel(spec, n, t, a).mean)
+    ratios = [b / a for a, b in zip(splits, splits[1:])]
+    if all(q < 0.85 for q in ratios):
+        status = classify.GIBBS
+    elif all(q > 0.98 for q in ratios):
+        status = classify.NON_GIBBS
+    else:
+        status = classify.UNKNOWN
+    assert status == classify._status_at_tc(spec, beta), (splits, ratios)
 
 
 @given(st.integers(3, 40), st.booleans(), st.integers(0, 2**32 - 1))

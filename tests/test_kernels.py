@@ -9,11 +9,12 @@ from gibbsdyn import kernels, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
 
 from conftest import (
-    full_probe_evolved_kernel,
+    full_probe_s_law,
     g_bound_diagnostic,
+    literal_lattice_mixture,
     literal_log_num_integrand,
-    unblocked_evolved_kernel,
     unblocked_log_g,
+    unblocked_s_law,
 )
 
 SQRT15 = math.sqrt(1.5)
@@ -57,6 +58,10 @@ def quadratic_evolved_oracle(n, t, alpha):
 def test_quadrature_config_validation():
     with pytest.raises(ConfigError):
         kernels.QuadratureConfig(grid_n=32)
+    assert kernels.QuadratureConfig(grid_n=kernels.GRID_N_MAX).grid_n == 65_536
+    for grid_n in (kernels.GRID_N_MAX + 1, 100_000_000):
+        with pytest.raises(ConfigError, match="grid_n"):
+            kernels.QuadratureConfig(grid_n=grid_n)
 
 
 def test_domain_errors(zero):
@@ -190,11 +195,14 @@ def test_g_factor_selection_sequence_limit(double_well):
 
 
 def test_evolved_kernel_flat_exact(zero):
-    for n in (2, 7, 100, 5000):
-        k = kernels.evolved_kernel(zero, n, 1.0, 3.0)
+    # N(0, 1 + t) node by node, also where the lattice is finer than the s grid
+    for n, t in ((2, 1.0), (7, 1.0), (100, 1.0), (5000, 1.0), (64, 0.1), (5, 10.0)):
+        k = kernels.evolved_kernel(zero, n, t, 3.0)
         assert abs(k.mean) < 1e-10
-        assert k.variance == pytest.approx(2.0, abs=1e-10)
+        assert k.variance == pytest.approx(1.0 + t, abs=1e-10)
         assert k.total_mass_defect < 1e-10
+        exact = np.exp(-(k.grid**2) / (2.0 * (1.0 + t))) / math.sqrt(2.0 * math.pi * (1.0 + t))
+        assert np.max(np.abs(k.density - exact)) < 1e-10
 
 
 def test_evolved_kernel_quadratic_finite_n_oracle(quadratic):
@@ -277,6 +285,34 @@ def test_minus_sequence_ladder_through_bimodal_rows(double_well):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
+def _s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+    return kernels._s_law(kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL), cfg)
+
+
+def _assert_same_s_law(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _literal_mixture_kernel(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+    """evolved_kernel and the literal log-space mixture of the same s-law on
+    the same lattice, with the oracle's log density. The mixtures sum in a
+    different order, so they agree to rounding, not bitwise."""
+    got = kernels.evolved_kernel(spec, n, t, alpha, cfg)
+    x, log_px = literal_lattice_mixture(*_s_law(spec, n, t, alpha, cfg), t, cfg)
+    assert np.array_equal(got.grid, x)
+    want = kernels._kernel_from_log_density(x, log_px)
+    assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-12)
+    assert got.variance == pytest.approx(want.variance, rel=1e-12, abs=1e-12)
+    assert got.total_mass_defect <= 1e-8
+    return got, want, log_px
+
+
+def _assert_density_matches(got, want, log_px):
+    # below exp(-600) the terms that the Gaussian table drops (under exp(-700)) stop being negligible
+    live = log_px > -600.0
+    np.testing.assert_allclose(got.density[live], want.density[live], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "name, n, t, alpha",
     [
@@ -291,11 +327,58 @@ def test_minus_sequence_ladder_through_bimodal_rows(double_well):
     ids=["dw50-t1", "dw50-t0.2", "dw3200-t1", "dw3200-t0.2", "glued1", "abs", "zero"],
 )
 def test_blocked_evolved_kernel_is_bitwise_unblocked(builtin_specs, name, n, t, alpha):
-    got = kernels.evolved_kernel(builtin_specs[name], n, t, alpha)
-    want = unblocked_evolved_kernel(builtin_specs[name], n, t, alpha)
-    assert np.array_equal(got.grid, want.grid)
-    assert np.array_equal(got.density, want.density)
-    assert (got.mean, got.variance, got.total_mass_defect) == (want.mean, want.variance, want.total_mass_defect)
+    # the s-law is where the row-blocked numerator enters the evolved kernel
+    _assert_same_s_law(_s_law(builtin_specs[name], n, t, alpha), unblocked_s_law(builtin_specs[name], n, t, alpha))
+
+
+@pytest.mark.parametrize(
+    "name, n, t, alpha",
+    [
+        ("double_well", 50, 1.0, 0.5),
+        ("double_well", 50, 0.2, -0.5),
+        ("double_well", 3200, 1.0, 1.0 / math.sqrt(3200)),
+        ("double_well", 3200, 0.2, -1.0 / math.sqrt(3200)),
+        ("double_well", 64, 0.1, 0.0),
+        ("glued_beta1", 40, 1.5, 0.3),
+        ("abs", 25, 0.7, -0.4),
+        ("zero", 10, 1.0, 3.0),
+    ],
+    ids=["dw50-t1", "dw50-t0.2", "dw3200-t1", "dw3200-t0.2", "dw64-t0.1", "glued1", "abs", "zero"],
+)
+def test_lattice_mixture_matches_the_literal_log_space_mixture(builtin_specs, name, n, t, alpha):
+    _assert_density_matches(*_literal_mixture_kernel(builtin_specs[name], n, t, alpha))
+
+
+def test_lattice_mixture_underflows_to_zero_without_warnings(double_well):
+    # at t = 1e-3 the Gaussian tails beyond the s-law vanish; the log-space
+    # oracle's own rounding grows as |x - s| eps/t, so only moments compare
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, log_px = _literal_mixture_kernel(double_well, 50, 1e-3, 0.1)
+    assert got.density[0] == 0.0 and got.density[-1] == 0.0
+    assert np.all(np.isfinite(got.density)) and np.all(got.density >= 0.0)
+    assert np.count_nonzero(got.density == 0.0) > 100 and np.all(log_px[got.density == 0.0] < -700.0)
+
+
+def test_lattice_refines_the_s_step_at_large_t(double_well):
+    s, _ = _s_law(double_well, 50, 10.0, 0.1)
+    x, r, P = kernels._lattice(s, 10.0, kernels.DEFAULT_QUAD)
+    assert r == 2 and x.size == 2 * P + 2 * (s.size - 1) + 1 and 8000 <= x.size <= 8200
+    # every s node is a lattice node, and the lattice reaches zpad beyond both ends
+    np.testing.assert_allclose(x[P : x.size - P : 2], s, rtol=0.0, atol=1e-12)
+    zpad = math.sqrt(2.0 * quadrature.DEFAULT_DROP * 10.0) + 2.0
+    assert x[0] <= s[0] - zpad and x[-1] >= s[-1] + zpad - 1e-12
+    _assert_density_matches(*_literal_mixture_kernel(double_well, 50, 10.0, 0.1))
+
+
+@pytest.mark.parametrize("grid_n", [64, 1000])
+def test_lattice_keeps_the_s_step_on_small_grids(double_well, grid_n):
+    cfg = kernels.QuadratureConfig(grid_n=grid_n)
+    got, want, log_px = _literal_mixture_kernel(double_well, 50, 1.0, 0.5, cfg)
+    s, _ = _s_law(double_well, 50, 1.0, 0.5, cfg)
+    assert s.size == 1025 and got.grid.size > quadrature.odd_count(grid_n) and got.grid.size % 2 == 1
+    assert np.diff(got.grid).max() <= (s[-1] - s[0]) / (s.size - 1) * (1.0 + 1e-12)
+    _assert_density_matches(got, want, log_px)
 
 
 @pytest.mark.parametrize("extra_rows", [-3, 0, 5, 25])
@@ -328,16 +411,11 @@ STRIDED_PROBE_CASES = [
 ]
 
 
-def _assert_same_kernel(got, want):
-    assert np.array_equal(got.grid, want.grid)
-    assert np.array_equal(got.density, want.density)
-    assert (got.mean, got.variance, got.total_mass_defect) == (want.mean, want.variance, want.total_mass_defect)
-
-
 @pytest.mark.parametrize("name, n, t, alpha", STRIDED_PROBE_CASES)
 def test_strided_probes_give_the_full_probe_kernel(builtin_specs, name, n, t, alpha):
+    # the mixture is a function of the s-law alone
     spec = builtin_specs[name]
-    _assert_same_kernel(kernels.evolved_kernel(spec, n, t, alpha), full_probe_evolved_kernel(spec, n, t, alpha))
+    _assert_same_s_law(_s_law(spec, n, t, alpha), full_probe_s_law(spec, n, t, alpha))
 
 
 @pytest.mark.parametrize("grid_n, stride", [(4096, 8), (64, 1), (1000, 4)])
@@ -346,10 +424,7 @@ def test_strided_probes_grid_fallbacks(double_well, grid_n, stride):
     cfg = kernels.QuadratureConfig(grid_n=grid_n)
     assert kernels._probe_stride(quadrature.odd_count(grid_n)) == stride
     alpha = 1.0 / math.sqrt(50)
-    _assert_same_kernel(
-        kernels.evolved_kernel(double_well, 50, 1.0, alpha, cfg),
-        full_probe_evolved_kernel(double_well, 50, 1.0, alpha, cfg),
-    )
+    _assert_same_s_law(_s_law(double_well, 50, 1.0, alpha, cfg), full_probe_s_law(double_well, 50, 1.0, alpha, cfg))
 
 
 def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
@@ -363,7 +438,7 @@ def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
     monkeypatch.setattr(kernels.pot, "eval", counting_eval)
     kernels.evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
     strided, points[0] = points[0], 0
-    full_probe_evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
+    full_probe_s_law(double_well, 50, 1.0, 1.0 / math.sqrt(50))
     assert strided <= 0.6 * points[0]
 
 
