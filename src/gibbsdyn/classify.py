@@ -7,6 +7,12 @@ differentiable V) determines the crossover time through the closed form
     t_c = 1/(beta - 1/2)  if 1/2 < beta < inf,
     t_c = 0               if beta = +inf (curvature unbounded below).
 
+beta comes from one curvature scan per window, whose window doubles until
+the infimum settles (_curvature_infimum_with_growth_check). It reads V'' on
+the grid, analytic for C2_analytic potentials; for the others it reads the
+smaller of the second difference of potential.deriv and twice the Phi2
+quotients of the grid's consecutive triples (_scan_curvature_infimum).
+
 Status at t = t_c depends on whether the curvature infimum is attained on an
 interval (flat piece -> not Gibbs at t_c) or only at isolated points
 (-> Gibbs at t_c). It is read off the convex minorant of V + b r^2 for b just
@@ -43,31 +49,24 @@ METHOD_PHI2_SCAN = "phi2_scan"
 
 UNBOUNDED_SENTINEL = 1e6  # curvature below -2*this reports beta = +inf
 
-PHI2_MIN_SPACING = 1e-4  # smaller triples amplify rounding in the quotient
-MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the curvature and Phi2 scans
+SCAN_POINTS = 32769  # points of a curvature scan on the base window
+MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the doubling curvature scans
 CLASSIFICATION_CACHE_SIZE = 64  # potentials whose classification stays memoised
 
 
-def _curvature_values(spec: pot.PotentialSpec, xs: np.ndarray) -> np.ndarray:
-    """V'' on a grid: analytic when available, otherwise the symmetric second
-    difference (V(x+h) - 2V(x) + V(x-h)) / h^2.
+def _scan_curvature_infimum(spec: pot.PotentialSpec, radius: float, n_grid: int = SCAN_POINTS):
+    """(inf of V'' on the n_grid-point grid of [-radius, radius], argmin),
+    golden-refined for analytic second derivatives.
 
-    The step grows with |V|^(1/4) so that rounding noise 4*eps*|V|/h^2 stays
-    bounded where the potential is superexponentially large."""
-    if pot.has_analytic_deriv(spec, 2):
-        return np.asarray(pot.deriv(spec, xs, 2))
-    v0 = np.asarray(pot.eval(spec, xs))
-    h = pot.FD_STEP_SCALE * np.maximum(1.0, np.abs(xs)) * np.maximum(1.0, np.abs(v0)) ** 0.25
-    vp = np.asarray(pot.eval(spec, xs + h))
-    vm = np.asarray(pot.eval(spec, xs - h))
-    return (vp - 2.0 * v0 + vm) / h**2
-
-
-def _scan_curvature_infimum(spec: pot.PotentialSpec, radius: float, n_grid: int = 32769):
-    """(inf of V'' on [-radius, radius], argmin), golden-refined for analytic
-    second derivatives."""
+    Without an analytic V'' (pot.deriv takes second differences) each
+    interior point also takes twice the Phi2 quotient of its consecutive
+    triple, the smaller of the two (np.fmin: a NaN never hides a finite
+    value). The triples see a concave kink that falls between grid points,
+    where every second difference steps over it."""
     xs = np.linspace(-radius, radius, n_grid)
-    vals = _curvature_values(spec, xs)
+    vals = pot.deriv(spec, xs, 2)
+    if not pot.has_analytic_deriv(spec, 2):
+        vals[1:-1] = np.fmin(vals[1:-1], 2.0 * _consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs))
     finite = np.isfinite(vals)
     if not finite.any():
         raise InconclusiveError("curvature is nowhere finite on the scan window")
@@ -94,7 +93,7 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
     if spec.family == "custom_table":
         inf_v, arg = _scan_curvature_infimum(spec, base)
         edge_gap = base - abs(arg)
-        if edge_gap < 2.0 * (2.0 * base / 32768):
+        if edge_gap < 2.0 * (2.0 * base / (SCAN_POINTS - 1)):
             raise InconclusiveError(
                 "curvature infimum sits at the table edge; widen the table to classify",
                 diagnostics={"arg_inf": arg, "inf_curvature": inf_v, "window_radius": base},
@@ -106,7 +105,7 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
     for _ in range(7):
         # resolve oscillations whose local period shrinks like 1/r
         spacing = math.pi / (10.0 * radius)
-        n_grid = int(min(MAX_SCAN_POINTS, max(32769, 2.0 * radius / spacing)))
+        n_grid = int(min(MAX_SCAN_POINTS, max(SCAN_POINTS, 2.0 * radius / spacing)))
         n_grid = n_grid if n_grid % 2 == 1 else n_grid + 1
         inf_v, arg = _scan_curvature_infimum(spec, radius, n_grid)
         if inf_v < -2.0 * UNBOUNDED_SENTINEL:
@@ -121,35 +120,15 @@ def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
     )
 
 
-def _min_consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> float:
-    """Minimum of the second difference quotient over the consecutive triples
+def _consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Second difference quotients of the consecutive triples
     (x_l, x_{l+1}, x_{l+2}) of an increasing grid with values vals.
 
-    This is also the minimum over all triples of the grid: the quotient of
-    any triple x_i < x_j < x_k is a positive-weight average of the consecutive
-    quotients with i <= l <= k - 2."""
+    Their minimum is also the minimum over all triples of the grid: the
+    quotient of any triple x_i < x_j < x_k is a positive-weight average of the
+    consecutive quotients with i <= l <= k - 2."""
     slopes = np.diff(vals) / np.diff(xs)
-    return float(np.min(np.diff(slopes) / (xs[2:] - xs[:-2])))
-
-
-def phi2_infimum(spec: pot.PotentialSpec):
-    """Infimum of Phi2(V): the smaller of the minimum over the triples of a
-    uniform grid on the working window [-R, R] (R = pot.window_radius) and
-    half the growth-checked infimum of V'' (the limit of shrinking symmetric
-    triples).
-
-    By the consecutive-triple identity (see _min_consecutive_phi2) one pass
-    over the consecutive triples gives the exact minimum over all triples of
-    the grid. The grid spacing is PHI2_MIN_SPACING, unless the point count
-    would exceed MAX_SCAN_POINTS."""
-    radius = pot.window_radius(spec)
-    inf_curv, _ = _curvature_infimum_with_growth_check(spec)
-    if inf_curv == -math.inf:
-        return -math.inf
-    n_grid = min(MAX_SCAN_POINTS, int(2.0 * radius / PHI2_MIN_SPACING) + 1)
-    xs = np.linspace(-radius, radius, n_grid)
-    best = _min_consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs)
-    return min(best, inf_curv / 2.0)
+    return np.diff(slopes) / (xs[2:] - xs[:-2])
 
 
 @dataclass(frozen=True)
@@ -263,12 +242,8 @@ def _classification(spec: pot.PotentialSpec, float_bits: bytes):
     The key is the spec's value; float_bits (see _float_bits) only sharpens
     it. Errors such as InconclusiveError propagate and are not cached.
     _classification.cache_clear() empties the cache."""
-    if spec.smoothness == pot.C2_ANALYTIC:
-        method = METHOD_SECOND_DERIVATIVE
-        beta = -0.5 * _curvature_infimum_with_growth_check(spec)[0]
-    else:
-        method = METHOD_PHI2_SCAN
-        beta = -phi2_infimum(spec)
+    method = METHOD_SECOND_DERIVATIVE if spec.smoothness == pot.C2_ANALYTIC else METHOD_PHI2_SCAN
+    beta = -0.5 * _curvature_infimum_with_growth_check(spec)[0]
 
     if beta > UNBOUNDED_SENTINEL:
         return math.inf, 0.0, UNKNOWN, method
@@ -351,7 +326,7 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
 
     f maps a grid array to the array of its values, as a PotentialSpec does,
     and is called once per grid. Returns (tilt_side, triple_side). The triple
-    side is exact over all triples of the grid (see _min_consecutive_phi2).
+    side is exact over all triples of the grid (see _consecutive_phi2).
     The tilt side holds when f + beta x^2 on a grid 8x finer has a bridging
     hull edge (see tilted.lower_hull): a tilt alpha ties two separated global
     minimisers exactly when a hull edge of slope alpha spans the gap."""
@@ -371,7 +346,7 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
         return xs, fv
 
     xs, fv = grid(int(grid_n))
-    side_triple = bool(_min_consecutive_phi2(fv, xs) <= -beta + 1e-12)
+    side_triple = bool(_consecutive_phi2(fv, xs).min() <= -beta + 1e-12)
     xs, fv = grid(8 * int(grid_n) + 1)
     _, bridges = tilted.lower_hull(xs, fv + beta * xs**2)
     return bool(bridges), side_triple

@@ -322,7 +322,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         spec = potential.from_json(args.potential)
-    except (OSError, json.JSONDecodeError, KeyError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as err:
         print(f"gibbs-dyn: cannot read potential spec: {err}", file=sys.stderr)
         return 1
     except GibbsDynError as err:

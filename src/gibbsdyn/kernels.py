@@ -182,12 +182,7 @@ def initial_kernel(spec: pot.PotentialSpec, n: int, alpha: float, cfg: Quadratur
     B = math.sqrt(2.0 * (n * v_anchor + DEFAULT_DROP)) + 2.0
     # steep potentials squeeze the integrand onto an x-scale of 1/sqrt(|V''|/n + 1);
     # keep the coarse spacing below it so the localization cannot skip the mass
-    h = pot.fd_step(abar)
-    vpp = abs(
-        (float(pot.eval(spec, abar + h)) - 2.0 * float(pot.eval(spec, abar)) + float(pot.eval(spec, abar - h)))
-        / h**2
-    )
-    width = 1.0 / math.sqrt(1.0 + vpp / n)
+    width = 1.0 / math.sqrt(1.0 + abs(pot.deriv(spec, abar, 2)) / n)
     n_coarse = int(min(2_097_153, max(32769, 8.0 * B / width)))
     return _build_kernel(log_f, (-B, B), cfg, n_coarse=n_coarse)
 

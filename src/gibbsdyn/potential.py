@@ -357,11 +357,6 @@ def eval(spec: PotentialSpec, r):
     return np.array(out).reshape(arr.shape) if arr.size == 1 else out
 
 
-def fd_step(r: float) -> float:
-    """Central-difference step used for non-analytic derivatives."""
-    return FD_STEP_SCALE * max(1.0, abs(float(r)))
-
-
 def has_analytic_deriv(spec: PotentialSpec, order: int) -> bool:
     fam = spec.family
     if order == 1:
@@ -372,9 +367,14 @@ def has_analytic_deriv(spec: PotentialSpec, order: int) -> bool:
 def deriv(spec: PotentialSpec, r, order: int = 1):
     """First or second derivative of V at r.
 
-    Analytic for closed-form families; central finite differences with step
-    fd_step(r) otherwise (flagged by has_analytic_deriv). order=1 on the abs
-    family at r=0 raises NotDifferentiableError.
+    Analytic for closed-form families; central finite differences otherwise
+    (flagged by has_analytic_deriv), abs at order 2 included. The step is
+    h = FD_STEP_SCALE * max(1, |r|), and at order 2 also times
+    max(1, |V(r)|)^(1/4), so that the rounding noise 4 eps |V|/h^2 of the
+    second difference (V(r+h) - 2V(r) + V(r-h))/h^2 stays bounded where the
+    potential is superexponentially large. This is the package's only
+    second difference. order=1 on the abs family at r=0 raises
+    NotDifferentiableError.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -385,10 +385,10 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     arr = np.atleast_1d(arr)
     fam = spec.family
 
-    if fam == "abs":
+    if fam == "abs" and order == 1:
         if np.any(arr == 0.0):
             raise NotDifferentiableError("|r| is not differentiable at r = 0")
-        out = np.sign(arr) if order == 1 else np.zeros_like(arr)
+        out = np.sign(arr)
         return float(out[0]) if scalar else out
     if order == 1 and spec.smoothness == LSC_ONLY:
         raise NotDifferentiableError(f"family {fam!r} does not admit a first derivative")
@@ -409,14 +409,16 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     elif fam == "glued_exp" and order == 1:
         out = np.sign(arr) * _glue_d1(np.abs(arr) - 1.0) - 2.0 * spec.beta * arr
     else:
-        # central finite differences, step h = 1e-5 * max(1, |r|)
+        # central finite differences with the step rule of the docstring
         h = FD_STEP_SCALE * np.maximum(1.0, np.abs(arr))
+        if order == 2:
+            v0 = np.asarray(eval(spec, arr))
+            h = h * np.maximum(1.0, np.abs(v0)) ** 0.25
         vp = np.asarray(eval(spec, arr + h))
         vm = np.asarray(eval(spec, arr - h))
         if order == 1:
             out = (vp - vm) / (2.0 * h)
         else:
-            v0 = np.asarray(eval(spec, arr))
             out = (vp - 2.0 * v0 + vm) / h**2
     return float(out[0]) if scalar else np.asarray(out)
 

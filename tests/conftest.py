@@ -105,13 +105,25 @@ def all_triples_phi2_min(vals, xs):
     return best
 
 
+def second_difference_curvature(spec, xs):
+    """Slow oracle for pot.deriv(spec, xs, 2) without an analytic V'': the
+    symmetric second difference (V(x+h) - 2V(x) + V(x-h))/h^2, written out,
+    with the step h = FD_STEP_SCALE * max(1, |x|) * max(1, |V(x)|)^(1/4) that
+    keeps the rounding noise 4 eps |V|/h^2 bounded where V is large."""
+    v0 = np.asarray(pot.eval(spec, xs))
+    h = pot.FD_STEP_SCALE * np.maximum(1.0, np.abs(xs)) * np.maximum(1.0, np.abs(v0)) ** 0.25
+    vp = np.asarray(pot.eval(spec, xs + h))
+    vm = np.asarray(pot.eval(spec, xs - h))
+    return (vp - 2.0 * v0 + vm) / h**2
+
+
 def scalar_equivalence_sides(f, beta, window, grid_n=201):
     """Slow oracle for classify.equivalence_sides: the same two sides with f
     called on one float at a time, for f a scalar function."""
     lo, hi = float(window[0]), float(window[1])
     xs_triple = np.linspace(lo, hi, int(grid_n))
     fv_triple = np.asarray([float(f(x)) for x in xs_triple])
-    side_triple = bool(classify._min_consecutive_phi2(fv_triple, xs_triple) <= -beta + 1e-12)
+    side_triple = bool(classify._consecutive_phi2(fv_triple, xs_triple).min() <= -beta + 1e-12)
     xs = np.linspace(lo, hi, 8 * int(grid_n) + 1)
     fv = np.asarray([float(f(x)) for x in xs])
     _, bridges = tilted.lower_hull(xs, fv + beta * xs**2)

@@ -42,12 +42,14 @@ def test_crossover_witness(builtin_specs):
 
 
 def test_two_methods_agree_on_smooth_builtins(builtin_specs):
-    # -inf Phi2 V equals -inf V''/2 for twice differentiable V
+    # -inf Phi2 V equals -inf V''/2 for twice differentiable V; the Phi2 side
+    # takes the consecutive triples of a 1e-4-spaced grid on [-20, 20]
+    xs = np.linspace(-20.0, 20.0, 400_001)
     for name in ("zero", "r^2", "double_well", "shallow_quartic", "cosine_beta1", "cosine_beta04"):
         spec = builtin_specs[name]
         curv_inf, _ = classify._curvature_infimum_with_growth_check(spec)
         beta_dd = -0.5 * curv_inf
-        beta_phi2 = -classify.phi2_infimum(spec)
+        beta_phi2 = -classify._consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs).min()
         if abs(beta_dd) < 1e-9:
             assert abs(beta_phi2) < 1e-6, name
         else:
@@ -176,7 +178,7 @@ def test_consecutive_triples_give_the_all_triples_minimum(m, uniform, seed):
         xs = np.cumsum(rng.uniform(1e-3, 1.0, m)) - rng.uniform(0.0, 10.0)
     vals = rng.normal(0.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.uniform(-2.0, 2.0) * xs**2
     want = all_triples_phi2_min(vals, xs)
-    assert classify._min_consecutive_phi2(vals, xs) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert classify._consecutive_phi2(vals, xs).min() == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_custom_table_edge_inconclusive():
@@ -305,6 +307,17 @@ def test_custom_table_kinks_give_immediate_crossover():
     # Phi2 at the kink at 0.1 grows like 1/h as the triple shrinks
     assert pot.phi2(spec, 0.1 - 1e-6, 0.1, 0.1 + 1e-6) < -1e5
     assert classify.crossover_time(spec, find_witness=False).t_c == 0.0
+
+
+def test_curvature_scan_sees_a_kink_between_its_grid_points():
+    # the tent's concave kink lies midway between two scan nodes, so every
+    # second difference of the scan steps over it and reads V'' = 0; the
+    # consecutive triple across the kink sees it
+    xs = np.linspace(-4.0, 4.0, classify.SCAN_POINTS)
+    x0 = -4.0 + 16794.5 * 8.0 / (classify.SCAN_POINTS - 1)
+    spec = pot.custom_table([-4.0, x0, 4.0], [0.0, 1.0, 0.0])
+    assert abs(pot.deriv(spec, xs, 2).min() / 2.0) < 1e-3
+    assert classify.crossover_time(spec).beta > 0.5
 
 
 def test_equivalence_oracle_examples():

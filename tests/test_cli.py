@@ -172,6 +172,18 @@ def test_exit_code_io_error(tmp_path):
     assert cli.run(["tc", "--potential", str(bad), "--out", str(tmp_path)]) == 1
 
 
+def test_spec_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not valid UTF-8
+    spec = tmp_path / "utf16.json"
+    spec.write_bytes(b"\xff\xfe" + '{"family": "zero", "params": {}}'.encode("utf-16-le"))
+    out = tmp_path / "out"
+    assert cli.run(["tc", "--potential", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gibbs-dyn: cannot read potential spec")
+    assert "Traceback" not in err
+    assert not (out / "tc.json").exists()
+
+
 def test_exit_code_domain_error(zero_json, tmp_path):
     rc = cli.run(
         ["eta", "--potential", zero_json, "--n", "5", "--t", "-1", "--alpha", "0",

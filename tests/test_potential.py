@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import check_nonneg_on_grid, phi2_symmetric_form, polyval_eval, uncached_glued_c_beta
+from conftest import (
+    check_nonneg_on_grid,
+    phi2_symmetric_form,
+    polyval_eval,
+    second_difference_curvature,
+    uncached_glued_c_beta,
+)
 from gibbsdyn import classify, potential as pot
 from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
 
@@ -280,6 +286,21 @@ def test_deriv_abs():
     assert pot.deriv(a, -0.5, 1) == -1.0
     with pytest.raises(NotDifferentiableError):
         pot.deriv(a, 0.0, 1)
+    # order 2 takes the second difference, 2/h at the kink
+    curv = pot.deriv(a, 0.0, 2)
+    assert math.isfinite(curv) and curv > 0.0
+
+
+def test_second_derivative_is_the_one_second_difference(glued1):
+    # every family without an analytic V'' takes the oracle's second
+    # difference, bit for bit; the grid holds 0, abs's kink
+    grid = np.linspace(-4.0, 4.0, 81)
+    table = pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0)
+    xs = np.linspace(-4.0, 4.0, 4001)
+    assert 0.0 in xs
+    for spec in (glued1, pot.absolute(), table):
+        assert not pot.has_analytic_deriv(spec, 2)
+        assert _same_bits(pot.deriv(spec, xs, 2), second_difference_curvature(spec, xs)), spec.family
 
 
 def test_deriv_matches_finite_differences(builtin_specs):
