@@ -26,13 +26,9 @@ and each row reduced exactly as on the whole array.
 The N(s, t) mixture is a discrete Gaussian convolution in linear space on
 a lattice shared with the s grid (see _lattice and _gaussian_mixture).
 
-The s-law's support is located by probes that integrate the numerator on
-every k-th node of the g machine's r grid (k = 8 for the default grid; see
-_probe_stride), with the Simpson weights of that strided grid. The strided
-grid keeps both end nodes, so a probe sees the same edge values, and probe
-rows with a hot edge are redone on the full grid, so every rebuild of the
-machine is decided there. The fine s pass and the denominator use the full
-grid.
+The s-law's support is located by a coarse scan of S_PROBE_POINTS s rows,
+each integrated on the g machine's full r grid like the fine s pass, so
+every rebuild of the machine is decided on full-grid edges.
 """
 
 from __future__ import annotations
@@ -63,8 +59,10 @@ from gibbsdyn.quadrature import (
 N_CAP = 100_000  # beyond this the LDP concentration under-resolves any fixed grid
 GRID_N_MIN = 64
 GRID_N_MAX = 65_536  # its s x r numerator holds 16385 x 65537 values, 256x the default's
-PROBE_STRIDES = (8, 4, 2)  # r-grid strides tried for the s-support probes, largest first
-PROBE_MIN_NODES = 129  # fewest r nodes a strided probe grid may keep
+# s rows per round of the s-support scan. The s-law's log-density varies on
+# the scale of its N(0, 1) factor, and the scan's window is at least
+# 2 (sqrt(2 DEFAULT_DROP) + 2) = 21.9 wide, so its step is at most 0.34.
+S_PROBE_POINTS = 65
 GAUSS_EXP_FLOOR = 700.0  # the mixture's Gaussian table is 0 beyond exp(-this)
 
 SEQ_CONSTANT = "constant"
@@ -93,8 +91,11 @@ DEFAULT_QUAD = QuadratureConfig()
 class KernelEstimate:
     """A 1-D law as a normalised grid density with its first two moments.
 
-    total_mass_defect records |1 - integral| of the density before the final
-    renormalisation, i.e. the truncation/discretisation error actually made.
+    total_mass_defect records |1 - integral| of exp(L - logZ), the density
+    before the final renormalisation, with logZ the Simpson integral of
+    exp(L) on the same grid. That is rounding only, and it grows with |L|
+    (about n V). For the evolved kernel it is the larger of that and how far
+    the lattice integral of its exactly normalised mixture is from 1.
     """
 
     grid: np.ndarray
@@ -218,16 +219,6 @@ def eta_kernel(
     return _build_kernel(log_f, (c - R, c + R), cfg, n_coarse=16385)
 
 
-def _probe_stride(m: int) -> int:
-    """Largest stride k in PROBE_STRIDES that leaves an odd Simpson grid of
-    at least PROBE_MIN_NODES nodes on an m-node grid ((m - 1) % 2k == 0),
-    else 1."""
-    for k in PROBE_STRIDES:
-        if (m - 1) % (2 * k) == 0 and (m - 1) // k + 1 >= PROBE_MIN_NODES:
-            return k
-    return 1
-
-
 class _GMachine:
     """Shared-grid evaluator for the tilt weight g_{n,t}(alpha, .).
 
@@ -290,8 +281,6 @@ class _GMachine:
         self._ra = self.r * (1.0 - 1.0 / n)
         self._quad = k2 * (self.r - c) ** 2
         self._lw = simpson_log_weights(self.r)
-        self._stride = _probe_stride(self.r.size)
-        self._probe_lw = simpson_log_weights(self.r[:: self._stride])
         self._den_integrand = self._log_integrand(self.r, self._quad)
         self._log_den = float(log_integral(self.r, self._den_integrand, lw=self._lw))
 
@@ -301,54 +290,32 @@ class _GMachine:
             span_hi = max(s_hi, self.s_span[1]) if self.s_span else s_hi
             self._build(span_lo, span_hi)
 
-    def _log_num(self, s_arr: np.ndarray, stride: int = 1):
-        """Numerator log-integrals for every s on every stride-th r node,
-        built and reduced in row blocks, and each row's (left, right) edge
-        value minus its peak."""
-        r, ra, quad = self.r[::stride], self._ra[::stride], self._quad[::stride]
-        lw = self._lw if stride == 1 else self._probe_lw
+    def _log_num(self, s_arr: np.ndarray):
+        """Numerator log-integrals for every s on the r grid, built and
+        reduced in row blocks, and each row's (left, right) edge value minus
+        its peak."""
         log_num = np.empty(s_arr.size)
         edges = np.empty((s_arr.size, 2))
-        blocks = row_blocks(s_arr.size, r.size)
-        buf = np.empty((min(blocks[0].stop, s_arr.size), r.size))
+        blocks = row_blocks(s_arr.size, self.r.size)
+        buf = np.empty((min(blocks[0].stop, s_arr.size), self.r.size))
         for rows in blocks:
             s = s_arr[rows]
             # V argument r (1 - 1/n) + s/n, built in one buffer per call
-            arg = np.add(ra, s[:, None] / self.n, out=buf[: s.size])
-            L = self._log_integrand(arg, quad)
-            log_num[rows] = log_integral(r, L, axis=1, lw=lw)
+            arg = np.add(self._ra, s[:, None] / self.n, out=buf[: s.size])
+            L = self._log_integrand(arg, self._quad)
+            log_num[rows] = log_integral(self.r, L, axis=1, lw=self._lw)
             edges[rows] = L[:, [0, -1]] - L.max(axis=1)[:, None]
         return log_num, edges
 
-    def _redo_hot_rows(self, s_arr, log_num, edges, cold, one_suffices):
-        """Redo on the full grid, in place, the rows whose strided edges are
-        hotter than `cold`. The strided grid keeps both end nodes and its
-        peak is no higher than the full grid's, so every other row is cold on
-        the full grid too. With one_suffices (the first rebuild depends only
-        on whether some row is hot), the hottest row goes first, and when it
-        is hot on the full grid the rest keep their strided edges."""
-        hot = np.flatnonzero(edges.max(axis=1) > cold)
-        if one_suffices and hot.size:
-            hottest = hot[[np.argmax(edges[hot].max(axis=1))]]
-            log_num[hottest], edges[hottest] = self._log_num(s_arr[hottest])
-            if edges[hottest].max() > cold:
-                return
-            hot = np.flatnonzero(edges.max(axis=1) > cold)
-        if hot.size:
-            log_num[hot], edges[hot] = self._log_num(s_arr[hot])
-
-    def log_g(self, s_arr: np.ndarray, probe: bool = False) -> np.ndarray:
-        """log g at every s; a probe integrates the numerator on every
-        _stride-th r node, and every rebuild is still decided on full-grid
-        edges (see _redo_hot_rows)."""
+    def log_g(self, s_arr: np.ndarray) -> np.ndarray:
+        """log g at every s, each numerator integrated on the full r grid;
+        while a numerator or the denominator has a hot edge the grid is
+        rebuilt wider, at most twice."""
         s_arr = np.asarray(s_arr, dtype=float)
         self._ensure(float(s_arr.min()), float(s_arr.max()))
         cold = -(DEFAULT_DROP - 15.0)
-        stride = self._stride if probe else 1
         for attempt in range(3):
-            log_num, edges = self._log_num(s_arr, stride)
-            if stride > 1:
-                self._redo_hot_rows(s_arr, log_num, edges, cold, one_suffices=attempt == 0)
+            log_num, edges = self._log_num(s_arr)
             num_edge = float(np.max(edges))
             den_edge = float(
                 max(self._den_integrand[0], self._den_integrand[-1]) - self._den_integrand.max()
@@ -407,9 +374,10 @@ def g_factor(
 def _s_law(machine: _GMachine, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """The g-weighted N(0, 1) s-law on its Simpson grid: (s, log_w) with
     log_w the log of its normalised quadrature weights, so that
-    sum(exp(log_w)) = 1."""
+    sum(exp(log_w)) = 1. Its support is found by a coarse scan of
+    S_PROBE_POINTS s rows, each on the machine's full r grid."""
     # support anchored at 0 and at the limit means -V'(q), then grown until
-    # the edges are cold, probed on the strided r grid
+    # the edges are cold
     anchors = [0.0]
     if pot.has_analytic_deriv(machine.spec, 1):
         for q in machine.ms.locations:
@@ -419,10 +387,10 @@ def _s_law(machine: _GMachine, cfg: QuadratureConfig) -> tuple[np.ndarray, np.nd
                 pass
     pad = math.sqrt(2.0 * DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = expanding_localize(
-        lambda s: machine.log_g(s, probe=True) - s**2 / 2.0,
+        lambda s: machine.log_g(s) - s**2 / 2.0,
         min(anchors) - pad,
         max(anchors) + pad,
-        n_coarse=513,
+        n_coarse=S_PROBE_POINTS,
     )
     s = simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
     log_w = machine.log_g(s) - s**2 / 2.0 + simpson_log_weights(s)

@@ -32,7 +32,7 @@ and falls back to exact for rare-event conditioning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -85,7 +85,6 @@ class EmpiricalKernel:
     acceptance_rate: float
     method: str
     config: SimConfig
-    ks_vs: dict = field(default_factory=dict)
 
     def mean(self) -> float:
         return float(np.mean(self.samples))
@@ -280,14 +279,3 @@ def ks_distance(empirical: EmpiricalKernel | np.ndarray, reference: KernelEstima
     upper = np.arange(1, k + 1) / k
     lower = np.arange(0, k) / k
     return float(np.max(np.maximum(np.abs(upper - ref), np.abs(ref - lower))))
-
-
-def attach_ks(emp: EmpiricalKernel, reference: KernelEstimate) -> EmpiricalKernel:
-    """Copy of the empirical kernel with the KS comparison recorded."""
-    d = ks_distance(emp, reference)
-    record = {
-        "ks_statistic": d,
-        "reference_mean": reference.mean,
-        "reference_variance": reference.variance,
-    }
-    return replace(emp, ks_vs=record)

@@ -436,16 +436,6 @@ def phi2(f, x: float, y: float, z: float) -> float:
     return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
 
 
-def phi2_grid(values: np.ndarray, xs: np.ndarray, i, j, k) -> np.ndarray:
-    """Vectorised second difference quotient from precomputed values on a grid.
-
-    i, j, k are integer index arrays with xs[i] < xs[j] < xs[k].
-    """
-    x, y, z = xs[i], xs[j], xs[k]
-    fx, fy, fz = values[i], values[j], values[k]
-    return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
-
-
 def window_radius(spec: PotentialSpec) -> float:
     """Half-width of the working window: the table's range for
     custom_table, else DEFAULT_WINDOW_RADIUS."""

@@ -89,6 +89,14 @@ def brute_force_minimisers(spec, t, alpha, n_grid=1_000_000, value_tol=1e-7, gap
     return m, sorted(locations)
 
 
+def phi2_grid(values, xs, i, j, k):
+    """The second difference quotient of grid values over the index triples
+    (i, j, k), xs[i] < xs[j] < xs[k], for index arrays i, j, k."""
+    x, y, z = xs[i], xs[j], xs[k]
+    fx, fy, fz = values[i], values[j], values[k]
+    return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
+
+
 def all_triples_phi2_min(vals, xs):
     """Independent oracle: minimum of the second difference quotient over
     every triple i < j < k of an increasing grid, by the literal O(m^3) scan
@@ -100,7 +108,7 @@ def all_triples_phi2_min(vals, xs):
         jj, kk = np.meshgrid(idx[i + 1 : m - 1], idx[i + 2 : m], indexing="ij")
         valid = kk > jj
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = pot.phi2_grid(vals, xs, np.full(jj.shape, i), jj, kk)
+            q = phi2_grid(vals, xs, np.full(jj.shape, i), jj, kk)
         best = min(best, float(np.min(np.where(valid, q, np.inf))))
     return best
 
@@ -184,11 +192,13 @@ def unblocked_log_g(machine, s):
     return log_num - machine._log_den
 
 
-def unblocked_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g):
+def unblocked_s_law(
+    spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g, n_coarse=kernels.S_PROBE_POINTS
+):
     """Slow oracle for kernels._s_law on a call whose g machine never
-    rebuilds: the same support search and s grid, with every log g, the
-    s-support probes included, from log_g(machine, s) on the machine's full
-    r grid. Returns (s, log_w)."""
+    rebuilds: the same support search (n_coarse s rows per round) and s
+    grid, with every log g, the support scan included, from
+    log_g(machine, s) on the machine's full r grid. Returns (s, log_w)."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
 
     def log_h(s):
@@ -203,17 +213,17 @@ def unblocked_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked
             except NotDifferentiableError:
                 pass
     pad = math.sqrt(2.0 * quadrature.DEFAULT_DROP) + 2.0
-    s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=513)
+    s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=n_coarse)
     s = quadrature.simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
     log_w = log_h(s) + quadrature.simpson_log_weights(s)
     return s, log_w - quadrature.logsumexp(log_w)
 
 
-def full_probe_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
-    """Oracle for kernels._s_law's strided s-support probes: the unblocked
-    s-law with every log g, probes included, from the g machine's own log_g
-    on its full r grid, so the machine may rebuild."""
-    return unblocked_s_law(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s))
+def dense_probe_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+    """Slow oracle for kernels._s_law's support scan: the s-law whose
+    support is found from 513 s rows per round, with every log g from the
+    g machine's own log_g, so the machine may rebuild."""
+    return unblocked_s_law(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s), n_coarse=513)
 
 
 def literal_lattice_mixture(s, log_w, t, cfg=kernels.DEFAULT_QUAD):

@@ -97,6 +97,21 @@ def test_gibbs_at(builtin_specs):
             classify.gibbs_at(cw, t)
 
 
+def test_gibbs_at_reads_a_non_gibbs_status_at_tc(monkeypatch):
+    spec = pot.glued_exp(1.0)
+    t_c = classify.crossover_time(spec, find_witness=False).t_c
+    assert classify.gibbs_at(spec, t_c) is False
+    assert classify.gibbs_at(spec, t_c * (1.0 - 5e-10)) is False  # inside the 1e-9 band
+    assert classify.gibbs_at(spec, t_c * (1.0 - 2e-9)) is True
+    monkeypatch.setattr(classify, "_status_at_tc", lambda spec, beta: classify.UNKNOWN)
+    classify._classification.cache_clear()
+    try:
+        with pytest.raises(InconclusiveError):
+            classify.gibbs_at(spec, t_c)
+    finally:
+        classify._classification.cache_clear()
+
+
 def test_gibbs_at_monotone(builtin_specs):
     ts = np.geomspace(0.02, 10.0, 9)
     for name, spec in builtin_specs.items():

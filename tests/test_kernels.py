@@ -9,7 +9,7 @@ from gibbsdyn import kernels, potential as pot, quadrature, tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError
 
 from conftest import (
-    full_probe_s_law,
+    dense_probe_s_law,
     g_bound_diagnostic,
     literal_lattice_mixture,
     literal_log_num_integrand,
@@ -393,7 +393,8 @@ def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
 
 # The evolved kernels of the finite_n benchmark at seed 0 (ladder centre
 # FINITE_N_BASE), then double_well calls whose g machine rebuilds while the
-# s-support is probed.
+# s-support is scanned. The support scan's 65 s rows are every 8th of the
+# dense oracle's 513.
 FINITE_N_BASE = 0.0006888437030500962
 STRIDED_PROBE_CASES = [
     *[
@@ -411,20 +412,39 @@ STRIDED_PROBE_CASES = [
 ]
 
 
+def _assert_same_kernel_moments(spec, n, t, alpha, rel, cfg=kernels.DEFAULT_QUAD):
+    """The mixtures of _s_law and of dense_probe_s_law have the same mean,
+    to rel sd, and variance, to rel relative: the two support windows differ
+    by up to a coarse step, and the kernel barely depends on where its
+    window ends."""
+    got, want = (
+        kernels._kernel_from_log_density(*kernels._gaussian_mixture(*law, t, cfg))
+        for law in (_s_law(spec, n, t, alpha, cfg), dense_probe_s_law(spec, n, t, alpha, cfg))
+    )
+    assert abs(got.mean - want.mean) <= rel * math.sqrt(want.variance)
+    assert got.variance == pytest.approx(want.variance, rel=rel, abs=0.0)
+
+
 @pytest.mark.parametrize("name, n, t, alpha", STRIDED_PROBE_CASES)
 def test_strided_probes_give_the_full_probe_kernel(builtin_specs, name, n, t, alpha):
     # the mixture is a function of the s-law alone
-    spec = builtin_specs[name]
-    _assert_same_s_law(_s_law(spec, n, t, alpha), full_probe_s_law(spec, n, t, alpha))
+    _assert_same_kernel_moments(builtin_specs[name], n, t, alpha, rel=1e-12)
 
 
-@pytest.mark.parametrize("grid_n, stride", [(4096, 8), (64, 1), (1000, 4)])
-def test_strided_probes_grid_fallbacks(double_well, grid_n, stride):
-    # 65 nodes leave too few for any stride; 1000 % 16 != 0 but 1000 % 8 == 0
+@pytest.mark.parametrize(
+    "name, grid_n, n, t, alpha, rel",
+    [
+        ("double_well", 64, 50, 1.0, 1.0 / math.sqrt(50), 1e-12),
+        ("double_well", 1000, 50, 1.0, 1.0 / math.sqrt(50), 1e-12),
+        # the minimiser sits on the kink, so V'(q) raises and the support
+        # scan is anchored at 0 alone; Simpson's error at the kink moves
+        # with the window's ends
+        ("abs", 4096, 50, 1.0, 0.0, 1e-7),
+    ],
+)
+def test_strided_probes_on_small_grids_and_at_a_kink(builtin_specs, name, grid_n, n, t, alpha, rel):
     cfg = kernels.QuadratureConfig(grid_n=grid_n)
-    assert kernels._probe_stride(quadrature.odd_count(grid_n)) == stride
-    alpha = 1.0 / math.sqrt(50)
-    _assert_same_s_law(_s_law(double_well, 50, 1.0, alpha, cfg), full_probe_s_law(double_well, 50, 1.0, alpha, cfg))
+    _assert_same_kernel_moments(builtin_specs[name], n, t, alpha, rel, cfg)
 
 
 def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
@@ -438,7 +458,7 @@ def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
     monkeypatch.setattr(kernels.pot, "eval", counting_eval)
     kernels.evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
     strided, points[0] = points[0], 0
-    full_probe_s_law(double_well, 50, 1.0, 1.0 / math.sqrt(50))
+    dense_probe_s_law(double_well, 50, 1.0, 1.0 / math.sqrt(50))
     assert strided <= 0.6 * points[0]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     check_nonneg_on_grid,
+    phi2_grid,
     phi2_symmetric_form,
     polyval_eval,
     second_difference_curvature,
@@ -467,7 +468,7 @@ def test_phi2_bounded_by_half_curvature(builtin_specs):
         i, j, k = np.meshgrid(np.arange(0, 101, 4), np.arange(1, 101, 4), np.arange(2, 101, 4), indexing="ij")
         mask = (i < j) & (j < k)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = pot.phi2_grid(vals, xs, i, j, k)
+            q = phi2_grid(vals, xs, i, j, k)
         min_phi2 = float(q[mask & np.isfinite(q)].min())
         curv = np.asarray(pot.deriv(spec, np.linspace(-6, 6, 4001), 2))
         assert min_phi2 >= curv.min() / 2.0 - 1e-6, name

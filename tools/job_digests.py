@@ -1,6 +1,6 @@
 """Print one `job-id sha256` line per benchmark job, for comparing checkouts.
 
-    python3 tools/job_digests.py WORKLOAD SEED > digests.txt
+    python3 tools/job_digests.py [--results] WORKLOAD SEED > digests.txt
 
 Runs the benchmark's set-up and one pass of WORKLOAD (phase_diagram,
 finite_n or classify) at SEED through perfbench's own `run.Bench`, in a
@@ -12,10 +12,16 @@ checkouts give the same outputs exactly when
 
 prints nothing. Jobs whose output fails the benchmark's checks are named on
 stderr, and the exit status is then 1.
+
+With --results, each digest line is followed by the job's results on one
+line: a CLI job's report `results` as JSON with sorted keys, a library
+job's value by `repr`. Where two checkouts' digests differ, `diff` of these
+outputs then shows the numbers that moved.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -25,17 +31,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402  (pins the thread pools and locates ./src)
 
 
+def _results_line(job, out) -> str:
+    if out is None:
+        return "no output"
+    if job.argv is None:
+        return repr(out.value)
+    if out.rc != 0:
+        return f"exit code {out.rc}"
+    return json.dumps(out.results, sort_keys=True)
+
+
 def main(argv: list[str]) -> int:
+    show_results = "--results" in argv
+    argv = [a for a in argv if a != "--results"]
     if len(argv) != 2 or argv[0] not in run.WORKLOAD_NAMES or not argv[1].isdigit():
-        print(f"usage: job_digests.py {{{','.join(run.WORKLOAD_NAMES)}}} SEED", file=sys.stderr)
+        print(f"usage: job_digests.py [--results] {{{','.join(run.WORKLOAD_NAMES)}}} SEED", file=sys.stderr)
         return 2
     run._import_package()
     with tempfile.TemporaryDirectory() as tmp:
         bench = run.Bench(argv[0], int(argv[1]), Path(tmp))
         bench.setup_round()
-        records = bench.run_pass()
-    for record in records:
-        print(record.job, record.digest)
+        for job in bench.jobs:  # run.Bench.run_pass without its timing
+            _, out, error = bench.execute(job)
+            _, digest = bench.judge(job, out, error)
+            print(job.id, digest)
+            if show_results:
+                print(_results_line(job, out))
     for job, problems in bench.problems.items():
         print(f"job_digests.py: {job} failed: {problems}", file=sys.stderr)
     return 1 if bench.problems else 0
