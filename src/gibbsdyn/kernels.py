@@ -60,8 +60,11 @@ N_CAP = 100_000  # beyond this the LDP concentration under-resolves any fixed gr
 GRID_N_MIN = 64
 GRID_N_MAX = 65_536  # its s x r numerator holds 16385 x 65537 values, 256x the default's
 # s rows per round of the s-support scan. The s-law's log-density varies on
-# the scale of its N(0, 1) factor, and the scan's window is at least
-# 2 (sqrt(2 DEFAULT_DROP) + 2) = 21.9 wide, so its step is at most 0.34.
+# the scale of its N(0, 1) factor, whose region within DEFAULT_DROP of the
+# peak is 2 sqrt(2 DEFAULT_DROP) = 17.9 wide. The first round's window is
+# 2 (sqrt(2 DEFAULT_DROP) + 2) = 21.9 wide plus the anchors' spread, so with
+# coinciding anchors about 50 rows fall across that region, and the window
+# kept is padded by one coarse step beyond the rows within DEFAULT_DROP.
 S_PROBE_POINTS = 65
 GAUSS_EXP_FLOOR = 700.0  # the mixture's Gaussian table is 0 beyond exp(-this)
 

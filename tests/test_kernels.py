@@ -393,10 +393,10 @@ def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
 
 # The evolved kernels of the finite_n benchmark at seed 0 (ladder centre
 # FINITE_N_BASE), then double_well calls whose g machine rebuilds while the
-# s-support is scanned. The support scan's 65 s rows are every 8th of the
-# dense oracle's 513.
+# s-support is scanned. In the first round, the support scan's 65 s rows
+# are every 8th of the dense oracle's 513.
 FINITE_N_BASE = 0.0006888437030500962
-STRIDED_PROBE_CASES = [
+SUPPORT_SCAN_CASES = [
     *[
         ("double_well", n, t, FINITE_N_BASE + sign / math.sqrt(n))
         for t in (1.0, 0.2)
@@ -425,7 +425,7 @@ def _assert_same_kernel_moments(spec, n, t, alpha, rel, cfg=kernels.DEFAULT_QUAD
     assert got.variance == pytest.approx(want.variance, rel=rel, abs=0.0)
 
 
-@pytest.mark.parametrize("name, n, t, alpha", STRIDED_PROBE_CASES)
+@pytest.mark.parametrize("name, n, t, alpha", SUPPORT_SCAN_CASES)
 def test_strided_probes_give_the_full_probe_kernel(builtin_specs, name, n, t, alpha):
     # the mixture is a function of the s-law alone
     _assert_same_kernel_moments(builtin_specs[name], n, t, alpha, rel=1e-12)
@@ -442,7 +442,7 @@ def test_strided_probes_give_the_full_probe_kernel(builtin_specs, name, n, t, al
         ("abs", 4096, 50, 1.0, 0.0, 1e-7),
     ],
 )
-def test_strided_probes_on_small_grids_and_at_a_kink(builtin_specs, name, grid_n, n, t, alpha, rel):
+def test_support_scan_on_small_grids_and_at_a_kink(builtin_specs, name, grid_n, n, t, alpha, rel):
     cfg = kernels.QuadratureConfig(grid_n=grid_n)
     _assert_same_kernel_moments(builtin_specs[name], n, t, alpha, rel, cfg)
 
@@ -457,9 +457,9 @@ def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
 
     monkeypatch.setattr(kernels.pot, "eval", counting_eval)
     kernels.evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
-    strided, points[0] = points[0], 0
+    scanned, points[0] = points[0], 0
     dense_probe_s_law(double_well, 50, 1.0, 1.0 / math.sqrt(50))
-    assert strided <= 0.6 * points[0]
+    assert scanned <= 0.6 * points[0]
 
 
 def test_log_num_peak_memory(double_well):

@@ -1,22 +1,21 @@
-"""Print one `job-id sha256` line per benchmark job, for comparing checkouts.
+"""Print each benchmark job's `job-id sha256` line and its results, for
+comparing checkouts.
 
-    python3 tools/job_digests.py [--results] WORKLOAD SEED > digests.txt
+    python3 tools/job_digests.py WORKLOAD SEED > digests.txt
 
 Runs the benchmark's set-up and one pass of WORKLOAD (phase_diagram,
 finite_n or classify) at SEED through perfbench's own `run.Bench`, in a
 temporary directory, and prints each job's output digest (exit code,
-stdout and every output file). Nothing is timed or reported. Two
-checkouts give the same outputs exactly when
+stdout and every output file), followed by its results on one line: a CLI
+job's report `results` as JSON with sorted keys, a library job's value by
+`repr`. Nothing is timed or reported. Two checkouts give the same outputs
+exactly when
 
     diff <(python3 A/tools/job_digests.py classify 0) <(python3 B/tools/job_digests.py classify 0)
 
-prints nothing. Jobs whose output fails the benchmark's checks are named on
+prints nothing; where their digests differ, the diff shows the numbers
+that moved. Jobs whose output fails the benchmark's checks are named on
 stderr, and the exit status is then 1.
-
-With --results, each digest line is followed by the job's results on one
-line: a CLI job's report `results` as JSON with sorted keys, a library
-job's value by `repr`. Where two checkouts' digests differ, `diff` of these
-outputs then shows the numbers that moved.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ def _results_line(job, out) -> str:
 
 
 def main(argv: list[str]) -> int:
-    show_results = "--results" in argv
-    argv = [a for a in argv if a != "--results"]
     if len(argv) != 2 or argv[0] not in run.WORKLOAD_NAMES or not argv[1].isdigit():
-        print(f"usage: job_digests.py [--results] {{{','.join(run.WORKLOAD_NAMES)}}} SEED", file=sys.stderr)
+        print(f"usage: job_digests.py {{{','.join(run.WORKLOAD_NAMES)}}} SEED", file=sys.stderr)
         return 2
     run._import_package()
     with tempfile.TemporaryDirectory() as tmp:
@@ -55,8 +52,7 @@ def main(argv: list[str]) -> int:
             _, out, error = bench.execute(job)
             _, digest = bench.judge(job, out, error)
             print(job.id, digest)
-            if show_results:
-                print(_results_line(job, out))
+            print(_results_line(job, out))
     for job, problems in bench.problems.items():
         print(f"job_digests.py: {job} failed: {problems}", file=sys.stderr)
     return 1 if bench.problems else 0
