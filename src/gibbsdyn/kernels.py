@@ -19,9 +19,11 @@ The objects, all probability laws on the line represented as grid densities:
 For V = 0 the pipeline is exact: g factors cancel bitwise and the quadrature
 recovers N(0, 1) / N(0, 1+t) to machine precision.
 
-The g-factor numerator over s x r runs in row blocks of bounded memory
-(quadrature.row_blocks), each block built in place in one buffer per call
-and each row reduced exactly as on the whole array.
+The g-factor numerator's V argument r (1 - 1/n) + s/n is a Hankel
+array: on an r grid whose step is a whole multiple of the s step's
+lattice, V runs once on a 1-D lattice per call, and every s row is a
+strided view of it (_GMachine._grid and _log_num), reduced in row blocks
+of bounded memory.
 
 The N(s, t) mixture is a discrete Gaussian convolution in linear space on
 a lattice shared with the s grid (see _lattice and _gaussian_mixture).
@@ -38,19 +40,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from gibbsdyn import potential as pot
 from gibbsdyn import tilted
 from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, DomainError, NotDifferentiableError
 from gibbsdyn.quadrature import (
     DEFAULT_DROP,
+    ROW_BLOCK_ELEMENTS,
     expanding_localize,
     localize,
     log_integral,
     logsumexp,
     odd_count,
     refine_if_rough,
-    row_blocks,
     simpson_grid,
     simpson_log_weights,
     trapezoid_cdf,
@@ -66,6 +69,9 @@ GRID_N_MAX = 65_536  # its s x r numerator holds 16385 x 65537 values, 256x the 
 # coinciding anchors about 50 rows fall across that region, and the window
 # kept is padded by one coarse step beyond the rows within DEFAULT_DROP.
 S_PROBE_POINTS = 65
+# the g machine's per-call r grid is at most this many times finer than
+# grid_n nodes over its window (see _lattice_steps)
+NODE_INFLATION = 1.125
 GAUSS_EXP_FLOOR = 700.0  # the mixture's Gaussian table is 0 beyond exp(-this)
 
 SEQ_CONSTANT = "constant"
@@ -75,9 +81,9 @@ SEQ_PLUS = "plus_inv_sqrt"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """grid_n sets the node count of the 1-D kernel grids and of the g
-    machine's r grid, a quarter of it (at least 1025) that of the s grid,
-    and the coarsest spacing of the evolved kernel's x lattice. It lies in
+    """grid_n sets the node count of the 1-D kernel grids, a quarter of it
+    (at least 1025) that of the s grid, and the coarsest spacing of the g
+    machine's r grids and of the evolved kernel's x lattice. It lies in
     [GRID_N_MIN, GRID_N_MAX]: the s x r numerator grows as grid_n^2."""
 
     grid_n: int = 4096
@@ -222,14 +228,31 @@ def eta_kernel(
     return _build_kernel(log_f, (c - R, c + R), cfg, n_coarse=16385)
 
 
-class _GMachine:
-    """Shared-grid evaluator for the tilt weight g_{n,t}(alpha, .).
+def _lattice_steps(rho: float) -> tuple[int, int]:
+    """(k, m) for a g-factor call with s step ds on a window of r step dr0,
+    given rho = dr0 (n - 1) / ds: the r step m ds / (k (n - 1)), which is
+    dr0 m / (rho k), is no coarser than dr0 and at most NODE_INFLATION times
+    finer. From rho = 8 on, k = 1 and m = floor(rho), whose inflation
+    rho / m is below 9/8; below 8, the smallest m that has such a k (at
+    most 15)."""
+    if rho >= 8.0:
+        return 1, math.floor(rho)
+    m = 1
+    while rho * math.ceil(m / rho) / m > NODE_INFLATION:
+        m += 1
+    return math.ceil(m / rho), m
 
-    Builds one r-grid covering the support of the denominator integrand and
-    of the numerator integrands at the extreme s values requested, reusing it
-    across calls. If an endpoint turns hot it rebuilds with a wider s span and
-    a deeper drop, and if one is still hot, once more with the hottest rows'
-    s values added to the probes.
+
+class _GMachine:
+    """Shared-window evaluator for the tilt weight g_{n,t}(alpha, .).
+
+    Builds one r window covering the support of the denominator integrand
+    and of the numerator integrands at the extreme s values requested,
+    reusing it across calls. Each call lays its own r grid on the window
+    (_grid), fitted to its uniform s grid so that every numerator V argument
+    is a point of one 1-D lattice (_log_num). If an endpoint turns hot it
+    rebuilds with a wider s span and a deeper drop, and if one is still hot,
+    once more with the hottest rows' s values added to the probes.
     """
 
     def __init__(self, spec, n, t, alpha, cfg, tol):
@@ -243,15 +266,14 @@ class _GMachine:
         self.center = tr.center
         self.k2 = (n - 1) * (1.0 + t) / (2.0 * t)
         self.floor = min(spec.v_floor, 0.0)
-        self.r = None
+        self.window = None
         self.s_span = None
 
-    def _log_integrand(self, arg, quad):
-        """-n (V(arg) - floor) - quad, built in pot.eval's output array."""
+    def _log_integrand(self, arg):
+        """-n (V(arg) - floor), built in pot.eval's output array."""
         out = pot.eval(self.spec, arg)
         out -= self.floor
         out *= -self.n
-        out -= quad
         return out
 
     def _build(self, s_lo: float, s_hi: float, extra_drop: float = 0.0, hot_s=()):
@@ -273,19 +295,13 @@ class _GMachine:
             # normalise each probe integrand by its own peak so that rows whose
             # overall level is suppressed still contribute their support
             quad = k2 * (r - c) ** 2
-            parts = [self._log_integrand(r, quad)]
-            parts += [self._log_integrand(r * (1.0 - 1.0 / n) + s / n, quad) for s in probes]
+            parts = [self._log_integrand(r) - quad]
+            parts += [self._log_integrand(r * (1.0 - 1.0 / n) + s / n) - quad for s in probes]
             return np.maximum.reduce([p - p.max() for p in parts])
 
         lo, hi, _ = localize(log_union, c - R, c + R, 16385, drop=drop)
-        self.r = simpson_grid(lo, hi, self.cfg.grid_n)
+        self.window = (lo, hi)
         self.s_span = (s_lo, s_hi)
-        # the s-free parts of the integrands on this grid, for every _log_num
-        self._ra = self.r * (1.0 - 1.0 / n)
-        self._quad = k2 * (self.r - c) ** 2
-        self._lw = simpson_log_weights(self.r)
-        self._den_integrand = self._log_integrand(self.r, self._quad)
-        self._log_den = float(log_integral(self.r, self._den_integrand, lw=self._lw))
 
     def _ensure(self, s_lo: float, s_hi: float):
         if self.s_span is None or s_lo < self.s_span[0] or s_hi > self.s_span[1]:
@@ -293,38 +309,81 @@ class _GMachine:
             span_hi = max(s_hi, self.s_span[1]) if self.s_span else s_hi
             self._build(span_lo, span_hi)
 
-    def _log_num(self, s_arr: np.ndarray):
-        """Numerator log-integrals for every s on the r grid, built and
-        reduced in row blocks, and each row's (left, right) edge value minus
-        its peak."""
-        log_num = np.empty(s_arr.size)
-        edges = np.empty((s_arr.size, 2))
-        blocks = row_blocks(s_arr.size, self.r.size)
-        buf = np.empty((min(blocks[0].stop, s_arr.size), self.r.size))
-        for rows in blocks:
-            s = s_arr[rows]
-            # V argument r (1 - 1/n) + s/n, built in one buffer per call
-            arg = np.add(self._ra, s[:, None] / self.n, out=buf[: s.size])
-            L = self._log_integrand(arg, self._quad)
-            log_num[rows] = log_integral(self.r, L, axis=1, lw=self._lw)
-            edges[rows] = L[:, [0, -1]] - L.max(axis=1)[:, None]
-        return log_num, edges
+    def _grid(self, s_arr: np.ndarray):
+        """The r grid and V lattice of one call on the uniform s grid s_arr:
+        (r, base, delta, k, m) with ds/n = k delta and dr (1 - 1/n) = m delta,
+        so that the numerator's V argument r_j (1 - 1/n) + s_i/n is the
+        lattice point base + (i k + j m) delta. dr is no coarser than
+        cfg.grid_n nodes over the window and at most NODE_INFLATION times
+        finer (_lattice_steps); r starts at the window's low end and has an
+        odd node count reaching its high end."""
+        n = self.n
+        lo, hi = self.window
+        dr0 = (hi - lo) / (odd_count(self.cfg.grid_n) - 1)
+        if s_arr.size > 1:
+            ds = (s_arr[-1] - s_arr[0]) / (s_arr.size - 1)
+            k, m = _lattice_steps(dr0 * (n - 1) / ds)
+            delta = ds / (n * k)
+        else:
+            k, m, delta = 1, 1, dr0 * (1.0 - 1.0 / n)
+        dr = m * delta / (1.0 - 1.0 / n)
+        r = lo + np.arange(odd_count(math.ceil((hi - lo) / dr) + 1)) * dr
+        return r, lo * (1.0 - 1.0 / n) + s_arr[0] / n, delta, k, m
+
+    def _log_num(self, grid, rows: int, quad: np.ndarray, lw: np.ndarray):
+        """Numerator log-integrals of the first `rows` s rows of a call's
+        grid, and each row's (left, right) edge value minus its peak.
+
+        V runs once, on the (rows - 1) k + (R - 1) m + 1 lattice points;
+        row i is the lattice at i k + j m over the R nodes j. The lattice is
+        regrouped by phase, phases[c, u] = lattice[c k + u m], so that row
+        i = t m + c is the contiguous window phases[c, t k : t k + R], and
+        all rows are one strided (t, c, j) view. quad is subtracted into a
+        buffer and the rows reduced in blocks of at most ROW_BLOCK_ELEMENTS
+        elements (one row where a row is longer)."""
+        r, base, delta, k, m = grid
+        R = r.size
+        T = -(-rows // m)  # rows per phase c; the last t is padded to m rows
+        U = (T - 1) * k + R
+        lattice = self._log_integrand(base + np.arange((rows - 1) * k + (R - 1) * m + 1) * delta)
+        # the padded rows read clipped indices; their results are dropped
+        phases = lattice.take(np.arange(m)[:, None] * k + np.arange(U) * m, mode="clip")
+        del lattice  # the blocks read only the regrouped copy
+        view = as_strided(phases, shape=(T, m, R), strides=(k * phases.strides[1], *phases.strides))
+        row_cap = max(1, ROW_BLOCK_ELEMENTS // R)
+        bt, bc = max(1, row_cap // m), min(m, row_cap)  # t values and phases per block
+        buf = np.empty(min(bt, T) * bc * R)
+        log_num = np.empty(T * m)
+        edges = np.empty((T * m, 2))
+        for t in range(0, T, bt):
+            for c in range(0, m, bc):
+                block = view[t : t + bt, c : c + bc]
+                L = np.subtract(block, quad, out=buf[: block.size].reshape(block.shape)).reshape(-1, R)
+                i = slice(t * m + c, t * m + c + L.shape[0])
+                edges[i] = L[:, [0, -1]] - L.max(axis=1)[:, None]
+                log_num[i] = log_integral(r, L, axis=1, lw=lw)
+        return log_num[:rows], edges[:rows]
 
     def log_g(self, s_arr: np.ndarray) -> np.ndarray:
-        """log g at every s, each numerator integrated on the full r grid;
-        while a numerator or the denominator has a hot edge the grid is
-        rebuilt wider, at most twice."""
+        """log g at every s of the uniform grid s_arr, numerator and
+        denominator integrated on the call's r grid (_grid); while a
+        numerator or the denominator has a hot edge the window is rebuilt
+        wider, at most twice."""
         s_arr = np.asarray(s_arr, dtype=float)
         self._ensure(float(s_arr.min()), float(s_arr.max()))
         cold = -(DEFAULT_DROP - 15.0)
         for attempt in range(3):
-            log_num, edges = self._log_num(s_arr)
+            grid = self._grid(s_arr)
+            r = grid[0]
+            quad = self.k2 * (r - self.center) ** 2
+            lw = simpson_log_weights(r)
+            log_num, edges = self._log_num(grid, s_arr.size, quad, lw)
+            den = self._log_integrand(r)
+            den -= quad
             num_edge = float(np.max(edges))
-            den_edge = float(
-                max(self._den_integrand[0], self._den_integrand[-1]) - self._den_integrand.max()
-            )
+            den_edge = float(max(den[0], den[-1]) - den.max())
             if max(num_edge, den_edge) <= cold:
-                return log_num - self._log_den
+                return log_num - float(log_integral(r, den, lw=lw))
             if attempt == 2:
                 break
             hot_s = []

@@ -364,6 +364,12 @@ def has_analytic_deriv(spec: PotentialSpec, order: int) -> bool:
     return fam in ("zero", "polynomial", "cosine_well", "cos_of_square")
 
 
+def kinks(spec: PotentialSpec) -> tuple[float, ...]:
+    """The points where a family with an analytic V' (has_analytic_deriv at
+    order 1) has no V': the kink of |r| at 0."""
+    return (0.0,) if spec.family == "abs" else ()
+
+
 def deriv(spec: PotentialSpec, r, order: int = 1):
     """First or second derivative of V at r.
 

@@ -56,13 +56,6 @@ def log_integral(x: np.ndarray, log_f: np.ndarray, axis: int = -1, lw: np.ndarra
     return logsumexp(log_f + lw)
 
 
-def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive row slices covering range(n_rows), each with at most
-    ROW_BLOCK_ELEMENTS elements of an n_cols-wide array but at least one row."""
-    step = max(1, ROW_BLOCK_ELEMENTS // n_cols)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
-
-
 def _coarse_window(log_f, lo: float, hi: float, n_coarse: int, drop: float):
     """(localize's window, the coarse log-values it was read from)."""
     xs = np.linspace(lo, hi, odd_count(n_coarse))

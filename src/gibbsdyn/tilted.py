@@ -174,7 +174,9 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
     bisection ends at a point where U' turns from <= 0 to > 0, or at a
     bracket end where U is monotone. At a kink, where V' does not exist, the
     signs of U' at x - h and x + h decide: the kink is the minimiser when
-    they turn from <= 0 to >= 0, else they pick the half. Without an
+    they turn from <= 0 to >= 0, else they pick the half. The same rule
+    returns a kink of pot.kinks that lies in the final bracket, where
+    bisection would stop a rounding residue away from it. Without an
     analytic V', golden section alone."""
     lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
     if not pot.has_analytic_deriv(tr.potential, 1):
@@ -187,16 +189,22 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
         except NotDifferentiableError:  # a kink in the batch: NaN there, V' elsewhere
             return np.concatenate([deriv(x[i : i + 1], j) for i in range(x.size)]) if x.size > 1 else np.full(1, np.nan)
 
+    kinks = pot.kinks(tr.potential)
+
     def rtsafe(x, a, b, alpha):
         def foc(x):  # U'(x), once V'(x) is sent in
             return (yield x) + x + (x - alpha) / tr.t
+
+        def sides(x):  # U' just below and just above x
+            h = 1e-7 * max(1.0, abs(x))
+            return (yield from foc(x - h)), (yield from foc(x + h))
 
         steps = 0
         while True:
             f = yield from foc(x)
             h = 1e-7 * max(1.0, abs(x))
             if math.isnan(f):  # V' does not exist at x: a kink
-                down, up = (yield from foc(x - h)), (yield from foc(x + h))
+                down, up = yield from sides(x)
                 if down <= 0.0 <= up:
                     return x
                 f, steps = (down if down > 0.0 else up), NEWTON_STEPS
@@ -207,6 +215,11 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
             else:
                 a = x
             if b - a <= REFINE_TOL * max(1.0, abs(a) + abs(b)):
+                for kink in kinks:
+                    if a <= kink <= b:
+                        down, up = yield from sides(kink)
+                        if down <= 0.0 <= up:
+                            return kink
                 return 0.5 * (a + b)
             if steps < NEWTON_STEPS:
                 up, down = (yield from foc(x + h)), (yield from foc(x - h))

@@ -172,36 +172,57 @@ def bin_averaged_kernel(spec, n, t, alpha, h):
     )
 
 
-def literal_log_num_integrand(machine, r, s):
-    """Oracle for the g machine's numerator log-integrand
-    -n (V(r (1 - 1/n) + s/n) - floor) - k2 (r - c)^2, written with one numpy
-    temporary per operation, broadcasting r against s."""
-    arg = r * (1.0 - 1.0 / machine.n) + s / machine.n
+def literal_log_num_integrand(machine, r, arg):
+    """Oracle for the g machine's log-integrands
+    -n (V(arg) - floor) - k2 (r - c)^2, written with one numpy temporary per
+    operation, broadcasting r against arg: the denominator's at arg = r, a
+    numerator's at its V argument r (1 - 1/n) + s/n."""
     v = np.asarray(pot.eval(machine.spec, arg)) - machine.floor
     return -machine.n * v - machine.k2 * (r - machine.center) ** 2
 
 
+def literal_log_g(machine, s, r):
+    """Slow oracle for log g at the s values on a given r grid: the literal
+    numerator log-integrands at V argument r (1 - 1/n) + s/n, a few s rows at
+    a time, each reduced by log_integral, over the denominator on r."""
+    s = np.asarray(s, dtype=float)
+    rows = max(1, 2**20 // r.size)
+    log_num = np.concatenate([
+        quadrature.log_integral(
+            r, literal_log_num_integrand(machine, r, r * (1.0 - 1.0 / machine.n) + s[i : i + rows, None] / machine.n),
+            axis=1,
+        )
+        for i in range(0, s.size, rows)
+    ])
+    return log_num - quadrature.log_integral(r, literal_log_num_integrand(machine, r, r))
+
+
 def unblocked_log_g(machine, s):
     """Slow oracle for kernels._GMachine.log_g on a call its first grid
-    passes: the literal full s x r numerator array on the machine's r grid,
-    reduced by one log_integral over axis 1."""
+    passes: on the call's r grid and V lattice (machine._grid), the literal
+    full s x r numerator array, with the V argument of s row i and r node j
+    written as the lattice point base + (i k + j m) delta, reduced by one
+    log_integral over axis 1, over the denominator on the same r grid."""
     s = np.asarray(s, dtype=float)
     machine._ensure(float(s.min()), float(s.max()))
-    r = machine.r
-    log_num = quadrature.log_integral(r, literal_log_num_integrand(machine, r[None, :], s[:, None]), axis=1)
-    return log_num - machine._log_den
+    r, base, delta, k, m = machine._grid(s)
+    arg = base + (np.arange(s.size)[:, None] * k + np.arange(r.size)[None, :] * m) * delta
+    log_num = quadrature.log_integral(r, literal_log_num_integrand(machine, r[None, :], arg), axis=1)
+    return log_num - quadrature.log_integral(r, literal_log_num_integrand(machine, r, r))
 
 
 def unblocked_s_law(
-    spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g, n_coarse=kernels.S_PROBE_POINTS
+    spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g, n_coarse=kernels.S_PROBE_POINTS,
+    fine_log_g=None,
 ):
     """Slow oracle for kernels._s_law on a call whose g machine never
     rebuilds: the same support search (n_coarse s rows per round) and s
     grid, with every log g, the support scan included, from
-    log_g(machine, s) on the machine's full r grid. Returns (s, log_w)."""
+    log_g(machine, s) on that call's r grid, and the fine pass's from
+    fine_log_g where it is given. Returns (s, log_w)."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
 
-    def log_h(s):
+    def log_h(s, log_g=log_g):
         s = np.asarray(s, dtype=float)
         return log_g(machine, s) - s**2 / 2.0
 
@@ -215,15 +236,21 @@ def unblocked_s_law(
     pad = math.sqrt(2.0 * quadrature.DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=n_coarse)
     s = quadrature.simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
-    log_w = log_h(s) + quadrature.simpson_log_weights(s)
+    log_w = log_h(s, fine_log_g or log_g) + quadrature.simpson_log_weights(s)
     return s, log_w - quadrature.logsumexp(log_w)
 
 
-def dense_probe_s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
+def dense_probe_s_law(spec, n, t, alpha, r, cfg=kernels.DEFAULT_QUAD):
     """Slow oracle for kernels._s_law's support scan: the s-law whose
     support is found from 513 s rows per round, with every log g from the
-    g machine's own log_g, so the machine may rebuild."""
-    return unblocked_s_law(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s), n_coarse=513)
+    g machine's own log_g, so the machine may rebuild, and whose fine pass
+    is integrated literally (literal_log_g) on r, the fine pass's r grid of
+    the call it checks: on a small grid_n, Simpson's error on the r grid
+    is far above 1e-12 and moves with the grid."""
+    return unblocked_s_law(
+        spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s), n_coarse=513,
+        fine_log_g=lambda machine, s: literal_log_g(machine, s, r),
+    )
 
 
 def literal_lattice_mixture(s, log_w, t, cfg=kernels.DEFAULT_QUAD):
@@ -380,7 +407,7 @@ def g_bound_diagnostic(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, tol=tilted.D
 
     def log_den(z):
         z = np.asarray(z)
-        return m._log_integrand(z, k2 * (z - c) ** 2)
+        return m._log_integrand(z) - k2 * (z - c) ** 2
 
     def log_num(z):
         z = np.asarray(z)

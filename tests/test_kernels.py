@@ -12,7 +12,7 @@ from conftest import (
     dense_probe_s_law,
     g_bound_diagnostic,
     literal_lattice_mixture,
-    literal_log_num_integrand,
+    literal_log_g,
     unblocked_log_g,
     unblocked_s_law,
 )
@@ -164,6 +164,29 @@ def test_g_factor_flat_is_one(zero):
         assert kernels.g_factor(zero, n, t, a, s) == 1.0
 
 
+def test_g_factor_flat_is_exactly_one_on_every_call_grid(zero):
+    # V = 0: each numerator row reads the lattice's -0.0 minus the same
+    # k2 (r - c)^2 as the denominator, whatever the call's k, m and r grid
+    for n, t in ((2, 1.0), (50, 0.2), (100_000, 1.0)):
+        machine = kernels._GMachine(zero, n, t, 0.7, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
+        for rows in (1, 2, 65, 1025):
+            assert np.array_equal(machine.log_g(np.linspace(-9.0, 7.0, rows)), np.zeros(rows)), (n, rows)
+        assert kernels.g_factor(zero, n, t, 0.7, -3.3) == 1.0
+
+
+@pytest.mark.parametrize("name", ["double_well", "cosine_beta1", "glued_beta1"])
+def test_g_factor_at_one_s_matches_log_g_on_a_grid(builtin_specs, name):
+    # one s gets k = m = 1 and the window's grid_n spacing; a 1025-row grid
+    # holding it gets its own k, m and a finer r grid: both resolve the
+    # integrals to Simpson's spectral accuracy
+    spec, n, t, alpha = builtin_specs[name], 50, 1.0, 0.3
+    s = np.linspace(-8.0, 8.0, 1025)
+    for i in (0, 300, 512, 1024):
+        one = math.log(kernels.g_factor(spec, n, t, alpha, float(s[i])))
+        grid = kernels._GMachine(spec, n, t, alpha, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL).log_g(s)[i]
+        assert one == pytest.approx(grid, rel=0.0, abs=1e-12), (name, i)
+
+
 def test_g_factor_quadratic_against_gaussian_algebra(quadratic):
     for n, s in ((50, 1.0), (500, 1.0), (500, -2.0), (5000, 3.0)):
         got = kernels.g_factor(quadratic, n, 1.0, 4.0, s)
@@ -278,10 +301,7 @@ def test_minus_sequence_ladder_through_bimodal_rows(double_well):
     machine = kernels._GMachine(double_well, 16, 1.0, -0.25, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
     s = np.linspace(-13.18, 10.94, 513)
     got = machine.log_g(s)
-    r = np.linspace(-8.0, 8.0, 64001)
-    want = [quadrature.log_integral(r, literal_log_num_integrand(machine, r, si)) for si in s]
-    log_den = machine._log_integrand(r, machine.k2 * (r - machine.center) ** 2)
-    want = np.asarray(want) - quadrature.log_integral(r, log_den)
+    want = literal_log_g(machine, s, np.linspace(-8.0, 8.0, 64001))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
@@ -383,11 +403,31 @@ def test_lattice_keeps_the_s_step_on_small_grids(double_well, grid_n):
 
 @pytest.mark.parametrize("extra_rows", [-3, 0, 5, 25])
 def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
-    # row counts below one block, exactly one block, and not a block multiple
+    # 5, 8, 13 and 33 rows in one phase (m = 1) and blocks of 7 rows: below
+    # one block, one block and a row, and not a block multiple
     machine = kernels._GMachine(double_well, 50, 1.0, 0.5, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
-    block_rows = quadrature.ROW_BLOCK_ELEMENTS // quadrature.odd_count(kernels.DEFAULT_QUAD.grid_n)
-    s = np.linspace(-6.0, 6.0, block_rows + extra_rows)
+    s = np.linspace(-6.0, 6.0, 8 + extra_rows)
     got = machine.log_g(s)
+    assert np.array_equal(got, unblocked_log_g(machine, s))
+
+
+@pytest.mark.parametrize(
+    "n, grid_n, rows, regime",
+    [(50, 4096, 1, "one row"), (3200, 4096, 101, "k > 1"), (100_000, 4096, 1025, "phases split"),
+     (50, 64, 1025, "many t per block")],
+    ids=["one-row", "k-above-1", "phases-split", "grid64"],
+)
+def test_phase_blocks_are_bitwise_unblocked(double_well, n, grid_n, rows, regime):
+    # one s row; k > 1 with the last row of phases padded; more phases than
+    # a block holds rows, so blocks split the phases; and a small grid with
+    # m > 100 phases and several t values per block
+    machine = kernels._GMachine(double_well, n, 1.0, 0.5, kernels.QuadratureConfig(grid_n=grid_n), tilted.DEFAULT_TOL)
+    s = np.linspace(-6.0, 6.0, rows)
+    got = machine.log_g(s)
+    r, _, _, k, m = machine._grid(s)
+    row_cap = quadrature.ROW_BLOCK_ELEMENTS // r.size
+    assert {"one row": rows == 1, "k > 1": k > 1 and rows % m != 0, "phases split": m > row_cap,
+            "many t per block": row_cap // m > 1 and m > 100}[regime], (k, m, row_cap)
     assert np.array_equal(got, unblocked_log_g(machine, s))
 
 
@@ -413,13 +453,15 @@ SUPPORT_SCAN_CASES = [
 
 
 def _assert_same_kernel_moments(spec, n, t, alpha, rel, cfg=kernels.DEFAULT_QUAD):
-    """The mixtures of _s_law and of dense_probe_s_law have the same mean,
-    to rel sd, and variance, to rel relative: the two support windows differ
-    by up to a coarse step, and the kernel barely depends on where its
-    window ends."""
+    """The mixtures of _s_law and of dense_probe_s_law, on the r grid of
+    _s_law's fine pass, have the same mean, to rel sd, and variance, to rel
+    relative: the two support windows differ by up to a coarse step, and
+    the kernel barely depends on where its window ends."""
+    machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
+    scanned = kernels._s_law(machine, cfg)
     got, want = (
         kernels._kernel_from_log_density(*kernels._gaussian_mixture(*law, t, cfg))
-        for law in (_s_law(spec, n, t, alpha, cfg), dense_probe_s_law(spec, n, t, alpha, cfg))
+        for law in (scanned, dense_probe_s_law(spec, n, t, alpha, machine._grid(scanned[0])[0], cfg))
     )
     assert abs(got.mean - want.mean) <= rel * math.sqrt(want.variance)
     assert got.variance == pytest.approx(want.variance, rel=rel, abs=0.0)
@@ -447,38 +489,54 @@ def test_support_scan_on_small_grids_and_at_a_kink(builtin_specs, name, grid_n, 
     _assert_same_kernel_moments(builtin_specs[name], n, t, alpha, rel, cfg)
 
 
-def test_strided_probes_cut_v_evaluations(double_well, monkeypatch):
-    points = [0]
-    real_eval = kernels.pot.eval
+@pytest.mark.parametrize("name, n, t, alpha", SUPPORT_SCAN_CASES)
+def test_log_num_evaluates_v_once_on_its_lattice(builtin_specs, name, n, t, alpha, monkeypatch):
+    # every _log_num call of the s-law, the support scan's and the fine
+    # pass's, evaluates V on its (S - 1) k + (R - 1) m + 1 lattice points
+    # alone, under a tenth of the S x R numerator values
+    points, calls = [0], []
+    real_eval, real_log_num = kernels.pot.eval, kernels._GMachine._log_num
 
     def counting_eval(spec, r):
         points[0] += np.size(r)
         return real_eval(spec, r)
 
+    def recording_log_num(machine, grid, rows, quad, lw):
+        points[0] = 0
+        out = real_log_num(machine, grid, rows, quad, lw)
+        calls.append((rows, grid[0].size, grid[3], grid[4], points[0]))
+        return out
+
     monkeypatch.setattr(kernels.pot, "eval", counting_eval)
-    kernels.evolved_kernel(double_well, 50, 1.0, 1.0 / math.sqrt(50))
-    scanned, points[0] = points[0], 0
-    dense_probe_s_law(double_well, 50, 1.0, 1.0 / math.sqrt(50))
-    assert scanned <= 0.6 * points[0]
+    monkeypatch.setattr(kernels._GMachine, "_log_num", recording_log_num)
+    _s_law(builtin_specs[name], n, t, alpha)
+    assert {S for S, *_ in calls} == {kernels.S_PROBE_POINTS, 1025}
+    for S, R, k, m, evaluated in calls:
+        assert evaluated == (S - 1) * k + (R - 1) * m + 1, (S, R, k, m)
+        assert evaluated < S * R / 10, (S, R, k, m)
 
 
 def test_log_num_peak_memory(double_well):
-    # the argument buffer, V's output and the two temporaries of the row
-    # reduction (four blocks, whatever the number of s rows), plus the rows'
-    # results; the s-free parts and the Simpson weights are made per grid
+    # V on the lattice, the take's index array and the phase regrouping
+    # (three lattice-sized arrays), then the regrouping, the block buffer and
+    # the two temporaries of the row reduction, plus the rows' results
     machine = kernels._GMachine(double_well, 50, 1.0, 0.5, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
     s = np.linspace(-6.0, 6.0, 513)
     machine._ensure(-6.0, 6.0)
-    machine._log_num(s)
-    block_rows = quadrature.ROW_BLOCK_ELEMENTS // machine.r.size
+    grid = machine._grid(s)
+    r, _, _, k, m = grid
+    quad, lw = machine.k2 * (r - machine.center) ** 2, quadrature.simpson_log_weights(r)
+    machine._log_num(grid, s.size, quad, lw)
+    lattice = (s.size - 1) * k + (r.size - 1) * m + 1
+    block = quadrature.ROW_BLOCK_ELEMENTS // r.size * r.size
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        machine._log_num(s)
+        machine._log_num(grid, s.size, quad, lw)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= (4 * block_rows + 2) * machine.r.size * 8
+    assert peak <= (max(3 * lattice, lattice + 3 * block) + 3 * s.size) * 8
 
 
 def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):
@@ -491,8 +549,12 @@ def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):
 
     monkeypatch.setattr(kernels.pot, "eval", recording_eval)
     kernels.evolved_kernel(double_well, 3200, 1.0, 1.0 / math.sqrt(3200))
-    # one 16385-point localisation grid is the largest 1-D evaluation
-    assert max(sizes) <= max(quadrature.ROW_BLOCK_ELEMENTS, 16385)
+    # global_minimisers' scan and the 16385-point localisation grids are the
+    # largest evaluations; each g-factor call adds its r grid and one
+    # lattice, and together they cover under a tenth of the fine pass's
+    # 1025 x 4097 numerator
+    assert max(sizes) <= max(tilted.COARSE_GRID_N, 16385)
+    assert sum(sizes) < 1025 * 4097 / 10
 
 
 # --- limit kernel ----------------------------------------------------------------

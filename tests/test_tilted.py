@@ -208,6 +208,16 @@ def test_refine_at_kink_returns_the_kink():
     assert ms.locations == (0.0,) and ms.value == 0.0
 
 
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.7, 0.8, 1.0, 3.0])
+def test_kink_minimiser_is_the_kink_when_bisection_brackets_it(t):
+    # at alpha = 0 the scan's grid misses r = 0, and bisection on the sign of
+    # U' = sign(r) + r (1 + 1/t) closes in on it from both sides; the kink
+    # that pot.kinks names is returned, not a rounding residue of +-3e-14
+    assert pot.kinks(pot.absolute()) == (0.0,)
+    ms = tilted.global_minimisers(tilted.TiltedRate(pot.absolute(), t, 0.0))
+    assert ms.locations == (0.0,) and ms.value == 0.0
+
+
 @pytest.mark.parametrize("name", ["abs", "double_well", "glued_beta1"])
 def test_refine_kink_in_a_batch_leaves_the_others_alone(builtin_specs, name):
     # a bracket whose vertex is the kink of |r| returns it; every other
