@@ -29,8 +29,9 @@ The N(s, t) mixture is a discrete Gaussian convolution in linear space on
 a lattice shared with the s grid (see _lattice and _gaussian_mixture).
 
 The s-law's support is located by a coarse scan of S_PROBE_POINTS s rows,
-each integrated on the g machine's full r grid like the fine s pass, so
-every rebuild of the machine is decided on full-grid edges.
+each integrated on its call's r grid (_GMachine._grid) like the fine s
+pass, so every rebuild of the machine is decided on the edges of the grid
+the fine pass uses.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def _s_law(machine: _GMachine, cfg: QuadratureConfig) -> tuple[np.ndarray, np.nd
     """The g-weighted N(0, 1) s-law on its Simpson grid: (s, log_w) with
     log_w the log of its normalised quadrature weights, so that
     sum(exp(log_w)) = 1. Its support is found by a coarse scan of
-    S_PROBE_POINTS s rows, each on the machine's full r grid."""
+    S_PROBE_POINTS s rows, each on its call's r grid (_GMachine._grid)."""
     # support anchored at 0 and at the limit means -V'(q), then grown until
     # the edges are cold
     anchors = [0.0]

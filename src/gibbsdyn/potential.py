@@ -379,7 +379,7 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     max(1, |V(r)|)^(1/4), so that the rounding noise 4 eps |V|/h^2 of the
     second difference (V(r+h) - 2V(r) + V(r-h))/h^2 stays bounded where the
     potential is superexponentially large. This is the package's only
-    second difference. order=1 on the abs family at r=0 raises
+    second difference. order=1 at a point of kinks(spec) raises
     NotDifferentiableError.
     """
     if order not in (1, 2):
@@ -391,9 +391,11 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     arr = np.atleast_1d(arr)
     fam = spec.family
 
+    if order == 1:
+        for kink in kinks(spec):
+            if np.any(arr == kink):
+                raise NotDifferentiableError(f"family {fam!r} is not differentiable at r = {kink}")
     if fam == "abs" and order == 1:
-        if np.any(arr == 0.0):
-            raise NotDifferentiableError("|r| is not differentiable at r = 0")
         out = np.sign(arr)
         return float(out[0]) if scalar else out
     if order == 1 and spec.smoothness == LSC_ONLY:

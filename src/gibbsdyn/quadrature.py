@@ -16,7 +16,7 @@ import numpy as np
 DEFAULT_DROP = 40.0
 REFINE_D2_THRESHOLD = 0.25  # |second difference of L| above this means under-resolved
 EXPAND_GROW = 1.6  # expanding_localize widens a hot window by this factor per round
-ROW_BLOCK_ELEMENTS = 32768  # 256 KB of float64: 8 rows of a 4097-point grid
+ROW_BLOCK_ELEMENTS = 32768  # 256 KB of float64: 7 rows of a 4097-point grid
 
 
 def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:

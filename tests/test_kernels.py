@@ -403,11 +403,13 @@ def test_lattice_keeps_the_s_step_on_small_grids(double_well, grid_n):
 
 @pytest.mark.parametrize("extra_rows", [-3, 0, 5, 25])
 def test_blocked_log_g_is_bitwise_unblocked(double_well, extra_rows):
-    # 5, 8, 13 and 33 rows in one phase (m = 1) and blocks of 7 rows: below
-    # one block, one block and a row, and not a block multiple
+    # 4, 7, 12 and 32 rows in one phase (m = 1) and blocks of 7 rows: below
+    # one block, exactly one block, and not a block multiple
     machine = kernels._GMachine(double_well, 50, 1.0, 0.5, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
-    s = np.linspace(-6.0, 6.0, 8 + extra_rows)
+    s = np.linspace(-6.0, 6.0, 7 + extra_rows)
     got = machine.log_g(s)
+    r, _, _, _, m = machine._grid(s)
+    assert m == 1 and quadrature.ROW_BLOCK_ELEMENTS // r.size == 7
     assert np.array_equal(got, unblocked_log_g(machine, s))
 
 
