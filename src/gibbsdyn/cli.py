@@ -39,6 +39,10 @@ log = logging.getLogger("gibbsdyn")
 
 FORMAT_CHOICES = ("csv", "json", "both")
 CSV_BLOCK_ROWS = 4096  # rows formatted per write of a CSV table
+# a KS statistic of N samples of the reference law exceeds the
+# Dvoretzky-Kiefer-Wolfowitz floor sqrt(ln(2/delta) / (2N)) with
+# probability at most delta (Massart, Ann. Probab. 18, 1990)
+DKW_DELTA = 1e-6
 # tolerance option (parsed name) -> its key in a report's tolerances block
 _TOLERANCES = {"eps_val_rel": "eps_val_rel", "delta_cluster": "delta_cluster", "quad_grid": "grid_n"}
 # parsed arguments that are not the command's own params
@@ -191,6 +195,8 @@ def _cmd_simulate(args, spec):
         "sample_variance": emp.variance(),
         "ks_vs_quadrature": {
             "ks_statistic": mc_sim.ks_distance(emp, reference),
+            "dkw_floor": math.sqrt(math.log(2.0 / DKW_DELTA) / (2.0 * emp.accepted_count)),
+            "dkw_delta": DKW_DELTA,
             "reference_mean": reference.mean,
             "reference_variance": reference.variance,
         },

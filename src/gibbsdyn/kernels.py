@@ -31,7 +31,9 @@ a lattice shared with the s grid (see _lattice and _gaussian_mixture).
 The s-law's support is located by a coarse scan of S_PROBE_POINTS s rows,
 each integrated on its call's r grid (_GMachine._grid) like the fine s
 pass, so every rebuild of the machine is decided on the edges of the grid
-the fine pass uses.
+the fine pass uses. The fine s pass takes as few rows as its resolution
+needs: its step is bounded by the O(1) scale of the s-law and by the sd
+sqrt(t) of the mixture's Gaussian (S_STEP_MAX, S_STEP_PER_SD).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from gibbsdyn.quadrature import (
 
 N_CAP = 100_000  # beyond this the LDP concentration under-resolves any fixed grid
 GRID_N_MIN = 64
-GRID_N_MAX = 65_536  # its s x r numerator holds 16385 x 65537 values, 256x the default's
+GRID_N_MAX = 65_536  # 16x the default; the r grids, x lattice and 1-D grids grow linearly with grid_n
 # s rows per round of the s-support scan. The s-law's log-density varies on
 # the scale of its N(0, 1) factor, whose region within DEFAULT_DROP of the
 # peak is 2 sqrt(2 DEFAULT_DROP) = 17.9 wide. The first round's window is
@@ -70,6 +72,12 @@ GRID_N_MAX = 65_536  # its s x r numerator holds 16385 x 65537 values, 256x the 
 # coinciding anchors about 50 rows fall across that region, and the window
 # kept is padded by one coarse step beyond the rows within DEFAULT_DROP.
 S_PROBE_POINTS = 65
+# The fine s pass's step is at most S_STEP_MAX, on the O(1) scale of the
+# s-law's N(0, 1) factor, and at most S_STEP_PER_SD of the sd sqrt(t) of the
+# Gaussian that the N(s, t) mixture samples at the s nodes: a coarser step
+# turns the mixture into a comb at small t.
+S_STEP_MAX = 0.1
+S_STEP_PER_SD = 0.5
 # the g machine's per-call r grid is at most this many times finer than
 # grid_n nodes over its window (see _lattice_steps)
 NODE_INFLATION = 1.125
@@ -82,10 +90,10 @@ SEQ_PLUS = "plus_inv_sqrt"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """grid_n sets the node count of the 1-D kernel grids, a quarter of it
-    (at least 1025) that of the s grid, and the coarsest spacing of the g
-    machine's r grids and of the evolved kernel's x lattice. It lies in
-    [GRID_N_MIN, GRID_N_MAX]: the s x r numerator grows as grid_n^2."""
+    """grid_n sets the node count of the 1-D kernel grids and the coarsest
+    spacing of the g machine's r grids and of the evolved kernel's x
+    lattice. The evolved kernel's s rows do not depend on it (S_STEP_MAX,
+    S_STEP_PER_SD). It lies in [GRID_N_MIN, GRID_N_MAX]."""
 
     grid_n: int = 4096
 
@@ -341,29 +349,33 @@ class _GMachine:
         i = t m + c is the contiguous window phases[c, t k : t k + R], and
         all rows are one strided (t, c, j) view. quad is subtracted into a
         buffer and the rows reduced in blocks of at most ROW_BLOCK_ELEMENTS
-        elements (one row where a row is longer)."""
+        elements (one row where a row is longer). The last t holds only the
+        rows - (T - 1) m phases that are rows, and only those are reduced."""
         r, base, delta, k, m = grid
         R = r.size
-        T = -(-rows // m)  # rows per phase c; the last t is padded to m rows
+        T = -(-rows // m)  # t values; the last may hold fewer than m phases
         U = (T - 1) * k + R
         lattice = self._log_integrand(base + np.arange((rows - 1) * k + (R - 1) * m + 1) * delta)
-        # the padded rows read clipped indices; their results are dropped
+        # the last t's phases beyond the rows read clipped indices and are never reduced
         phases = lattice.take(np.arange(m)[:, None] * k + np.arange(U) * m, mode="clip")
         del lattice  # the blocks read only the regrouped copy
         view = as_strided(phases, shape=(T, m, R), strides=(k * phases.strides[1], *phases.strides))
         row_cap = max(1, ROW_BLOCK_ELEMENTS // R)
         bt, bc = max(1, row_cap // m), min(m, row_cap)  # t values and phases per block
+        full, tail = divmod(rows, m)  # the t values with all m phases, and the last t's phases
+        blocks = [
+            (t * m + c, view[t : min(t + bt, full), c : c + bc]) for t in range(0, full, bt) for c in range(0, m, bc)
+        ]
+        blocks += [(full * m + c, view[full : full + 1, c : min(c + bc, tail)]) for c in range(0, tail, bc)]
         buf = np.empty(min(bt, T) * bc * R)
-        log_num = np.empty(T * m)
-        edges = np.empty((T * m, 2))
-        for t in range(0, T, bt):
-            for c in range(0, m, bc):
-                block = view[t : t + bt, c : c + bc]
-                L = np.subtract(block, quad, out=buf[: block.size].reshape(block.shape)).reshape(-1, R)
-                i = slice(t * m + c, t * m + c + L.shape[0])
-                edges[i] = L[:, [0, -1]] - L.max(axis=1)[:, None]
-                log_num[i] = log_integral(r, L, axis=1, lw=lw)
-        return log_num[:rows], edges[:rows]
+        log_num = np.empty(rows)
+        edges = np.empty((rows, 2))
+        for first, block in blocks:  # each block is the rows first, first + 1, ...
+            L = np.subtract(block, quad, out=buf[: block.size].reshape(block.shape)).reshape(-1, R)
+            i = slice(first, first + L.shape[0])
+            edges[i] = L[:, [0, -1]] - L.max(axis=1)[:, None]
+            log_num[i] = log_integral(r, L, axis=1, lw=lw)
+        return log_num, edges
 
     def log_g(self, s_arr: np.ndarray) -> np.ndarray:
         """log g at every s of the uniform grid s_arr, numerator and
@@ -434,11 +446,13 @@ def g_factor(
     return float(np.exp(out[0]))
 
 
-def _s_law(machine: _GMachine, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+def _s_law(machine: _GMachine) -> tuple[np.ndarray, np.ndarray]:
     """The g-weighted N(0, 1) s-law on its Simpson grid: (s, log_w) with
     log_w the log of its normalised quadrature weights, so that
     sum(exp(log_w)) = 1. Its support is found by a coarse scan of
-    S_PROBE_POINTS s rows, each on its call's r grid (_GMachine._grid)."""
+    S_PROBE_POINTS s rows, each on its call's r grid (_GMachine._grid), and
+    the grid has the fewest odd rows whose step is at most
+    min(S_STEP_MAX, S_STEP_PER_SD sqrt(t))."""
     # support anchored at 0 and at the limit means -V'(q), then grown until
     # the edges are cold
     anchors = [0.0]
@@ -455,7 +469,8 @@ def _s_law(machine: _GMachine, cfg: QuadratureConfig) -> tuple[np.ndarray, np.nd
         max(anchors) + pad,
         n_coarse=S_PROBE_POINTS,
     )
-    s = simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
+    ds_max = min(S_STEP_MAX, S_STEP_PER_SD * math.sqrt(machine.t))
+    s = simpson_grid(s_lo, s_hi, math.ceil((s_hi - s_lo) / ds_max) + 1)
     log_w = machine.log_g(s) - s**2 / 2.0 + simpson_log_weights(s)
     return s, log_w - logsumexp(log_w)
 
@@ -524,7 +539,7 @@ def evolved_kernel(
         raise DomainError("evolved_kernel requires t > 0")
     n = _capped(n)
     machine = _GMachine(spec, n, t, alpha, cfg, tol)
-    s, log_w = _s_law(machine, cfg)
+    s, log_w = _s_law(machine)
     x, log_px = _gaussian_mixture(s, log_w, t, cfg)
     # the mixture is normalised in exact arithmetic; the grid integral's
     # deviation from 1 is the real truncation defect

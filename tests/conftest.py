@@ -213,13 +213,15 @@ def unblocked_log_g(machine, s):
 
 def unblocked_s_law(
     spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g, n_coarse=kernels.S_PROBE_POINTS,
-    fine_log_g=None,
+    fine_log_g=None, rows=None,
 ):
     """Slow oracle for kernels._s_law on a call whose g machine never
     rebuilds: the same support search (n_coarse s rows per round) and s
     grid, with every log g, the support scan included, from
     log_g(machine, s) on that call's r grid, and the fine pass's from
-    fine_log_g where it is given. Returns (s, log_w)."""
+    fine_log_g where it is given. The s grid has the fewest odd rows whose
+    step is at most min(S_STEP_MAX, S_STEP_PER_SD sqrt(t)), or `rows` rows
+    where that is given. Returns (s, log_w)."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
 
     def log_h(s, log_g=log_g):
@@ -235,22 +237,45 @@ def unblocked_s_law(
                 pass
     pad = math.sqrt(2.0 * quadrature.DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=n_coarse)
-    s = quadrature.simpson_grid(s_lo, s_hi, max(cfg.grid_n // 4, 1025))
+    if rows is None:
+        step = min(kernels.S_STEP_MAX, kernels.S_STEP_PER_SD * math.sqrt(machine.t))
+        rows = quadrature.odd_count(math.ceil((s_hi - s_lo) / step) + 1)
+    s = np.linspace(s_lo, s_hi, rows)
     log_w = log_h(s, fine_log_g or log_g) + quadrature.simpson_log_weights(s)
     return s, log_w - quadrature.logsumexp(log_w)
 
 
-def dense_probe_s_law(spec, n, t, alpha, r, cfg=kernels.DEFAULT_QUAD):
+def dense_probe_s_law(spec, n, t, alpha, scanned, s_scanned, cfg=kernels.DEFAULT_QUAD):
     """Slow oracle for kernels._s_law's support scan: the s-law whose
     support is found from 513 s rows per round, with every log g from the
     g machine's own log_g, so the machine may rebuild, and whose fine pass
-    is integrated literally (literal_log_g) on r, the fine pass's r grid of
-    the call it checks: on a small grid_n, Simpson's error on the r grid
-    is far above 1e-12 and moves with the grid."""
+    is integrated literally (literal_log_g) on an r grid of `scanned`, the
+    g machine of the call it checks, whose fine s grid was s_scanned.
+    Where V is smooth that is the call's own fine r grid: on a small
+    grid_n, Simpson's error on the r grid is far above 1e-12 and moves
+    with the grid. At a kink of V it is the r grid that `scanned` lays on
+    the oracle's own s grid (scanned._grid): Simpson's error then moves
+    with where each row's kink falls between r nodes, and on a grid fitted
+    to its s step those places run through the same few phases in every
+    period of rows, as they do in the call it checks."""
+    fixed = scanned._grid(s_scanned)[0]
+
+    def r_grid(s):
+        return scanned._grid(s)[0] if pot.kinks(spec) else fixed
+
     return unblocked_s_law(
         spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s), n_coarse=513,
-        fine_log_g=lambda machine, s: literal_log_g(machine, s, r),
+        fine_log_g=lambda machine, s: literal_log_g(machine, s, r_grid(s)),
     )
+
+
+def fixed_row_kernel(spec, n, t, alpha, rows, cfg=kernels.DEFAULT_QUAD):
+    """Oracle for the evolved kernel's row rule: kernels.evolved_kernel with
+    its fine s pass on `rows` s rows over the same support, every log g from
+    the g machine's own log_g. The mixture, the lattice and the moments are
+    the kernel's own, so only the s rows differ."""
+    s, log_w = unblocked_s_law(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s), rows=rows)
+    return kernels._kernel_from_log_density(*kernels._gaussian_mixture(s, log_w, t, cfg))
 
 
 def literal_lattice_mixture(s, log_w, t, cfg=kernels.DEFAULT_QUAD):

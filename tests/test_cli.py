@@ -126,6 +126,20 @@ def test_simulate_reports_ks(zero_json, tmp_path):
     assert len(samples) - 1 == doc["results"]["accepted"]
 
 
+def test_simulate_reports_the_dkw_floor(zero_json, tmp_path):
+    out = tmp_path / "out"
+    rc = cli.run(
+        ["simulate", "--potential", zero_json, "--n", "16", "--t", "1", "--alpha", "0",
+         "--replicas", "20000", "--seed", "11", "--out", str(out)]
+    )
+    assert rc == 0
+    results = json.loads((out / "simulate.json").read_text())["results"]
+    ks = results["ks_vs_quadrature"]
+    assert ks["dkw_delta"] == 1e-6
+    assert ks["dkw_floor"] == pytest.approx(math.sqrt(math.log(2e6) / (2 * results["accepted"])), rel=1e-15)
+    assert ks["ks_statistic"] <= ks["dkw_floor"]
+
+
 def test_limitpot_and_oracle(doublewell_json, tmp_path):
     out = tmp_path / "out"
     assert cli.run(

@@ -10,6 +10,7 @@ from gibbsdyn.errors import AccuracyError, BadMagnetisationError, ConfigError, D
 
 from conftest import (
     dense_probe_s_law,
+    fixed_row_kernel,
     g_bound_diagnostic,
     literal_lattice_mixture,
     literal_log_g,
@@ -306,7 +307,14 @@ def test_minus_sequence_ladder_through_bimodal_rows(double_well):
 
 
 def _s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
-    return kernels._s_law(kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL), cfg)
+    return kernels._s_law(kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL))
+
+
+def _assert_fewest_rows(s, t):
+    # the fewest odd rows whose step is at most min(S_STEP_MAX, S_STEP_PER_SD sqrt(t))
+    step = min(kernels.S_STEP_MAX, kernels.S_STEP_PER_SD * math.sqrt(t))
+    width = s[-1] - s[0]
+    assert s.size % 2 == 1 and width / (s.size - 1) <= step * (1.0 + 1e-12) and width / (s.size - 3) > step
 
 
 def _assert_same_s_law(got, want):
@@ -382,10 +390,11 @@ def test_lattice_mixture_underflows_to_zero_without_warnings(double_well):
 
 def test_lattice_refines_the_s_step_at_large_t(double_well):
     s, _ = _s_law(double_well, 50, 10.0, 0.1)
+    _assert_fewest_rows(s, 10.0)
     x, r, P = kernels._lattice(s, 10.0, kernels.DEFAULT_QUAD)
-    assert r == 2 and x.size == 2 * P + 2 * (s.size - 1) + 1 and 8000 <= x.size <= 8200
+    assert r == 6 and x.size == 2 * P + 6 * (s.size - 1) + 1 and 4800 <= x.size <= 5000
     # every s node is a lattice node, and the lattice reaches zpad beyond both ends
-    np.testing.assert_allclose(x[P : x.size - P : 2], s, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(x[P : x.size - P : 6], s, rtol=0.0, atol=1e-12)
     zpad = math.sqrt(2.0 * quadrature.DEFAULT_DROP * 10.0) + 2.0
     assert x[0] <= s[0] - zpad and x[-1] >= s[-1] + zpad - 1e-12
     _assert_density_matches(*_literal_mixture_kernel(double_well, 50, 10.0, 0.1))
@@ -396,7 +405,8 @@ def test_lattice_keeps_the_s_step_on_small_grids(double_well, grid_n):
     cfg = kernels.QuadratureConfig(grid_n=grid_n)
     got, want, log_px = _literal_mixture_kernel(double_well, 50, 1.0, 0.5, cfg)
     s, _ = _s_law(double_well, 50, 1.0, 0.5, cfg)
-    assert s.size == 1025 and got.grid.size > quadrature.odd_count(grid_n) and got.grid.size % 2 == 1
+    _assert_fewest_rows(s, 1.0)
+    assert got.grid.size > quadrature.odd_count(grid_n) and got.grid.size % 2 == 1
     assert np.diff(got.grid).max() <= (s[-1] - s[0]) / (s.size - 1) * (1.0 + 1e-12)
     _assert_density_matches(got, want, log_px)
 
@@ -455,15 +465,15 @@ SUPPORT_SCAN_CASES = [
 
 
 def _assert_same_kernel_moments(spec, n, t, alpha, rel, cfg=kernels.DEFAULT_QUAD):
-    """The mixtures of _s_law and of dense_probe_s_law, on the r grid of
-    _s_law's fine pass, have the same mean, to rel sd, and variance, to rel
+    """The mixtures of _s_law and of dense_probe_s_law, on r grids of
+    _s_law's g machine, have the same mean, to rel sd, and variance, to rel
     relative: the two support windows differ by up to a coarse step, and
     the kernel barely depends on where its window ends."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
-    scanned = kernels._s_law(machine, cfg)
+    scanned = kernels._s_law(machine)
     got, want = (
         kernels._kernel_from_log_density(*kernels._gaussian_mixture(*law, t, cfg))
-        for law in (scanned, dense_probe_s_law(spec, n, t, alpha, machine._grid(scanned[0])[0], cfg))
+        for law in (scanned, dense_probe_s_law(spec, n, t, alpha, machine, scanned[0], cfg))
     )
     assert abs(got.mean - want.mean) <= rel * math.sqrt(want.variance)
     assert got.variance == pytest.approx(want.variance, rel=rel, abs=0.0)
@@ -511,11 +521,55 @@ def test_log_num_evaluates_v_once_on_its_lattice(builtin_specs, name, n, t, alph
 
     monkeypatch.setattr(kernels.pot, "eval", counting_eval)
     monkeypatch.setattr(kernels._GMachine, "_log_num", recording_log_num)
-    _s_law(builtin_specs[name], n, t, alpha)
-    assert {S for S, *_ in calls} == {kernels.S_PROBE_POINTS, 1025}
+    s, _ = _s_law(builtin_specs[name], n, t, alpha)
+    assert {S for S, *_ in calls} == {kernels.S_PROBE_POINTS, s.size}
     for S, R, k, m, evaluated in calls:
         assert evaluated == (S - 1) * k + (R - 1) * m + 1, (S, R, k, m)
         assert evaluated < S * R / 10, (S, R, k, m)
+
+
+@pytest.mark.parametrize("n, grid_n, rows", [(3200, 4096, 101), (50, 64, 1025)], ids=["k-above-1", "grid64"])
+def test_log_num_reduces_only_its_rows(double_well, n, grid_n, rows, monkeypatch):
+    # the last t holds fewer than m phases, and the phases beyond the rows
+    # are never reduced
+    machine = kernels._GMachine(double_well, n, 1.0, 0.5, kernels.QuadratureConfig(grid_n=grid_n), tilted.DEFAULT_TOL)
+    s = np.linspace(-6.0, 6.0, rows)
+    machine.log_g(s)
+    m = machine._grid(s)[4]
+    assert rows % m != 0, m
+    reduced = []
+    real_log_integral = kernels.log_integral
+
+    def counting_log_integral(x, log_f, axis=-1, lw=None):
+        if log_f.ndim == 2:
+            reduced.append(log_f.shape[0])
+        return real_log_integral(x, log_f, axis=axis, lw=lw)
+
+    monkeypatch.setattr(kernels, "log_integral", counting_log_integral)
+    machine.log_g(s)
+    assert sum(reduced) == rows
+
+
+@pytest.mark.parametrize("t", [0.001, 0.002, 0.01, 0.1, 1.0, 10.0])
+def test_evolved_kernel_cdf_matches_a_4097_row_kernel(double_well, t):
+    # the comb guard: with an s step above the mixture's sd sqrt(t) the
+    # kernel's CDF turns into a staircase while its moments still agree
+    n, alpha = 3200, FINITE_N_BASE + 1.0 / math.sqrt(3200)
+    _assert_fewest_rows(_s_law(double_well, n, t, alpha)[0], t)
+    got = kernels.evolved_kernel(double_well, n, t, alpha)
+    want = fixed_row_kernel(double_well, n, t, alpha, 4097)
+    x = np.linspace(min(got.grid[0], want.grid[0]), max(got.grid[-1], want.grid[-1]), 200_001)
+    assert np.abs(got.cdf_at(x) - want.cdf_at(x)).max() <= 1e-5
+
+
+@pytest.mark.parametrize("name", ["double_well", "cosine_beta1", "glued_beta1"])
+@pytest.mark.parametrize("n", [50, 3200])
+def test_evolved_kernel_moments_match_a_1025_row_kernel(builtin_specs, name, n):
+    alpha = FINITE_N_BASE + 1.0 / math.sqrt(n)
+    got = kernels.evolved_kernel(builtin_specs[name], n, 1.0, alpha)
+    want = fixed_row_kernel(builtin_specs[name], n, 1.0, alpha, 1025)
+    assert abs(got.mean - want.mean) <= 1e-12 * math.sqrt(want.variance)
+    assert got.variance == pytest.approx(want.variance, rel=1e-12, abs=0.0)
 
 
 def test_log_num_peak_memory(double_well):
@@ -542,21 +596,26 @@ def test_log_num_peak_memory(double_well):
 
 
 def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):
-    sizes = []
-    real_eval = kernels.pot.eval
+    sizes, numerators = [], []
+    real_eval, real_log_num = kernels.pot.eval, kernels._GMachine._log_num
 
     def recording_eval(spec, r):
         sizes.append(np.size(r))
         return real_eval(spec, r)
 
+    def recording_log_num(machine, grid, rows, quad, lw):
+        numerators.append(rows * grid[0].size)
+        return real_log_num(machine, grid, rows, quad, lw)
+
     monkeypatch.setattr(kernels.pot, "eval", recording_eval)
+    monkeypatch.setattr(kernels._GMachine, "_log_num", recording_log_num)
     kernels.evolved_kernel(double_well, 3200, 1.0, 1.0 / math.sqrt(3200))
     # global_minimisers' scan and the 16385-point localisation grids are the
     # largest evaluations; each g-factor call adds its r grid and one
-    # lattice, and together they cover under a tenth of the fine pass's
-    # 1025 x 4097 numerator
+    # lattice, and together they cover under a fifth of the fine pass's
+    # S x R numerator (185 x 4203), itself under a fifth of 1025 x 4097
     assert max(sizes) <= max(tilted.COARSE_GRID_N, 16385)
-    assert sum(sizes) < 1025 * 4097 / 10
+    assert sum(sizes) < numerators[-1] / 5 < 1025 * 4097 / 25
 
 
 # --- limit kernel ----------------------------------------------------------------
