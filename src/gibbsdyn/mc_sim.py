@@ -6,24 +6,23 @@ an independent N(0, t) Brownian increment. The empirical conditional law of
 the first spin given that the magnetisation of the other n-1 spins lands in
 the bin [alpha - h, alpha + h] is compared against quadrature.
 
-Two samplers produce the same law:
+Both samplers draw the initial magnetisation s0 and never build the n spins:
 
-  reject  the literal pipeline: draw the initial magnetisation, build the
-          spin vector as a Gaussian bridge, evolve, bin on the companions'
-          magnetisation. Acceptance is P(m_{n-1}(t) in bin), which decays
-          like exp(-n * rate gap) when alpha is atypical; the sampler raises
-          InsufficientStatisticsError below 100 accepted samples.
+  reject  per replica, the three Gaussian coordinates below, with the bin
+          imposed by rejection. Acceptance is P(m_{n-1}(t) in bin), which
+          decays like exp(-n * rate gap) when alpha is atypical; the sampler
+          raises InsufficientStatisticsError below 100 accepted samples.
 
   exact   the same joint law factorised through closed-form Gaussian
-          conditionals: only (s0, m_{n-1}(t), x1) are ever sampled, with the
-          bin constraint absorbed into a tilt of the s0 density and a
-          truncated normal for the companion magnetisation. No rejection, so
-          atypical alpha costs nothing.
+          conditionals: s0 from its law given a hit (the time-0 law tilted
+          by the hit probability), m_{n-1}(t) from a normal truncated to the
+          bin, then x1. No rejection, so atypical alpha costs nothing.
 
-Equality of the two laws is pure Gaussian algebra: given the initial
-magnetisation s0, the pair (x1(0), m_{n-1}(t)) is bivariate normal with
-means (s0, s0), variances (1 - 1/n, (1/n + t)/(n - 1)) and covariance -1/n,
-and x1(t) = x1(0) + N(0, t) independently of the companion noise.
+Both rest on Gaussian algebra. The spins at time 0 are the bridge
+s0 + z - mean(z), z standard normal in R^n, so d = z_1 - mean(z) is
+N(0, 1 - 1/n), x1(0) = s0 + d and m_{n-1}(0) = s0 - d/(n - 1); the Brownian
+increments add independent N(0, t) to x1 and N(0, t/(n - 1)) to m_{n-1}.
+The tests keep the literal n-spin pipeline as the reject sampler's oracle.
 
 The default method "auto" uses reject while its expected yield is healthy
 and falls back to exact for rare-event conditioning.
@@ -35,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtri_exp
 
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import ConfigError, InsufficientStatisticsError
@@ -47,8 +46,7 @@ METHOD_REJECT = "reject"
 METHOD_EXACT = "exact"
 
 MIN_ACCEPTED = 100
-_BLOCK = 32768  # replicas are drawn in fixed-size blocks, in replica order
-_BLOCK_ELEMENTS = 2**21  # spins per reject block at most: 16 MB of float64
+_BLOCK = 32768  # reject replicas are drawn in fixed-size blocks, in replica order
 
 
 @dataclass(frozen=True)
@@ -100,19 +98,17 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _MagnetisationTable:
-    """Tabulated density and inverse CDF of a 1-D law known up to normalisation.
+    """Tabulated inverse CDF of a 1-D law known up to normalisation.
 
-    `quad_grid`/`density` is the whole tabulation grid, for integrals against
-    the law. `grid`/`cdf` drop the points where the CDF does not grow at float
-    resolution, which makes the inverse CDF well defined but also drops
-    low-density troughs, so they serve sampling only. `log_density` and `B`
-    are the law and the window [-B, B] it was tabulated from.
+    `grid`/`cdf` drop the points where the CDF does not grow at float
+    resolution, which makes the inverse CDF well defined. `log_mass` is the
+    log of the law's unnormalised mass; `log_density` and `B` are the law and
+    the window [-B, B] it was tabulated from.
     """
 
-    quad_grid: np.ndarray
-    density: np.ndarray
     grid: np.ndarray
     cdf: np.ndarray
+    log_mass: float
     log_density: object
     B: float
 
@@ -124,11 +120,11 @@ def _tabulate(log_density, B: float) -> _MagnetisationTable:
     lo, hi, _ = localize(log_density, -B, B, 16385)
     x = simpson_grid(lo, hi, 32769)
     L = np.asarray(log_density(x), dtype=float)
-    dens = np.exp(L - float(log_integral(x, L)))
+    log_mass = float(log_integral(x, L))
     # strictly increasing cdf for a well-defined inverse
-    cdf = np.maximum.accumulate(trapezoid_cdf(x, dens))
+    cdf = np.maximum.accumulate(trapezoid_cdf(x, np.exp(L - log_mass)))
     keep = np.concatenate(([True], np.diff(cdf) > 0))
-    return _MagnetisationTable(x, dens, x[keep], cdf[keep], log_density, B)
+    return _MagnetisationTable(x[keep], cdf[keep], log_mass, log_density, B)
 
 
 def _initial_magnetisation_table(spec: pot.PotentialSpec, n: int) -> _MagnetisationTable:
@@ -148,46 +144,59 @@ def _companion_sd(n: int, t: float) -> float:
     return math.sqrt((1.0 / n + t) / (n - 1.0))
 
 
+def _lower_tail_bin(s: np.ndarray, config: SimConfig):
+    """The bin in standard units of m_{n-1}(t) given s0 = s, as (sign, lo, hi):
+    the companions hit it when sign * Z lies in [lo, hi] for a standard
+    normal Z. Rows whose bin lies wholly above the mean are reflected
+    (sign -1), so lo <= 0 on every row and the hit probability is read from
+    the lower tail, where log_ndtr neither cancels nor underflows."""
+    sd = _companion_sd(config.n, config.t)
+    a, h = config.alpha_target, config.bin_halfwidth
+    lo, hi = (a - h - s) / sd, (a + h - s) / sd
+    upper = lo > 0
+    return np.where(upper, -1.0, 1.0), np.where(upper, -hi, lo), np.where(upper, -lo, hi)
+
+
+def _hit_table(initial: _MagnetisationTable, config: SimConfig) -> _MagnetisationTable:
+    """The law of s0 given a hit: the time-0 magnetisation law tilted by the
+    hit probability. Its mass over the initial table's is the acceptance."""
+    a, h = config.alpha_target, config.bin_halfwidth
+
+    def log_density(s):
+        # plus log(Phi(hi) - Phi(lo)), the hit probability, with lo <= 0
+        _, lo, hi = _lower_tail_bin(np.asarray(s), config)
+        log_hi = log_ndtr(hi)
+        with np.errstate(divide="ignore"):  # log(0) where Phi(lo) == Phi(hi) in floats
+            return initial.log_density(s) + log_hi + np.log(-np.expm1(log_ndtr(lo) - log_hi))
+
+    sd = _companion_sd(config.n, config.t)
+    return _tabulate(log_density, max(initial.B, abs(a) + h + 12.0 * sd))
+
+
 def estimate_acceptance(spec: pot.PotentialSpec, config: SimConfig) -> float:
     """P(m_{n-1}(t) in the bin), by quadrature over the initial magnetisation."""
-    return _bin_probability(_initial_magnetisation_table(spec, config.n), config)
-
-
-def _bin_probability(table: _MagnetisationTable, config: SimConfig) -> float:
-    """estimate_acceptance on an already built time-0 magnetisation table."""
-    n, t, a, h = config.n, config.t, config.alpha_target, config.bin_halfwidth
-    sd = _companion_sd(n, t)
-    s = table.quad_grid
-    w = ndtr((a + h - s) / sd) - ndtr((a - h - s) / sd)
-    return float(np.trapezoid(table.density * w, s))
+    initial = _initial_magnetisation_table(spec, config.n)
+    return math.exp(_hit_table(initial, config).log_mass - initial.log_mass)
 
 
 def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKernel:
-    """The literal sampler; table is the time-0 magnetisation table."""
+    """The reject sampler on three Gaussian coordinates per replica; table is
+    the time-0 magnetisation table."""
     n, t = config.n, config.t
     a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
 
-    # two (block, n) buffers for the whole run, of at most _BLOCK_ELEMENTS
-    # each; each block is built in place, with the draws in the order
-    # random, normal, normal
-    rows = min(_BLOCK, config.replicas, max(1, _BLOCK_ELEMENTS // n))
-    spins_buf, noise_buf = np.empty((rows, n)), np.empty((rows, n))
     accepted: list[np.ndarray] = []
     done = 0
     while done < config.replicas:
-        block = min(rows, config.replicas - done)
+        block = min(_BLOCK, config.replicas - done)
         s0 = table.sample(rng.random(block))
-        spins = rng.standard_normal(out=spins_buf[:block])
-        mean = spins.mean(axis=1, keepdims=True)
-        spins += s0[:, None]
-        spins -= mean  # the Gaussian bridge s0 + z - mean(z): spins at time 0
-        noise = rng.standard_normal(out=noise_buf[:block])
-        noise *= math.sqrt(t)
-        spins += noise  # spins at time t
-        m_comp = spins[:, 1:].mean(axis=1)
+        d = math.sqrt(1.0 - 1.0 / n) * rng.standard_normal(block)  # x1(0) - s0
+        # the companions' magnetisation: s0 - d/(n - 1) at time 0, plus the
+        # mean of their n - 1 Brownian increments
+        m_comp = s0 - d / (n - 1.0) + math.sqrt(t / (n - 1.0)) * rng.standard_normal(block)
         hit = np.abs(m_comp - a) <= h
-        accepted.append(spins[hit, 0])
+        accepted.append(s0[hit] + d[hit] + math.sqrt(t) * rng.standard_normal(np.count_nonzero(hit)))
         done += block
     samples = np.concatenate(accepted)
     rate = samples.size / done
@@ -198,42 +207,30 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
             accepted=int(samples.size),
             acceptance_rate=rate,
         )
-    return EmpiricalKernel(
-        samples=samples,
-        accepted_count=int(samples.size),
-        acceptance_rate=rate,
-        method=METHOD_REJECT,
-        config=config,
-    )
+    return EmpiricalKernel(samples=samples, accepted_count=int(samples.size), acceptance_rate=rate,
+                           method=METHOD_REJECT, config=config)
 
 
-def _evolve_exact(initial: _MagnetisationTable, config: SimConfig, rate: float) -> EmpiricalKernel:
-    """The exact sampler; initial is the time-0 magnetisation table and rate
-    the acceptance estimate from it, reported as the acceptance rate."""
+def _companion_in_bin(s0: np.ndarray, u: np.ndarray, config: SimConfig) -> np.ndarray:
+    """m_{n-1}(t) given s0 and a hit: a normal truncated to the bin, read off
+    its inverse CDF at the uniform draws u in the lower-tail form."""
+    sign, lo, hi = _lower_tail_bin(s0, config)
+    log_hi = log_ndtr(hi)
+    # u Phi(hi) + (1 - u) Phi(lo), in log space through Phi(hi)
+    z = ndtri_exp(log_hi + np.log(u + (1.0 - u) * np.exp(log_ndtr(lo) - log_hi)))
+    return s0 + sign * _companion_sd(config.n, config.t) * np.clip(z, lo, hi)
+
+
+def _evolve_exact(hits: _MagnetisationTable, config: SimConfig, rate: float) -> EmpiricalKernel:
+    """The exact sampler; hits is the law of s0 given a hit (_hit_table) and
+    rate the acceptance estimate, reported as the acceptance rate."""
     n, t = config.n, config.t
-    a, h = config.alpha_target, config.bin_halfwidth
     rng = _rng(config.seed)
     sd_m = _companion_sd(n, t)
 
-    # s0 | bin-hit: initial magnetisation density tilted by the hit probability
-    def log_density(s):
-        s = np.asarray(s)
-        w = ndtr((a + h - s) / sd_m) - ndtr((a - h - s) / sd_m)
-        with np.errstate(divide="ignore"):
-            return initial.log_density(s) + np.log(w)
-
-    table = _tabulate(log_density, max(initial.B, abs(a) + h + 12.0 * sd_m))
-
     R = config.replicas
-    s0 = table.sample(rng.random(R))
-
-    # companion magnetisation: truncated normal on the bin
-    lo_z = (a - h - s0) / sd_m
-    hi_z = (a + h - s0) / sd_m
-    plo = ndtr(lo_z)
-    phi = ndtr(hi_z)
-    u = rng.random(R)
-    m_comp = s0 + sd_m * ndtri(np.clip(plo + u * (phi - plo), 1e-300, 1.0 - 1e-16))
+    s0 = hits.sample(rng.random(R))
+    m_comp = _companion_in_bin(s0, rng.random(R), config)
 
     # first spin at time 0 given (s0, m_comp), then its Brownian increment
     var_m = sd_m**2
@@ -242,13 +239,8 @@ def _evolve_exact(initial: _MagnetisationTable, config: SimConfig, rate: float) 
     x1_0 = s0 + slope * (m_comp - s0) + math.sqrt(max(cond_var, 0.0)) * rng.standard_normal(R)
     x1_t = x1_0 + math.sqrt(t) * rng.standard_normal(R)
 
-    return EmpiricalKernel(
-        samples=x1_t,
-        accepted_count=int(R),
-        acceptance_rate=rate,
-        method=METHOD_EXACT,
-        config=config,
-    )
+    return EmpiricalKernel(samples=x1_t, accepted_count=int(R), acceptance_rate=rate, method=METHOD_EXACT,
+                           config=config)
 
 
 def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> EmpiricalKernel:
@@ -258,10 +250,11 @@ def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> Empirica
     table = _initial_magnetisation_table(spec, config.n)
     if config.method == METHOD_REJECT:
         return _evolve_reject(table, config)
-    rate = _bin_probability(table, config)
+    hits = _hit_table(table, config)
+    rate = math.exp(hits.log_mass - table.log_mass)
     if config.method == METHOD_AUTO and rate * config.replicas >= 10.0 * MIN_ACCEPTED:
         return _evolve_reject(table, config)
-    return _evolve_exact(table, config, rate)
+    return _evolve_exact(hits, config, rate)
 
 
 def ks_distance(empirical: EmpiricalKernel | np.ndarray, reference: KernelEstimate) -> float:

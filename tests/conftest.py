@@ -476,24 +476,32 @@ def polyval_eval(spec, r, order=0):
     return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), c)
 
 
-def allocating_reject_samples(table, config):
-    """Oracle for mc_sim._evolve_reject: its block loop written with one
-    numpy temporary per operation, as (accepted first spins, replicas)."""
+def literal_reject_samples(table, config):
+    """Slow oracle for mc_sim._evolve_reject: the literal n-spin pipeline.
+
+    Each replica's n spins start as the Gaussian bridge s0 + z - mean(z)
+    around an initial magnetisation s0 drawn from `table`, and each spin adds
+    an independent N(0, t) increment. The first spin is kept when the other
+    n - 1 spins' magnetisation lands in the bin. Replicas are drawn in blocks
+    of at most 2^21 spins."""
     n, t = config.n, config.t
     a, h = config.alpha_target, config.bin_halfwidth
     rng = mc_sim._rng(config.seed)
-    rows = min(mc_sim._BLOCK, max(1, mc_sim._BLOCK_ELEMENTS // n))
+    rows = max(1, 2**21 // n)
     accepted = []
-    done = 0
-    while done < config.replicas:
+    for done in range(0, config.replicas, rows):
         block = min(rows, config.replicas - done)
         s0 = table.sample(rng.random(block))
         z = rng.standard_normal((block, n))
-        spins0 = s0[:, None] + z - z.mean(axis=1, keepdims=True)
-        noise = rng.standard_normal((block, n)) * math.sqrt(t)
-        spins_t = spins0 + noise
-        m_comp = spins_t[:, 1:].mean(axis=1)
-        hit = np.abs(m_comp - a) <= h
+        spins_0 = s0[:, None] + z - z.mean(axis=1, keepdims=True)
+        spins_t = spins_0 + rng.standard_normal((block, n)) * math.sqrt(t)
+        hit = np.abs(spins_t[:, 1:].mean(axis=1) - a) <= h
         accepted.append(spins_t[hit, 0])
-        done += block
-    return np.concatenate(accepted), done
+    return np.concatenate(accepted)
+
+
+def two_sample_dkw_floor(m, k, delta):
+    """A level that the two-sample KS statistic of m and k draws from one law
+    exceeds with probability at most delta: the DKW bound of each sample at
+    delta/2, added by the triangle inequality."""
+    return sum(math.sqrt(math.log(4.0 / delta) / (2.0 * size)) for size in (m, k))

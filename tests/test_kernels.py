@@ -480,7 +480,7 @@ def _assert_same_kernel_moments(spec, n, t, alpha, rel, cfg=kernels.DEFAULT_QUAD
 
 
 @pytest.mark.parametrize("name, n, t, alpha", SUPPORT_SCAN_CASES)
-def test_strided_probes_give_the_full_probe_kernel(builtin_specs, name, n, t, alpha):
+def test_support_scan_gives_the_dense_probe_kernel(builtin_specs, name, n, t, alpha):
     # the mixture is a function of the s-law alone
     _assert_same_kernel_moments(builtin_specs[name], n, t, alpha, rel=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import log_ndtr, logsumexp
 from scipy.stats import chi2, ks_2samp
 
-from conftest import allocating_reject_samples
+from conftest import literal_reject_samples, two_sample_dkw_floor
 from gibbsdyn import kernels, mc_sim, potential as pot
 from gibbsdyn.errors import ConfigError, InsufficientStatisticsError
 
@@ -127,20 +127,42 @@ def test_exact_sampler_matches_rejection_law(quadratic):
 
 def test_estimate_acceptance_in_trough(double_well):
     # the criterion-6 bin sits in the trough between the two magnetised
-    # phases, which the inverse-CDF grid of the magnetisation table drops
-    n, t, a, h = 64, 0.1, 0.0, 0.05
-    cfg = mc_sim.SimConfig(n=n, t=t, alpha_target=a, bin_halfwidth=h)
+    # phases, which the inverse-CDF grid of the magnetisation table drops;
+    # at alpha = 2.2 the bin lies far above the well, in the upper tail of
+    # the companions' law given any likely s0
+    n, t, h = 64, 0.1, 0.05
     s = np.linspace(-4.0, 4.0, 400_001)
     log_base = -n * (np.asarray(pot.eval(double_well, s)) + s**2 / 2.0)
     sd = math.sqrt((1.0 / n + t) / (n - 1.0))
-    lo, hi = (a - h - s) / sd, (a + h - s) / sd
-    # log(Phi(hi) - Phi(lo)), taken in the lower tail on both sides of the bin
-    upper = lo > 0
-    lo, hi = np.where(upper, -hi, lo), np.where(upper, -lo, hi)
-    log_hi = log_ndtr(hi)
-    log_w = log_hi + np.log1p(-np.exp(log_ndtr(lo) - log_hi))
-    want = logsumexp(log_base + log_w) - logsumexp(log_base)
-    assert math.log(mc_sim.estimate_acceptance(double_well, cfg)) == pytest.approx(want, abs=0.01)
+    for a in (0.0, 2.2):
+        cfg = mc_sim.SimConfig(n=n, t=t, alpha_target=a, bin_halfwidth=h)
+        lo, hi = (a - h - s) / sd, (a + h - s) / sd
+        # log(Phi(hi) - Phi(lo)), taken in the lower tail on both sides of the bin
+        upper = lo > 0
+        lo, hi = np.where(upper, -hi, lo), np.where(upper, -lo, hi)
+        log_hi = log_ndtr(hi)
+        log_w = log_hi + np.log1p(-np.exp(log_ndtr(lo) - log_hi))
+        want = logsumexp(log_base + log_w) - logsumexp(log_base)
+        assert math.log(mc_sim.estimate_acceptance(double_well, cfg)) == pytest.approx(want, abs=0.01)
+
+
+@pytest.mark.parametrize("alpha", [-4.0, -2.2, -1.9, 0.0, 1.9, 2.2, 4.0])
+def test_exact_sampler_far_from_the_well(double_well, monkeypatch, alpha):
+    # the double well is even, so bins above and below the wells are mirror
+    # images; the hit probability is read from the lower tail on both sides
+    companion, companions = mc_sim._companion_in_bin, []
+
+    def recorded(s0, u, config):
+        companions.append(companion(s0, u, config))
+        return companions[-1]
+
+    monkeypatch.setattr(mc_sim, "_companion_in_bin", recorded)
+    n, t, h = 64, 0.1, 0.005
+    cfg = mc_sim.SimConfig(n=n, t=t, alpha_target=alpha, replicas=100_000, seed=8, bin_halfwidth=h, method="exact")
+    emp = mc_sim.evolve_and_condition(cfg, double_well)
+    assert mc_sim.ks_distance(emp, kernels.evolved_kernel(double_well, n, t, alpha)) < 0.02
+    (m_comp,) = companions
+    assert np.all(np.abs(m_comp - alpha) <= h)
 
 
 def test_auto_fallback_builds_magnetisation_table_once(double_well, monkeypatch):
@@ -180,53 +202,70 @@ def test_auto_reject_builds_magnetisation_table_once(double_well, monkeypatch):
     assert np.array_equal(emp.samples, forced.samples)
 
 
+def _assert_reject_draws_the_literal_law(table, config):
+    """The three-coordinate sampler against the literal n-spin pipeline, run
+    on another seed: acceptance rates, and the accepted first spins by a
+    two-sample KS statistic, each under its DKW floor at delta = 1e-3."""
+    got = mc_sim._evolve_reject(table, config)
+    want = literal_reject_samples(table, replace(config, seed=config.seed + 1))
+    assert got.acceptance_rate == got.samples.size / config.replicas
+    R = config.replicas
+    assert abs(got.acceptance_rate - want.size / R) < two_sample_dkw_floor(R, R, 1e-3)
+    assert ks_2samp(got.samples, want).statistic < two_sample_dkw_floor(got.samples.size, want.size, 1e-3)
+
+
 @pytest.mark.parametrize(
     "name, n, t, alpha, h",
-    [("zero", 2, 0.5, 0.3, 0.05), ("double_well", 16, 1.0, 1.2, 0.05), ("double_well", 64, 0.1, 1.4, 0.2)],
-    ids=["zero-n2", "dw-n16", "dw-n64"],
+    [
+        ("zero", 2, 0.5, 0.3, 0.05),
+        # at n = 2 the companion is one spin, which the first spin's bridge
+        # term moves by -d: a bin in the tail shows a lost correlation
+        ("zero", 2, 0.5, 1.0, 0.05),
+        ("double_well", 16, 1.0, 1.2, 0.05),
+        ("double_well", 64, 0.1, 1.4, 0.2),
+    ],
+    ids=["zero-n2", "zero-n2-tail", "dw-n16", "dw-n64"],
 )
 def test_in_place_reject_blocks_are_bitwise_allocating(builtin_specs, name, n, t, alpha, h):
-    # one full block and a partial one: the replica count is no block multiple
-    config = mc_sim.SimConfig(n=n, t=t, alpha_target=alpha, replicas=mc_sim._BLOCK + 1234, seed=5,
+    # the name is kept from the in-place n-spin blocks this test once pinned
+    # bitwise; full blocks and a partial one, as the replica count is no
+    # block multiple
+    config = mc_sim.SimConfig(n=n, t=t, alpha_target=alpha, replicas=8 * mc_sim._BLOCK + 1234, seed=5,
                               bin_halfwidth=h, method="reject")
-    table = mc_sim._initial_magnetisation_table(builtin_specs[name], n)
-    got = mc_sim._evolve_reject(table, config)
-    want, replicas = allocating_reject_samples(table, config)
-    assert got.samples.tobytes() == want.tobytes()
-    assert got.acceptance_rate == want.size / replicas
+    _assert_reject_draws_the_literal_law(mc_sim._initial_magnetisation_table(builtin_specs[name], n), config)
 
 
-def test_reject_block_peak_memory(double_well):
-    # the two (block, n) buffers, where each block used to hold about five
-    config = mc_sim.SimConfig(n=64, t=0.1, alpha_target=1.4, replicas=mc_sim._BLOCK, bin_halfwidth=0.2,
-                              method="reject")
-    table = mc_sim._initial_magnetisation_table(double_well, config.n)
+# a block holds a few arrays of _BLOCK floats, whatever n, accepted samples
+# included (5.0 x _BLOCK x 8 bytes measured at n = 64, 512 and 1e6)
+REJECT_PEAK_BYTES = 6 * mc_sim._BLOCK * 8
+
+
+def _reject_peak_memory(table, config):
     mc_sim._evolve_reject(table, config)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         mc_sim._evolve_reject(table, config)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * mc_sim._BLOCK * config.n * 8
+
+
+def test_reject_block_peak_memory(double_well):
+    for n in (64, 10**6):
+        config = mc_sim.SimConfig(n=n, t=0.1, alpha_target=1.4, replicas=mc_sim._BLOCK, bin_halfwidth=0.2,
+                                  method="reject")
+        table = mc_sim._initial_magnetisation_table(double_well, n)
+        assert _reject_peak_memory(table, config) <= REJECT_PEAK_BYTES
 
 
 def test_reject_block_memory_is_capped_in_n(zero):
-    # at n = 512 a block of _BLOCK replicas would need two 134 MB buffers; a
-    # block holds _BLOCK_ELEMENTS spins instead, with the allocating draws
+    # at n = 512 a block of _BLOCK replicas would hold 16.7 million spins;
+    # the sampler holds three coordinates per replica
     config = mc_sim.SimConfig(n=512, t=1.0, alpha_target=0.0, replicas=40_000, method="reject")
     table = mc_sim._initial_magnetisation_table(zero, config.n)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        got = mc_sim._evolve_reject(table, config)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * mc_sim._BLOCK_ELEMENTS * 8
-    want, replicas = allocating_reject_samples(table, config)
-    assert got.samples.tobytes() == want.tobytes() and replicas == config.replicas
+    assert _reject_peak_memory(table, config) <= REJECT_PEAK_BYTES
+    _assert_reject_draws_the_literal_law(table, config)
 
 
 def test_insufficient_statistics_error(double_well):
