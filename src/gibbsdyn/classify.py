@@ -7,11 +7,10 @@ differentiable V) determines the crossover time through the closed form
     t_c = 1/(beta - 1/2)  if 1/2 < beta < inf,
     t_c = 0               if beta = +inf (curvature unbounded below).
 
-beta comes from one curvature scan per window, whose window doubles until
-the infimum settles (_curvature_infimum_with_growth_check). It reads V'' on
-the grid, analytic for C2_analytic potentials; for the others it reads the
-smaller of the second difference of potential.deriv and twice the Phi2
-quotients of the grid's consecutive triples (_scan_curvature_infimum).
+beta is read off potential.curvature_infimum, the closed-form inf V'' of
+every builtin family. Only a custom_table is scanned: on its own range, each
+grid point takes the smaller of the second difference of potential.deriv and
+twice the Phi2 quotient of its consecutive triple (_table_curvature_infimum).
 
 Status at t = t_c depends on whether the curvature infimum is attained on an
 interval (flat piece -> not Gibbs at t_c) or only at isolated points
@@ -37,7 +36,7 @@ import numpy as np
 from gibbsdyn import potential as pot
 from gibbsdyn import tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
-from gibbsdyn.gridmin import golden_section
+from gibbsdyn.gridmin import golden_section  # unused: perfbench's selftest.Bindings requires the binding
 from gibbsdyn.kernels import initial_kernel
 
 GIBBS = "gibbs"
@@ -49,75 +48,35 @@ METHOD_PHI2_SCAN = "phi2_scan"
 
 UNBOUNDED_SENTINEL = 1e6  # curvature below -2*this reports beta = +inf
 
-SCAN_POINTS = 32769  # points of a curvature scan on the base window
-MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the doubling curvature scans
+SCAN_POINTS = 32769  # points of a table's curvature scan
 CLASSIFICATION_CACHE_SIZE = 64  # potentials whose classification stays memoised
 
 
-def _scan_curvature_infimum(spec: pot.PotentialSpec, radius: float, n_grid: int = SCAN_POINTS):
-    """(inf of V'' on the n_grid-point grid of [-radius, radius], argmin),
-    golden-refined for analytic second derivatives.
+def _table_curvature_infimum(spec: pot.PotentialSpec) -> float:
+    """inf V'' of a custom_table over its own range [-R, R]
+    (R = pot.window_radius) on SCAN_POINTS grid points.
 
-    Without an analytic V'' (pot.deriv takes second differences) each
-    interior point also takes twice the Phi2 quotient of its consecutive
-    triple, the smaller of the two (np.fmin: a NaN never hides a finite
-    value). The triples see a concave kink that falls between grid points,
-    where every second difference steps over it."""
-    xs = np.linspace(-radius, radius, n_grid)
+    Each interior point takes the smaller of the second difference of
+    pot.deriv and twice the Phi2 quotient of its consecutive triple
+    (np.fmin: a NaN never hides a finite value). The triples see a concave
+    kink that falls between grid points, where every second difference
+    steps over it. A table cannot be extended past its range, so an
+    infimum at the table edge is inconclusive."""
+    radius = pot.window_radius(spec)
+    xs = np.linspace(-radius, radius, SCAN_POINTS)
     vals = pot.deriv(spec, xs, 2)
-    if not pot.has_analytic_deriv(spec, 2):
-        vals[1:-1] = np.fmin(vals[1:-1], 2.0 * _consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs))
+    vals[1:-1] = np.fmin(vals[1:-1], 2.0 * _consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs))
     finite = np.isfinite(vals)
     if not finite.any():
         raise InconclusiveError("curvature is nowhere finite on the scan window")
     vals = np.where(finite, vals, np.inf)
     i = int(np.argmin(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    if pot.has_analytic_deriv(spec, 2) and 0 < i < xs.size - 1:
-        x, v = golden_section(lambda s, _: pot.deriv(spec, s, 2), xs[i - 1 : i], xs[i + 1 : i + 2])
-        if v[0] < best_v:
-            best_x, best_v = float(x[0]), float(v[0])
-    return best_v, best_x
-
-
-def _curvature_infimum_with_growth_check(spec: pot.PotentialSpec):
-    """Doubling-window scan of inf V''.
-
-    Stops when the infimum stabilises between doublings (bounded below) or
-    dips under the unboundedness sentinel; when neither happens within seven
-    doublings the scan is inconclusive. custom_table potentials cannot be
-    extended past their tabulated range; a near-inf at the table edge is
-    inconclusive.
-    """
-    base = pot.window_radius(spec)
-    if spec.family == "custom_table":
-        inf_v, arg = _scan_curvature_infimum(spec, base)
-        edge_gap = base - abs(arg)
-        if edge_gap < 2.0 * (2.0 * base / (SCAN_POINTS - 1)):
-            raise InconclusiveError(
-                "curvature infimum sits at the table edge; widen the table to classify",
-                diagnostics={"arg_inf": arg, "inf_curvature": inf_v, "window_radius": base},
-            )
-        return inf_v, arg
-
-    infima = []
-    radius = base
-    for _ in range(7):
-        # resolve oscillations whose local period shrinks like 1/r
-        spacing = math.pi / (10.0 * radius)
-        n_grid = int(min(MAX_SCAN_POINTS, max(SCAN_POINTS, 2.0 * radius / spacing)))
-        n_grid = n_grid if n_grid % 2 == 1 else n_grid + 1
-        inf_v, arg = _scan_curvature_infimum(spec, radius, n_grid)
-        if inf_v < -2.0 * UNBOUNDED_SENTINEL:
-            return -math.inf, arg
-        if infima and abs(inf_v - infima[-1]) <= 1e-3 * max(1.0, abs(infima[-1])):
-            return inf_v, arg
-        infima.append(inf_v)
-        radius *= 2.0
-    raise InconclusiveError(
-        "curvature infimum neither settled nor passed the unboundedness sentinel in seven doublings",
-        diagnostics={"radius": radius / 2.0, "last_infima": infima[-2:]},
-    )
+    if radius - abs(xs[i]) < 2.0 * (2.0 * radius / (SCAN_POINTS - 1)):
+        raise InconclusiveError(
+            "curvature infimum sits at the table edge; widen the table to classify",
+            diagnostics={"arg_inf": float(xs[i]), "inf_curvature": float(vals[i]), "window_radius": radius},
+        )
+    return float(vals[i])
 
 
 def _consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -243,7 +202,8 @@ def _classification(spec: pot.PotentialSpec, float_bits: bytes):
     it. Errors such as InconclusiveError propagate and are not cached.
     _classification.cache_clear() empties the cache."""
     method = METHOD_SECOND_DERIVATIVE if spec.smoothness == pot.C2_ANALYTIC else METHOD_PHI2_SCAN
-    beta = -0.5 * _curvature_infimum_with_growth_check(spec)[0]
+    scan = spec.family == "custom_table"  # the one family without a closed form
+    beta = -0.5 * (_table_curvature_infimum(spec) if scan else pot.curvature_infimum(spec))
 
     if beta > UNBOUNDED_SENTINEL:
         return math.inf, 0.0, UNKNOWN, method

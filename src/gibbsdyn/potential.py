@@ -6,9 +6,10 @@ A potential is a non-negative function of the magnetisation. Builtin families:
     polynomial      V(r) = sum_k a_k r^k, even leading degree, positive leading coefficient
     cosine_well     V(r) = 2*beta*(1 + cos r)
     cos_of_square   V(r) = 1 - cos(r^2)
-    glued_exp       V(r) = g(r) - beta*r^2 - C_beta, with g a convex C^1 glue of
-                    exp(-1/(|r|-1) + |r|-1) outside [-1, 1] and 0 inside, and
-                    C_beta = inf_s [g(s) - beta*s^2]
+    glued_exp       V(r) = g(r) - beta*r^2 - C_beta, with g a convex (g'' >= 0)
+                    C^1 glue of exp(-1/(|r|-1) + |r|-1) outside [-1, 1] and
+                    the flat piece g = 0 inside, and C_beta = inf_s [g(s) - beta*s^2];
+                    so inf V'' = -2 beta, attained on [-1, 1]
     abs             V(r) = |r|
     custom_table    linear interpolation of tabulated samples
 
@@ -36,7 +37,8 @@ LSC_ONLY = "lsc_only"
 
 FAMILIES = ("zero", "polynomial", "cosine_well", "cos_of_square", "glued_exp", "abs", "custom_table")
 
-# Working window for grid scans; all builtin structure lives well inside it.
+# Working window of the status at t_c (classify._status_at_tc); all builtin
+# structure lives well inside it.
 DEFAULT_WINDOW_RADIUS = 20.0
 
 # Step rule for finite-difference derivatives.
@@ -368,6 +370,24 @@ def kinks(spec: PotentialSpec) -> tuple[float, ...]:
     """The points where a family with an analytic V' (has_analytic_deriv at
     order 1) has no V': the kink of |r| at 0."""
     return (0.0,) if spec.family == "abs" else ()
+
+
+def curvature_infimum(spec: PotentialSpec) -> float:
+    """inf V'' over the line, in closed form, for every family but
+    custom_table: 0 for zero and abs (its kink is convex), -2 beta for
+    cosine_well and glued_exp (the glue has g'' >= 0 and is 0 on [-1, 1]),
+    -inf for cos_of_square (V'' = 2 sin r^2 + 4 r^2 cos r^2), and the
+    minimum of the V'' polynomial for polynomial."""
+    fam = spec.family
+    if fam in ("zero", "abs"):
+        return 0.0
+    if fam in ("cosine_well", "glued_exp"):
+        return -2.0 * spec.beta
+    if fam == "cos_of_square":
+        return -math.inf
+    if fam == "polynomial":
+        return _poly_min(_poly_deriv_coeffs(spec.coefficients, 2))
+    raise DomainError(f"family {fam!r} has no closed-form curvature infimum")
 
 
 def deriv(spec: PotentialSpec, r, order: int = 1):

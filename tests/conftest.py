@@ -17,7 +17,7 @@ import math
 from scipy.special import logsumexp
 
 from gibbsdyn import classify, gridmin, kernels, mc_sim, potential as pot, quadrature, tilted
-from gibbsdyn.errors import AccuracyError, DomainError, NotDifferentiableError, OrderingError
+from gibbsdyn.errors import AccuracyError, DomainError, InconclusiveError, NotDifferentiableError, OrderingError
 from gibbsdyn.gridmin import INV_PHI, REFINE_TOL
 
 
@@ -123,6 +123,57 @@ def second_difference_curvature(spec, xs):
     vp = np.asarray(pot.eval(spec, xs + h))
     vm = np.asarray(pot.eval(spec, xs - h))
     return (vp - 2.0 * v0 + vm) / h**2
+
+
+MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the doubling curvature scans
+
+
+def _scan_curvature_infimum(spec, radius: float, n_grid: int):
+    """(inf of V'' on the n_grid-point grid of [-radius, radius], argmin).
+    An analytic V'' is golden-refined around the grid minimum; without one
+    (pot.deriv takes second differences) each interior point also takes
+    twice the Phi2 quotient of its consecutive triple, the smaller of the
+    two."""
+    xs = np.linspace(-radius, radius, n_grid)
+    vals = pot.deriv(spec, xs, 2)
+    analytic = pot.has_analytic_deriv(spec, 2)
+    if not analytic:
+        vals[1:-1] = np.fmin(vals[1:-1], 2.0 * classify._consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs))
+    vals = np.where(np.isfinite(vals), vals, np.inf)
+    i = int(np.argmin(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    if analytic and 0 < i < xs.size - 1:
+        x, v = gridmin.golden_section(lambda s, _: pot.deriv(spec, s, 2), xs[i - 1 : i], xs[i + 1 : i + 2])
+        if v[0] < best_v:
+            best_x, best_v = float(x[0]), float(v[0])
+    return best_v, best_x
+
+
+def doubling_curvature_scan(spec):
+    """Oracle for potential.curvature_infimum: inf V'' by a grid scan from
+    the working window pot.window_radius(spec), whose radius doubles until
+    the infimum settles (within 1e-3 relative between doublings), or
+    returns -inf once it dips under -2 classify.UNBOUNDED_SENTINEL. Each
+    grid resolves oscillations whose local period shrinks like 1/r, up to
+    MAX_SCAN_POINTS points. Raises InconclusiveError when neither happens
+    within seven doublings. Returns (infimum, argmin)."""
+    infima = []
+    radius = pot.window_radius(spec)
+    for _ in range(7):
+        spacing = math.pi / (10.0 * radius)
+        n_grid = int(min(MAX_SCAN_POINTS, max(classify.SCAN_POINTS, 2.0 * radius / spacing)))
+        n_grid = n_grid if n_grid % 2 == 1 else n_grid + 1
+        inf_v, arg = _scan_curvature_infimum(spec, radius, n_grid)
+        if inf_v < -2.0 * classify.UNBOUNDED_SENTINEL:
+            return -math.inf, arg
+        if infima and abs(inf_v - infima[-1]) <= 1e-3 * max(1.0, abs(infima[-1])):
+            return inf_v, arg
+        infima.append(inf_v)
+        radius *= 2.0
+    raise InconclusiveError(
+        "curvature infimum neither settled nor passed the unboundedness sentinel in seven doublings",
+        diagnostics={"radius": radius / 2.0, "last_infima": infima[-2:]},
+    )
 
 
 def scalar_equivalence_sides(f, beta, window, grid_n=201):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_triples_phi2_min, scalar_equivalence_sides
+from conftest import all_triples_phi2_min, doubling_curvature_scan, scalar_equivalence_sides
 from gibbsdyn import classify, kernels, potential as pot, tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
@@ -47,8 +47,7 @@ def test_two_methods_agree_on_smooth_builtins(builtin_specs):
     xs = np.linspace(-20.0, 20.0, 400_001)
     for name in ("zero", "r^2", "double_well", "shallow_quartic", "cosine_beta1", "cosine_beta04"):
         spec = builtin_specs[name]
-        curv_inf, _ = classify._curvature_infimum_with_growth_check(spec)
-        beta_dd = -0.5 * curv_inf
+        beta_dd = -0.5 * pot.curvature_infimum(spec)
         beta_phi2 = -classify._consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs).min()
         if abs(beta_dd) < 1e-9:
             assert abs(beta_phi2) < 1e-6, name
@@ -120,6 +119,17 @@ def test_gibbs_at_monotone(builtin_specs):
         assert flags == sorted(flags, reverse=True), (name, flags)
 
 
+def _random_polynomials():
+    """20 seeded random normalised polynomials, quartics and sextics in turn."""
+    rng = np.random.default_rng(0)
+    specs = []
+    for i in range(20):
+        c = rng.normal(size=(5, 7)[i % 2])
+        c[-1] = abs(c[-1])
+        specs.append(pot.polynomial(c.tolist(), normalize=True))
+    return specs
+
+
 def test_gibbs_at_tc(builtin_specs):
     assert classify.gibbs_at_tc(builtin_specs["cosine_beta1"]) == classify.GIBBS
     assert classify.gibbs_at_tc(builtin_specs["glued_beta1"]) == classify.NON_GIBBS
@@ -131,11 +141,7 @@ def test_gibbs_at_tc(builtin_specs):
         pot.polynomial([0, 0, -3, 0, 0, 0, 1], normalize=True),
         pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0),
     ]
-    rng = np.random.default_rng(0)
-    for i in range(20):  # random normalised quartics and sextics
-        c = rng.normal(size=(5, 7)[i % 2])
-        c[-1] = abs(c[-1])
-        spec = pot.polynomial(c.tolist(), normalize=True)
+    for spec in _random_polynomials():
         if 0.5 < classify.crossover_time(spec, find_witness=False).beta < 1e3:
             gibbs.append(spec)
     assert len(gibbs) == 3 + 8
@@ -215,22 +221,22 @@ def test_witness_off_alpha_zero():
     assert r.witness.multiple
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    original = getattr(classify, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(classify, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_gibbs_at_sweep_classifies_once(builtin_specs, monkeypatch):
     spec = builtin_specs["cos_of_square"]
     classify._classification.cache_clear()
-    scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
+    scans = _count_calls(monkeypatch, pot, "curvature_infimum")
     flags = [classify.gibbs_at(spec, float(t)) for t in np.geomspace(0.02, 10.0, 9)]
     report = classify.crossover_time(spec, find_witness=True)
     assert flags == [False] * 9 and report.t_c == 0.0
@@ -243,19 +249,39 @@ def _json(report) -> str:
 
 @pytest.mark.parametrize("radius", [5.0, 10.0])
 def test_unsettled_curvature_scan_is_inconclusive(monkeypatch, radius):
-    # V'' of 1 - cos(r^2) falls like -4 r^2: from these working-window radii
-    # seven doublings neither settle nor pass the unboundedness sentinel
+    # the doubling scan that checks the closed forms does not settle on an
+    # unbounded curvature: V'' of 1 - cos(r^2) falls like -4 r^2, and from
+    # these working-window radii seven doublings neither settle nor pass the
+    # unboundedness sentinel, so the oracle reports no finite infimum
     monkeypatch.setattr(pot, "DEFAULT_WINDOW_RADIUS", radius)
-    spec = pot.cos_of_square()
-    classify._classification.cache_clear()
-    scans = _count_calls(monkeypatch, "_curvature_infimum_with_growth_check")
-    for _ in range(2):
-        with pytest.raises(InconclusiveError) as err:
-            classify.crossover_time(spec)
-        assert err.value.diagnostics["radius"] == 64.0 * radius
-        first, last = err.value.diagnostics["last_infima"]
-        assert last < first < -1e4
-    assert len(scans) == 2  # the error is not cached
+    with pytest.raises(InconclusiveError) as err:
+        doubling_curvature_scan(pot.cos_of_square())
+    assert err.value.diagnostics["radius"] == 64.0 * radius
+    first, last = err.value.diagnostics["last_infima"]
+    assert last < first < -1e4
+
+
+def test_curvature_infimum_matches_the_doubling_scan(builtin_specs):
+    # the closed forms against the grid scan they replaced, within the scan's
+    # own error: golden-refined for an analytic V'', grid-bound for glued_exp
+    # (a second difference) and abs (a kink between grid points)
+    specs = [
+        *builtin_specs.values(), pot.glued_exp(0.8), pot.glued_exp(2.5), pot.cosine_well(0.4), pot.cosine_well(2.5),
+        pot.polynomial([0, 0, -3, 0, 0, 0, 1], normalize=True), *_random_polynomials(),
+    ]
+    for spec in specs:  # in beta = -inf V''/2
+        got, want = -0.5 * pot.curvature_infimum(spec), -0.5 * doubling_curvature_scan(spec)[0]
+        if spec.family == "cos_of_square":
+            assert got == want == math.inf
+        elif spec.family == "abs":
+            assert got == 0.0 and abs(want) < 1e-8
+        elif spec.family == "glued_exp":
+            assert got == pytest.approx(want, rel=1e-5, abs=0.0), spec.params
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), spec.params
+    assert {spec.family for spec in specs} == set(pot.FAMILIES) - {"custom_table"}
+    with pytest.raises(DomainError):
+        pot.curvature_infimum(pot.custom_table([-1.0, 1.0], [0.0, 0.0]))
 
 
 def test_signed_zero_specs_are_classified_apart():

@@ -451,18 +451,15 @@ def test_negative_values_in_scientific_notation(zero_json, doublewell_json, tmp_
     assert json.loads((out / "bad_scan.json").read_text())["params"]["window"] == [-5.0, 5.0]
 
 
-def test_tc_inconclusive_exits_2(tmp_path, monkeypatch, capsys):
-    # on a radius-5 working window the curvature scan of cos_of_square cannot decide;
-    # the classification cache is keyed on the spec alone, so it may hold the
-    # radius-20 result of an earlier test
-    monkeypatch.setattr(potential, "DEFAULT_WINDOW_RADIUS", 5.0)
-    classify._classification.cache_clear()
-    spec = tmp_path / "cos_sq.json"
-    spec.write_text('{"family": "cos_of_square", "params": {}}')
+def test_tc_inconclusive_exits_2(tmp_path, capsys):
+    # (r+3)^3 on [-3, 3]: the table's curvature decreases all the way to its edge
+    rs = np.linspace(-3, 3, 2001)
+    spec = tmp_path / "cube.json"
+    spec.write_text(json.dumps(potential.custom_table(rs, (rs + 3.0) ** 3).to_json_dict()))
     out = tmp_path / "out"
     assert cli.run(["tc", "--potential", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "neither settled" in err and "Traceback" not in err
+    assert "table edge" in err and "Traceback" not in err
     assert not (out / "tc.json").exists()
 
 

@@ -226,10 +226,8 @@ def _assert_reject_draws_the_literal_law(table, config):
     ],
     ids=["zero-n2", "zero-n2-tail", "dw-n16", "dw-n64"],
 )
-def test_in_place_reject_blocks_are_bitwise_allocating(builtin_specs, name, n, t, alpha, h):
-    # the name is kept from the in-place n-spin blocks this test once pinned
-    # bitwise; full blocks and a partial one, as the replica count is no
-    # block multiple
+def test_reject_sampler_draws_the_literal_law(builtin_specs, name, n, t, alpha, h):
+    # full blocks and a partial one, as the replica count is no block multiple
     config = mc_sim.SimConfig(n=n, t=t, alpha_target=alpha, replicas=8 * mc_sim._BLOCK + 1234, seed=5,
                               bin_halfwidth=h, method="reject")
     _assert_reject_draws_the_literal_law(mc_sim._initial_magnetisation_table(builtin_specs[name], n), config)
