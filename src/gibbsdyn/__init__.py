@@ -15,7 +15,6 @@ from gibbsdyn.errors import (
     InconclusiveError,
     InsufficientStatisticsError,
     NotDifferentiableError,
-    OrderingError,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "GibbsDynError",
     "DomainError",
     "ConfigError",
-    "OrderingError",
     "NotDifferentiableError",
     "BadMagnetisationError",
     "AccuracyError",

@@ -191,6 +191,7 @@ def _cmd_simulate(args, spec):
     results = {
         "accepted": emp.accepted_count,
         "acceptance_rate": emp.acceptance_rate,
+        "log_acceptance_rate": emp.log_acceptance_rate,
         "sample_mean": emp.mean(),
         "sample_variance": emp.variance(),
         "ks_vs_quadrature": {

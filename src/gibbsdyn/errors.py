@@ -13,10 +13,6 @@ class ConfigError(GibbsDynError, ValueError):
     """A configuration object is invalid (empty window, non-positive tolerance, ...)."""
 
 
-class OrderingError(GibbsDynError, ValueError):
-    """Triple arguments are not strictly ordered x < y < z."""
-
-
 class NotDifferentiableError(GibbsDynError, ValueError):
     """A derivative was requested where the potential is not differentiable."""
 

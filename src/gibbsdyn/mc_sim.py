@@ -81,6 +81,7 @@ class EmpiricalKernel:
     samples: np.ndarray  # first-spin values whose companion magnetisation hit the bin
     accepted_count: int
     acceptance_rate: float
+    log_acceptance_rate: float  # finite where acceptance_rate underflows to 0.0
     method: str
     config: SimConfig
 
@@ -208,7 +209,7 @@ def _evolve_reject(table: _MagnetisationTable, config: SimConfig) -> EmpiricalKe
             acceptance_rate=rate,
         )
     return EmpiricalKernel(samples=samples, accepted_count=int(samples.size), acceptance_rate=rate,
-                           method=METHOD_REJECT, config=config)
+                           log_acceptance_rate=math.log(rate), method=METHOD_REJECT, config=config)
 
 
 def _companion_in_bin(s0: np.ndarray, u: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -221,9 +222,9 @@ def _companion_in_bin(s0: np.ndarray, u: np.ndarray, config: SimConfig) -> np.nd
     return s0 + sign * _companion_sd(config.n, config.t) * np.clip(z, lo, hi)
 
 
-def _evolve_exact(hits: _MagnetisationTable, config: SimConfig, rate: float) -> EmpiricalKernel:
+def _evolve_exact(hits: _MagnetisationTable, config: SimConfig, log_rate: float) -> EmpiricalKernel:
     """The exact sampler; hits is the law of s0 given a hit (_hit_table) and
-    rate the acceptance estimate, reported as the acceptance rate."""
+    log_rate the log of its acceptance estimate."""
     n, t = config.n, config.t
     rng = _rng(config.seed)
     sd_m = _companion_sd(n, t)
@@ -239,8 +240,8 @@ def _evolve_exact(hits: _MagnetisationTable, config: SimConfig, rate: float) -> 
     x1_0 = s0 + slope * (m_comp - s0) + math.sqrt(max(cond_var, 0.0)) * rng.standard_normal(R)
     x1_t = x1_0 + math.sqrt(t) * rng.standard_normal(R)
 
-    return EmpiricalKernel(samples=x1_t, accepted_count=int(R), acceptance_rate=rate, method=METHOD_EXACT,
-                           config=config)
+    return EmpiricalKernel(samples=x1_t, accepted_count=int(R), acceptance_rate=math.exp(log_rate),
+                           log_acceptance_rate=log_rate, method=METHOD_EXACT, config=config)
 
 
 def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> EmpiricalKernel:
@@ -251,10 +252,10 @@ def evolve_and_condition(config: SimConfig, spec: pot.PotentialSpec) -> Empirica
     if config.method == METHOD_REJECT:
         return _evolve_reject(table, config)
     hits = _hit_table(table, config)
-    rate = math.exp(hits.log_mass - table.log_mass)
-    if config.method == METHOD_AUTO and rate * config.replicas >= 10.0 * MIN_ACCEPTED:
+    log_rate = hits.log_mass - table.log_mass
+    if config.method == METHOD_AUTO and math.exp(log_rate) * config.replicas >= 10.0 * MIN_ACCEPTED:
         return _evolve_reject(table, config)
-    return _evolve_exact(hits, config, rate)
+    return _evolve_exact(hits, config, log_rate)
 
 
 def ks_distance(empirical: EmpiricalKernel | np.ndarray, reference: KernelEstimate) -> float:

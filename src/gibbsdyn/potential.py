@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
+from gibbsdyn.errors import DomainError, NotDifferentiableError
 from gibbsdyn.gridmin import global_minimum
 
 C2_ANALYTIC = "C2_analytic"
@@ -449,19 +449,6 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
         else:
             out = (vp - 2.0 * v0 + vm) / h**2
     return float(out[0]) if scalar else np.asarray(out)
-
-
-def phi2(f, x: float, y: float, z: float) -> float:
-    """Second difference quotient of f over the ordered triple x < y < z:
-
-        ((f(z) - f(y))/(z - y) - (f(y) - f(x))/(y - x)) / (z - x)
-    """
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise DomainError("triple must be finite")
-    if not (x < y < z):
-        raise OrderingError(f"need x < y < z, got ({x}, {y}, {z})")
-    fx, fy, fz = float(f(x)), float(f(y)), float(f(z))
-    return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
 
 
 def window_radius(spec: PotentialSpec) -> float:

@@ -19,14 +19,13 @@ EXPAND_GROW = 1.6  # expanding_localize widens a hot window by this factor per r
 ROW_BLOCK_ELEMENTS = 32768  # 256 KB of float64: 7 rows of a 4097-point grid
 
 
-def logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
+def logsumexp(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
+    amax = np.max(a)
+    amax = amax if np.isfinite(amax) else 0.0
     shifted = a - amax
     np.exp(shifted, out=shifted)  # in place: one temporary the size of a
-    out = np.log(np.sum(shifted, axis=axis)) + np.squeeze(amax, axis=axis if axis is not None else None)
-    return out
+    return np.log(np.sum(shifted)) + amax
 
 
 def odd_count(n: int) -> int:
@@ -46,14 +45,9 @@ def simpson_log_weights(x: np.ndarray) -> np.ndarray:
     return np.log(w * (h / 3.0))
 
 
-def log_integral(x: np.ndarray, log_f: np.ndarray, axis: int = -1, lw: np.ndarray | None = None):
-    """log of \\int exp(log_f) dx by composite Simpson in log space; `lw`
-    passes simpson_log_weights(x) in when many row blocks share one grid."""
-    if lw is None:
-        lw = simpson_log_weights(x)
-    if log_f.ndim == 2 and axis in (-1, 1):
-        return logsumexp(log_f + lw[None, :], axis=1)
-    return logsumexp(log_f + lw)
+def log_integral(x: np.ndarray, log_f: np.ndarray):
+    """log of \\int exp(log_f) dx by composite Simpson in log space."""
+    return logsumexp(log_f + simpson_log_weights(x))
 
 
 def _coarse_window(log_f, lo: float, hi: float, n_coarse: int, drop: float):

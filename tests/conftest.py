@@ -17,7 +17,7 @@ import math
 from scipy.special import logsumexp
 
 from gibbsdyn import classify, gridmin, kernels, mc_sim, potential as pot, quadrature, tilted
-from gibbsdyn.errors import AccuracyError, DomainError, InconclusiveError, NotDifferentiableError, OrderingError
+from gibbsdyn.errors import AccuracyError, DomainError, GibbsDynError, InconclusiveError, NotDifferentiableError
 from gibbsdyn.gridmin import INV_PHI, REFINE_TOL
 
 
@@ -235,12 +235,14 @@ def literal_log_num_integrand(machine, r, arg):
 def literal_log_g(machine, s, r):
     """Slow oracle for log g at the s values on a given r grid: the literal
     numerator log-integrands at V argument r (1 - 1/n) + s/n, a few s rows at
-    a time, each reduced by log_integral, over the denominator on r."""
+    a time, each reduced by scipy's logsumexp with Simpson's log weights,
+    over the denominator on r."""
     s = np.asarray(s, dtype=float)
     rows = max(1, 2**20 // r.size)
+    lw = quadrature.simpson_log_weights(r)
     log_num = np.concatenate([
-        quadrature.log_integral(
-            r, literal_log_num_integrand(machine, r, r * (1.0 - 1.0 / machine.n) + s[i : i + rows, None] / machine.n),
+        logsumexp(
+            literal_log_num_integrand(machine, r, r * (1.0 - 1.0 / machine.n) + s[i : i + rows, None] / machine.n) + lw,
             axis=1,
         )
         for i in range(0, s.size, rows)
@@ -252,27 +254,28 @@ def unblocked_log_g(machine, s):
     """Slow oracle for kernels._GMachine.log_g on a call its first grid
     passes: on the call's r grid and V lattice (machine._grid), the literal
     full s x r numerator array, with the V argument of s row i and r node j
-    written as the lattice point base + (i k + j m) delta, reduced by one
-    log_integral over axis 1, over the denominator on the same r grid."""
+    written as the lattice point base + (i k + j m) delta, over the
+    denominator on the same r grid as a one-row array. Each row L is reduced
+    literally as log(sum(exp(L - max L + lw))) + max L, with lw the Simpson
+    log weights of r."""
     s = np.asarray(s, dtype=float)
     machine._ensure(float(s.min()), float(s.max()))
     r, base, delta, k, m = machine._grid(s)
+    lw = quadrature.simpson_log_weights(r)
+
+    def log_rows(L):
+        peak = L.max(axis=1)
+        return np.log(np.exp(L - peak[:, None] + lw).sum(axis=1)) + peak
+
     arg = base + (np.arange(s.size)[:, None] * k + np.arange(r.size)[None, :] * m) * delta
-    log_num = quadrature.log_integral(r, literal_log_num_integrand(machine, r[None, :], arg), axis=1)
-    return log_num - quadrature.log_integral(r, literal_log_num_integrand(machine, r, r))
+    log_num = log_rows(literal_log_num_integrand(machine, r[None, :], arg))
+    return log_num - log_rows(literal_log_num_integrand(machine, r, r)[None, :])[0]
 
 
-def unblocked_s_law(
-    spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g, n_coarse=kernels.S_PROBE_POINTS,
-    fine_log_g=None, rows=None,
-):
-    """Slow oracle for kernels._s_law on a call whose g machine never
-    rebuilds: the same support search (n_coarse s rows per round) and s
-    grid, with every log g, the support scan included, from
-    log_g(machine, s) on that call's r grid, and the fine pass's from
-    fine_log_g where it is given. The s grid has the fewest odd rows whose
-    step is at most min(S_STEP_MAX, S_STEP_PER_SD sqrt(t)), or `rows` rows
-    where that is given. Returns (s, log_w)."""
+def _oracle_s_support(spec, n, t, alpha, cfg, log_g, n_coarse):
+    """log h(s) = log g(s) - s^2/2 of an s-law oracle, on log_g(machine, s)
+    for its own g machine, and the s-support that kernels._s_law's scan
+    finds with n_coarse s rows per round: (log_h, s_lo, s_hi)."""
     machine = kernels._GMachine(spec, n, t, alpha, cfg, tilted.DEFAULT_TOL)
 
     def log_h(s, log_g=log_g):
@@ -288,11 +291,28 @@ def unblocked_s_law(
                 pass
     pad = math.sqrt(2.0 * quadrature.DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=n_coarse)
-    if rows is None:
-        step = min(kernels.S_STEP_MAX, kernels.S_STEP_PER_SD * math.sqrt(machine.t))
-        rows = quadrature.odd_count(math.ceil((s_hi - s_lo) / step) + 1)
-    s = np.linspace(s_lo, s_hi, rows)
-    log_w = log_h(s, fine_log_g or log_g) + quadrature.simpson_log_weights(s)
+    return log_h, s_lo, s_hi
+
+
+def unblocked_s_law(
+    spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD, log_g=unblocked_log_g, n_coarse=kernels.S_PROBE_POINTS,
+    fine_log_g=None,
+):
+    """Slow oracle for kernels._s_law on a call whose g machine never
+    rebuilds: the same support search (n_coarse s rows per round) and s
+    grid, with every log g, the support scan included, from
+    log_g(machine, s) on that call's r grid, and the fine pass's from
+    fine_log_g where it is given. The s grid has the fewest odd rows whose
+    step is at most S_STEP_PER_SD sqrt(t / (1 + t)), half the sd of the
+    mixture's integrand in s (53-61 rows at t = 1, 91-93 at t = 0.2,
+    123-155 at t = 0.1), with trapezoid weights: 1 inside, 1/2 at both ends.
+    Returns (s, log_w)."""
+    log_h, s_lo, s_hi = _oracle_s_support(spec, n, t, alpha, cfg, log_g, n_coarse)
+    step = kernels.S_STEP_PER_SD * math.sqrt(t / (1.0 + t))
+    s = np.linspace(s_lo, s_hi, quadrature.odd_count(math.ceil((s_hi - s_lo) / step) + 1))
+    trapezoid = np.ones(s.size)
+    trapezoid[[0, -1]] = 0.5
+    log_w = log_h(s, fine_log_g or log_g) + np.log(trapezoid)
     return s, log_w - quadrature.logsumexp(log_w)
 
 
@@ -320,12 +340,28 @@ def dense_probe_s_law(spec, n, t, alpha, scanned, s_scanned, cfg=kernels.DEFAULT
     )
 
 
+def simpson_s_law(spec, n, t, alpha, rows, cfg=kernels.DEFAULT_QUAD):
+    """Reference for the evolved kernel's row rule: the s-law over
+    kernels._s_law's support, every log g from the g machine's own log_g,
+    by Simpson's rule on `rows` (odd) s rows in place of the kernel's
+    trapezoid on the fewest odd rows with step at most
+    S_STEP_PER_SD sqrt(t / (1 + t)). Returns (s, log_w)."""
+    log_h, s_lo, s_hi = _oracle_s_support(
+        spec, n, t, alpha, cfg, lambda machine, s: machine.log_g(s), kernels.S_PROBE_POINTS
+    )
+    s = np.linspace(s_lo, s_hi, rows)
+    log_w = log_h(s) + quadrature.simpson_log_weights(s)
+    return s, log_w - quadrature.logsumexp(log_w)
+
+
 def fixed_row_kernel(spec, n, t, alpha, rows, cfg=kernels.DEFAULT_QUAD):
     """Oracle for the evolved kernel's row rule: kernels.evolved_kernel with
-    its fine s pass on `rows` s rows over the same support, every log g from
-    the g machine's own log_g. The mixture, the lattice and the moments are
-    the kernel's own, so only the s rows differ."""
-    s, log_w = unblocked_s_law(spec, n, t, alpha, cfg, log_g=lambda machine, s: machine.log_g(s), rows=rows)
+    its fine s pass, a trapezoid on the fewest odd rows whose step is at
+    most S_STEP_PER_SD sqrt(t / (1 + t)) (53-61 rows at t = 1), replaced by
+    simpson_s_law on `rows` s rows over the same support. The mixture, the
+    lattice and the moments are the kernel's own, so only the s rows and
+    their weights differ."""
+    s, log_w = simpson_s_law(spec, n, t, alpha, rows, cfg)
     return kernels._kernel_from_log_density(*kernels._gaussian_mixture(s, log_w, t, cfg))
 
 
@@ -347,6 +383,17 @@ def literal_lattice_mixture(s, log_w, t, cfg=kernels.DEFAULT_QUAD):
          for i in range(0, x.size, rows)]
     )
     return x, log_px - 0.5 * math.log(2.0 * math.pi * t)
+
+
+def pointwise_mixture(s, log_w, t, x):
+    """The N(s, t) mixture of an s-law evaluated exactly at any x, on no
+    lattice: sum_j exp(log_w_j) N(x - s_j; t), in linear space, a few
+    hundred x at a time."""
+    w = np.exp(log_w)
+    rows = 256
+    return np.concatenate(
+        [np.exp(-((x[i : i + rows, None] - s[None, :]) ** 2) / (2.0 * t)) @ w for i in range(0, x.size, rows)]
+    ) / math.sqrt(2.0 * math.pi * t)
 
 
 def scalar_golden_section(f, lo: float, hi: float):
@@ -440,8 +487,25 @@ def literal_lower_hull(xs, g):
     return hull, [(i1, i2) for i1, i2 in zip(hull, hull[1:]) if i2 - i1 >= tilted.SEPARATION_STEPS and rises(i1, i2)]
 
 
+class OrderingError(GibbsDynError, ValueError):
+    """Triple arguments are not strictly ordered x < y < z."""
+
+
+def phi2(f, x: float, y: float, z: float) -> float:
+    """Second difference quotient of f over the ordered triple x < y < z:
+
+        ((f(z) - f(y))/(z - y) - (f(y) - f(x))/(y - x)) / (z - x)
+    """
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DomainError("triple must be finite")
+    if not (x < y < z):
+        raise OrderingError(f"need x < y < z, got ({x}, {y}, {z})")
+    fx, fy, fz = float(f(x)), float(f(y)), float(f(z))
+    return ((fz - fy) / (z - y) - (fy - fx) / (y - x)) / (z - x)
+
+
 def phi2_symmetric_form(f, x: float, y: float, z: float) -> float:
-    """Oracle for potential.phi2: the equivalent three-term form
+    """Oracle for phi2: the equivalent three-term form
     f(x)/((x-y)(x-z)) + f(y)/((y-x)(y-z)) + f(z)/((z-x)(z-y))."""
     if not (x < y < z):
         raise OrderingError(f"need x < y < z, got ({x}, {y}, {z})")
@@ -549,6 +613,27 @@ def literal_reject_samples(table, config):
         hit = np.abs(spins_t[:, 1:].mean(axis=1) - a) <= h
         accepted.append(spins_t[hit, 0])
     return np.concatenate(accepted)
+
+
+def dense_log_acceptance(spec, config, s_points=200_001, a_points=201):
+    """Oracle for the log of the acceptance P(m_{n-1}(t) in bin) without
+    the hit probability's closed form: the time-0 law exp(-n [V(s) + s^2/2])
+    times the N(s, (1/n + t)/(n - 1)) density of m_{n-1}(t) at alpha', summed
+    by scipy's logsumexp over a dense s grid on [-8, 8] and by Simpson's rule
+    over a_points values of alpha' across the bin, over the time-0 law's
+    mass on the same s grid."""
+    n, t = config.n, config.t
+    a, h = config.alpha_target, config.bin_halfwidth
+    var_m = (1.0 / n + t) / (n - 1.0)
+    s = np.linspace(-8.0, 8.0, s_points)
+    log_base = -n * (np.asarray(pot.eval(spec, s)) + s**2 / 2.0)
+    alphas = np.linspace(a - h, a + h, a_points)
+    simpson = np.full(a_points, 2.0)
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    log_density = np.array([logsumexp(log_base - (x - s) ** 2 / (2.0 * var_m)) for x in alphas])
+    log_hit = logsumexp(log_density + np.log(simpson * (alphas[1] - alphas[0]) / 3.0))
+    return float(log_hit - 0.5 * math.log(2.0 * math.pi * var_m) - logsumexp(log_base))
 
 
 def two_sample_dkw_floor(m, k, delta):

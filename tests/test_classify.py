@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_triples_phi2_min, doubling_curvature_scan, scalar_equivalence_sides
+from conftest import all_triples_phi2_min, doubling_curvature_scan, phi2, scalar_equivalence_sides
 from gibbsdyn import classify, kernels, potential as pot, tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
@@ -346,7 +346,7 @@ def test_custom_table_kinks_give_immediate_crossover():
     grid = np.linspace(-4.0, 4.0, 81)
     spec = pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0)
     # Phi2 at the kink at 0.1 grows like 1/h as the triple shrinks
-    assert pot.phi2(spec, 0.1 - 1e-6, 0.1, 0.1 + 1e-6) < -1e5
+    assert phi2(spec, 0.1 - 1e-6, 0.1, 0.1 + 1e-6) < -1e5
     assert classify.crossover_time(spec, find_witness=False).t_c == 0.0
 
 

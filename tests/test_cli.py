@@ -140,6 +140,20 @@ def test_simulate_reports_the_dkw_floor(zero_json, tmp_path):
     assert ks["ks_statistic"] <= ks["dkw_floor"]
 
 
+def test_simulate_reports_a_far_bins_log_acceptance(doublewell_json, tmp_path):
+    # the double well's bin at alpha = 4 is hit with probability about
+    # exp(-1413.7): acceptance_rate underflows to 0.0, its log does not
+    out = tmp_path / "out"
+    rc = cli.run(
+        ["simulate", "--potential", doublewell_json, "--n", "64", "--t", "0.1", "--alpha", "4", "--binwidth", "0.005",
+         "--replicas", "1000", "--out", str(out)]
+    )
+    assert rc == 0
+    doc = json.loads((out / "simulate.json").read_text())
+    assert doc["params"]["method"] == "exact" and doc["results"]["acceptance_rate"] == 0.0
+    assert doc["results"]["log_acceptance_rate"] == pytest.approx(-1413.70, rel=0.0, abs=0.01)
+
+
 def test_limitpot_and_oracle(doublewell_json, tmp_path):
     out = tmp_path / "out"
     assert cli.run(

@@ -14,6 +14,8 @@ from conftest import (
     g_bound_diagnostic,
     literal_lattice_mixture,
     literal_log_g,
+    pointwise_mixture,
+    simpson_s_law,
     unblocked_log_g,
     unblocked_s_law,
 )
@@ -311,8 +313,8 @@ def _s_law(spec, n, t, alpha, cfg=kernels.DEFAULT_QUAD):
 
 
 def _assert_fewest_rows(s, t):
-    # the fewest odd rows whose step is at most min(S_STEP_MAX, S_STEP_PER_SD sqrt(t))
-    step = min(kernels.S_STEP_MAX, kernels.S_STEP_PER_SD * math.sqrt(t))
+    # the fewest odd rows whose step is at most S_STEP_PER_SD sqrt(t / (1 + t))
+    step = kernels.S_STEP_PER_SD * math.sqrt(t / (1.0 + t))
     width = s[-1] - s[0]
     assert s.size % 2 == 1 and width / (s.size - 1) <= step * (1.0 + 1e-12) and width / (s.size - 3) > step
 
@@ -392,9 +394,10 @@ def test_lattice_refines_the_s_step_at_large_t(double_well):
     s, _ = _s_law(double_well, 50, 10.0, 0.1)
     _assert_fewest_rows(s, 10.0)
     x, r, P = kernels._lattice(s, 10.0, kernels.DEFAULT_QUAD)
-    assert r == 6 and x.size == 2 * P + 6 * (s.size - 1) + 1 and 4800 <= x.size <= 5000
+    # 45 s rows of step 0.47 on a lattice 24 times finer
+    assert r == 24 and x.size == 2 * P + 24 * (s.size - 1) + 1 and 4097 <= x.size <= 4300
     # every s node is a lattice node, and the lattice reaches zpad beyond both ends
-    np.testing.assert_allclose(x[P : x.size - P : 6], s, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(x[P : x.size - P : 24], s, rtol=0.0, atol=1e-12)
     zpad = math.sqrt(2.0 * quadrature.DEFAULT_DROP * 10.0) + 2.0
     assert x[0] <= s[0] - zpad and x[-1] >= s[-1] + zpad - 1e-12
     _assert_density_matches(*_literal_mixture_kernel(double_well, 50, 10.0, 0.1))
@@ -531,23 +534,22 @@ def test_log_num_evaluates_v_once_on_its_lattice(builtin_specs, name, n, t, alph
 @pytest.mark.parametrize("n, grid_n, rows", [(3200, 4096, 101), (50, 64, 1025)], ids=["k-above-1", "grid64"])
 def test_log_num_reduces_only_its_rows(double_well, n, grid_n, rows, monkeypatch):
     # the last t holds fewer than m phases, and the phases beyond the rows
-    # are never reduced
+    # are never reduced; the denominator is reduced as one more row
     machine = kernels._GMachine(double_well, n, 1.0, 0.5, kernels.QuadratureConfig(grid_n=grid_n), tilted.DEFAULT_TOL)
     s = np.linspace(-6.0, 6.0, rows)
     machine.log_g(s)
     m = machine._grid(s)[4]
     assert rows % m != 0, m
     reduced = []
-    real_log_integral = kernels.log_integral
+    real_log_rows = kernels._log_rows
 
-    def counting_log_integral(x, log_f, axis=-1, lw=None):
-        if log_f.ndim == 2:
-            reduced.append(log_f.shape[0])
-        return real_log_integral(x, log_f, axis=axis, lw=lw)
+    def counting_log_rows(L, lw):
+        reduced.append(L.shape[0])
+        return real_log_rows(L, lw)
 
-    monkeypatch.setattr(kernels, "log_integral", counting_log_integral)
+    monkeypatch.setattr(kernels, "_log_rows", counting_log_rows)
     machine.log_g(s)
-    assert sum(reduced) == rows
+    assert sum(reduced) == rows + 1 and reduced[-1] == 1
 
 
 @pytest.mark.parametrize("t", [0.001, 0.002, 0.01, 0.1, 1.0, 10.0])
@@ -562,6 +564,21 @@ def test_evolved_kernel_cdf_matches_a_4097_row_kernel(double_well, t):
     assert np.abs(got.cdf_at(x) - want.cdf_at(x)).max() <= 1e-5
 
 
+@pytest.mark.parametrize("t", [0.001, 0.002, 0.01, 0.1, 1.0, 10.0])
+def test_evolved_kernel_density_matches_a_4097_row_simpson_mixture(double_well, t):
+    # the comb guard between lattice nodes: the mixture of the kernel's
+    # s-law, evaluated exactly at x off its lattice, against that of a
+    # 4097-row Simpson s-law. A comb of 1e-9 of the peak hides under the
+    # 1e-5 CDF bound above
+    n, alpha = 3200, FINITE_N_BASE + 1.0 / math.sqrt(3200)
+    s, log_w = _s_law(double_well, n, t, alpha)
+    s_ref, log_w_ref = simpson_s_law(double_well, n, t, alpha, 4097)
+    pad = 6.0 * math.sqrt(t)
+    x = s_ref[0] - pad + (np.arange(10_007) + 0.5) * (s_ref[-1] - s_ref[0] + 2.0 * pad) / 10_007
+    got, want = pointwise_mixture(s, log_w, t, x), pointwise_mixture(s_ref, log_w_ref, t, x)
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+
 @pytest.mark.parametrize("name", ["double_well", "cosine_beta1", "glued_beta1"])
 @pytest.mark.parametrize("n", [50, 3200])
 def test_evolved_kernel_moments_match_a_1025_row_kernel(builtin_specs, name, n):
@@ -574,8 +591,8 @@ def test_evolved_kernel_moments_match_a_1025_row_kernel(builtin_specs, name, n):
 
 def test_log_num_peak_memory(double_well):
     # V on the lattice, the take's index array and the phase regrouping
-    # (three lattice-sized arrays), then the regrouping, the block buffer and
-    # the two temporaries of the row reduction, plus the rows' results
+    # (three lattice-sized arrays), then the regrouping and the block buffer,
+    # which the row reduction overwrites in place, plus the rows' results
     machine = kernels._GMachine(double_well, 50, 1.0, 0.5, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
     s = np.linspace(-6.0, 6.0, 513)
     machine._ensure(-6.0, 6.0)
@@ -592,7 +609,7 @@ def test_log_num_peak_memory(double_well):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= (max(3 * lattice, lattice + 3 * block) + 3 * s.size) * 8
+    assert peak <= (max(3 * lattice, lattice + block) + 3 * s.size) * 8
 
 
 def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):
@@ -604,18 +621,23 @@ def test_evolved_kernel_evaluates_v_in_bounded_blocks(double_well, monkeypatch):
         return real_eval(spec, r)
 
     def recording_log_num(machine, grid, rows, quad, lw):
-        numerators.append(rows * grid[0].size)
-        return real_log_num(machine, grid, rows, quad, lw)
+        first = len(sizes)
+        out = real_log_num(machine, grid, rows, quad, lw)
+        numerators.append((sum(sizes[first:]), rows * grid[0].size))
+        return out
 
     monkeypatch.setattr(kernels.pot, "eval", recording_eval)
     monkeypatch.setattr(kernels._GMachine, "_log_num", recording_log_num)
     kernels.evolved_kernel(double_well, 3200, 1.0, 1.0 / math.sqrt(3200))
     # global_minimisers' scan and the 16385-point localisation grids are the
     # largest evaluations; each g-factor call adds its r grid and one
-    # lattice, and together they cover under a fifth of the fine pass's
-    # S x R numerator (185 x 4203), itself under a fifth of 1025 x 4097
+    # lattice. A lattice is under a twentieth of its call's S x R numerator
+    # values (65 x 4111 and 53 x 4453 here), and the kernel evaluates V on
+    # under a 25th of a 1025 x 4097 numerator
     assert max(sizes) <= max(tilted.COARSE_GRID_N, 16385)
-    assert sum(sizes) < numerators[-1] / 5 < 1025 * 4097 / 25
+    assert len(numerators) == 2
+    assert all(points < s_by_r / 20 for points, s_by_r in numerators), numerators
+    assert sum(sizes) < 1025 * 4097 / 25
 
 
 # --- limit kernel ----------------------------------------------------------------

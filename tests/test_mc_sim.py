@@ -7,7 +7,7 @@ import pytest
 from scipy.special import log_ndtr, logsumexp
 from scipy.stats import chi2, ks_2samp
 
-from conftest import literal_reject_samples, two_sample_dkw_floor
+from conftest import dense_log_acceptance, literal_reject_samples, two_sample_dkw_floor
 from gibbsdyn import kernels, mc_sim, potential as pot
 from gibbsdyn.errors import ConfigError, InsufficientStatisticsError
 
@@ -163,6 +163,29 @@ def test_exact_sampler_far_from_the_well(double_well, monkeypatch, alpha):
     assert mc_sim.ks_distance(emp, kernels.evolved_kernel(double_well, n, t, alpha)) < 0.02
     (m_comp,) = companions
     assert np.all(np.abs(m_comp - alpha) <= h)
+
+
+@pytest.mark.parametrize("alpha", [4.0, -4.0])
+def test_exact_sampler_reports_the_log_acceptance_of_a_far_bin(double_well, alpha):
+    # the hit law's log mass is about 1414 below the time-0 law's, so the
+    # acceptance underflows to 0.0 as a float and only its log carries it
+    cfg = mc_sim.SimConfig(n=64, t=0.1, alpha_target=alpha, replicas=1000, seed=8, bin_halfwidth=0.005,
+                           method="exact")
+    emp = mc_sim.evolve_and_condition(cfg, double_well)
+    assert emp.acceptance_rate == 0.0
+    assert emp.log_acceptance_rate == pytest.approx(dense_log_acceptance(double_well, cfg), rel=0.0, abs=1e-6)
+    assert emp.log_acceptance_rate == pytest.approx(-1413.70, rel=0.0, abs=0.01)
+
+
+def test_log_acceptance_rate_is_the_log_of_the_rate(double_well):
+    # the exact sampler's from the two tables' log masses, the reject
+    # sampler's from its accepted count
+    for method, alpha in ((mc_sim.METHOD_EXACT, 0.0), (mc_sim.METHOD_REJECT, 1.2)):
+        cfg = mc_sim.SimConfig(n=16, t=1.0, alpha_target=alpha, replicas=20_000, seed=3, bin_halfwidth=0.05,
+                               method=method)
+        emp = mc_sim.evolve_and_condition(cfg, double_well)
+        assert emp.log_acceptance_rate == pytest.approx(math.log(emp.acceptance_rate), rel=1e-15), method
+    assert emp.acceptance_rate == emp.accepted_count / cfg.replicas
 
 
 def test_auto_fallback_builds_magnetisation_table_once(double_well, monkeypatch):

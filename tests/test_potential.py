@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    OrderingError,
     check_nonneg_on_grid,
+    phi2,
     phi2_grid,
     phi2_symmetric_form,
     polyval_eval,
@@ -14,7 +16,7 @@ from conftest import (
     uncached_glued_c_beta,
 )
 from gibbsdyn import classify, potential as pot
-from gibbsdyn.errors import DomainError, NotDifferentiableError, OrderingError
+from gibbsdyn.errors import DomainError, NotDifferentiableError
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -382,31 +384,31 @@ def test_custom_table_smoothness_survives_json():
 @given(ordered_triple())
 def test_phi2_of_square_is_one(triple):
     x, y, z = triple
-    assert pot.phi2(lambda s: s * s, x, y, z) == pytest.approx(1.0, rel=1e-9, abs=1e-9)
+    assert phi2(lambda s: s * s, x, y, z) == pytest.approx(1.0, rel=1e-9, abs=1e-9)
 
 
 @given(ordered_triple())
 def test_phi2_of_affine_vanishes(triple):
     x, y, z = triple
-    assert pot.phi2(lambda s: 3.0 * s + 5.0, x, y, z) == pytest.approx(0.0, abs=1e-9)
+    assert phi2(lambda s: 3.0 * s + 5.0, x, y, z) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_phi2_quartic_unit_triple():
-    assert pot.phi2(lambda s: s**4, -1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert phi2(lambda s: s**4, -1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phi2_ordering_error():
     with pytest.raises(OrderingError):
-        pot.phi2(lambda s: s, 1.0, 0.0, 2.0)
+        phi2(lambda s: s, 1.0, 0.0, 2.0)
     with pytest.raises(OrderingError):
-        pot.phi2(lambda s: s, 0.0, 0.0, 2.0)
+        phi2(lambda s: s, 0.0, 0.0, 2.0)
 
 
 @given(ordered_triple())
 def test_phi2_symmetric_form_agreement(triple):
     x, y, z = triple
     f = lambda s: s**4 - 2.0 * s**2 + 0.5 * s
-    a = pot.phi2(f, x, y, z)
+    a = phi2(f, x, y, z)
     b = phi2_symmetric_form(f, x, y, z)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-10)
 
@@ -421,8 +423,8 @@ def test_phi2_linearity(triple, theta, kappa):
     f = lambda s: s**3
     g = lambda s: math.cos(s)
     combo = lambda s: theta * f(s) + kappa * g(s)
-    lhs = pot.phi2(combo, x, y, z)
-    rhs = theta * pot.phi2(f, x, y, z) + kappa * pot.phi2(g, x, y, z)
+    lhs = phi2(combo, x, y, z)
+    rhs = theta * phi2(f, x, y, z) + kappa * phi2(g, x, y, z)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-8)
 
 
@@ -436,12 +438,12 @@ def test_phi2_chaining_identities(quad):
     # f[a,b,d] = f[a,b,c] + (d-c) f[a,b,c,d],  f[a,b,c,d] = (f[b,c,d]-f[a,b,c])/(d-a)
     a, b, c, d = quad
     f = lambda s: s**4 - s
-    pab = pot.phi2(f, a, b, c)
-    pbc = pot.phi2(f, b, c, d)
-    lhs1 = (d - a) * pot.phi2(f, a, b, d)
+    pab = phi2(f, a, b, c)
+    pbc = phi2(f, b, c, d)
+    lhs1 = (d - a) * phi2(f, a, b, d)
     rhs1 = (c - a) * pab + (d - c) * pbc
     assert lhs1 == pytest.approx(rhs1, rel=1e-10, abs=1e-7)
-    lhs2 = (d - a) * pot.phi2(f, a, c, d)
+    lhs2 = (d - a) * phi2(f, a, c, d)
     rhs2 = (b - a) * pab + (d - b) * pbc
     assert lhs2 == pytest.approx(rhs2, rel=1e-10, abs=1e-7)
 
@@ -450,11 +452,11 @@ def test_phi2_convexity_correspondence():
     rng = np.random.default_rng(5)
     triples = np.sort(rng.uniform(-3, 3, size=(200, 3)), axis=1)
     triples = triples[(np.diff(triples, axis=1) > 1e-3).all(axis=1)]
-    sq = [pot.phi2(lambda s: s * s, *t) for t in triples]
-    ex = [pot.phi2(math.exp, *t) for t in triples]
+    sq = [phi2(lambda s: s * s, *t) for t in triples]
+    ex = [phi2(math.exp, *t) for t in triples]
     assert min(sq) >= -1e-12
     assert min(ex) >= -1e-12
-    concave = [pot.phi2(lambda s: -s * s, *t) for t in triples]
+    concave = [phi2(lambda s: -s * s, *t) for t in triples]
     assert min(concave) < 0
 
 
@@ -480,5 +482,5 @@ def test_phi2_glued_flat_region(glued1):
         x, y, z = np.sort(rng.uniform(-0.98, 0.98, size=3))
         if y - x < 1e-3 or z - y < 1e-3:
             continue
-        val = pot.phi2(lambda s: pot.eval(glued1, s), float(x), float(y), float(z))
+        val = phi2(lambda s: pot.eval(glued1, s), float(x), float(y), float(z))
         assert val == pytest.approx(-1.0, abs=1e-9)

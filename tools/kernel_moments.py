@@ -1,11 +1,15 @@
-"""Print the evolved kernel's s rows and moments over a fixed case list, one
-line per case, for comparing checkouts.
+"""Print the evolved kernel's s rows, numerator work and moments over a
+fixed case list, one line per case, for comparing checkouts.
 
     python3 tools/kernel_moments.py [SRC] > moments.txt
 
 Imports gibbsdyn from SRC (default: this checkout's src) and prints, for
-each case, its name, the row count S of the kernel's s grid, and the
-kernel's mean, variance and total_mass_defect by `repr`. The cases are the
+each case, its name, the row count S of the kernel's s grid, the
+numerator rows reduced by the s-law's g-factor calls (`scan_rows` in the
+support scan, `fine_rows` in the fine pass, the last call, each counted
+again on a window rebuild), their total numerator work `rows_x_R`, the
+sum of rows x r nodes over every reduction, and the kernel's mean,
+variance and total_mass_defect by `repr`. The cases are the
 evolved kernels of the finite_n benchmark workload at seed 0, the double
 well at n = 3200 for t from 0.001 to 10, the double well, cosine_well(1)
 and glued_exp(1) at n = 1e5, and |r| at its kink. Nothing is timed. Two
@@ -15,7 +19,9 @@ source trees give the same kernels exactly when
 
 prints nothing; where they differ, the diff shows the numbers that moved.
 S is read from the s grid that evolved_kernel hands to
-kernels._gaussian_mixture, so SRC needs that function, not this tool.
+kernels._gaussian_mixture, and the rows from kernels._GMachine.log_g and
+its _log_num(grid, rows, quad, lw), so SRC needs those, not this tool.
+The work counts are deterministic, unlike a timing.
 """
 
 from __future__ import annotations
@@ -67,18 +73,32 @@ def main(argv: list[str]) -> int:
         "zero": pot.zero(),
         "abs": pot.absolute(),
     }
-    rows = []
-    mixture = kernels._gaussian_mixture
+    rows, calls = [], []
+    mixture, log_g, log_num = kernels._gaussian_mixture, kernels._GMachine.log_g, kernels._GMachine._log_num
 
     def recording_mixture(s, *rest):
         rows.append(s.size)
         return mixture(s, *rest)
 
+    def recording_log_g(machine, s):
+        calls.append([])  # the (rows, R) of each numerator this call reduces
+        return log_g(machine, s)
+
+    def recording_log_num(machine, grid, n_rows, *rest):
+        calls[-1].append((n_rows, grid[0].size))
+        return log_num(machine, grid, n_rows, *rest)
+
     kernels._gaussian_mixture = recording_mixture
+    kernels._GMachine.log_g = recording_log_g
+    kernels._GMachine._log_num = recording_log_num
     for label, name, n, t, alpha in _cases():
+        calls.clear()
         k = kernels.evolved_kernel(specs[name], n, t, alpha)
-        print(f"{label}: S={rows[-1]} mean={k.mean!r} variance={k.variance!r} "
-              f"total_mass_defect={k.total_mass_defect!r}")
+        scan = sum(S for call in calls[:-1] for S, _ in call)
+        fine = sum(S for S, _ in calls[-1])
+        work = sum(S * R for call in calls for S, R in call)
+        print(f"{label}: S={rows[-1]} scan_rows={scan} fine_rows={fine} rows_x_R={work} "
+              f"mean={k.mean!r} variance={k.variance!r} total_mass_defect={k.total_mass_defect!r}")
     return 0
 
 
