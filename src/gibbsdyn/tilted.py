@@ -40,6 +40,9 @@ NEWTON_RESIDUAL = 1e-13  # a contact has settled once |U'(x)| = |V'(x) + x + (x 
 # Newton steps per contact at most, then bisection: a finite-difference slope
 # taken across a kink makes tiny steps that never leave the bracket
 NEWTON_STEPS = 4
+# a point lies above a chord when its cross product is below -HULL_ROUNDING
+# times the two products' magnitudes: 8 eps, a bound on their rounding
+HULL_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _tie(gap, eps):
@@ -138,14 +141,22 @@ def _window(spec: pot.PotentialSpec, t: float, alphas) -> tuple[float, float]:
     """Truncation window spanning the alphas' windows. Each alpha's minimum of
     J (_shifted_rate) is bounded by J at three points: its own tilt center,
     the lowest center and r = 0; the last two keep the window tight where a
-    fast-growing V is huge at the centers."""
+    fast-growing V is huge at the centers. A window whose width or whose
+    g_t = V + k r^2 at either end overflows raises DomainError."""
     tr = TiltedRate(spec, t, np.asarray(alphas, dtype=float))
     k, cs = tr.tilt_curvature, tr.center
     floor = min(spec.v_floor, 0.0)
-    jc, j0 = np.asarray(pot.eval(spec, cs)) - floor, pot.eval(spec, 0.0) - floor
-    best = np.minimum.reduce([jc, jc.min() + k * (cs - cs[np.argmin(jc)]) ** 2, j0 + k * cs**2])
-    radii = _truncation_radius(tr, best)
-    return float(np.min(cs - radii)), float(np.max(cs + radii))
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = np.asarray(pot.eval(spec, np.append(cs, 0.0))) - floor
+        jc, j0 = j[:-1], j[-1]
+        best = np.minimum.reduce([jc, jc.min() + k * (cs - cs[np.argmin(jc)]) ** 2, j0 + k * cs**2])
+        radii = _truncation_radius(tr, best)
+        lo, hi = float(np.min(cs - radii)), float(np.max(cs + radii))
+        ends = np.array([lo, hi])
+        if not (math.isfinite(hi - lo) and np.isfinite(np.asarray(pot.eval(spec, ends)) + k * ends**2).all()):
+            raise DomainError(f"g_t overflows on the truncation window at t = {t!r} for alpha in "
+                              f"[{float(tr.alpha.min())!r}, {float(tr.alpha.max())!r}]")
+    return lo, hi
 
 
 def _shifted_rate(tr: TiltedRate):
@@ -175,9 +186,9 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
     bracket end where U is monotone. At a kink, where V' does not exist, the
     signs of U' at x - h and x + h decide: the kink is the minimiser when
     they turn from <= 0 to >= 0, else they pick the half. The same rule
-    returns a kink of pot.kinks that lies in the final bracket, where
-    bisection would stop a rounding residue away from it. Without an
-    analytic V', golden section alone."""
+    returns a kink of pot.kinks that lies in the bracket, before the first
+    step, where bisection would stop a rounding residue away from it after
+    some 45 rounds. Without an analytic V', golden section alone."""
     lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
     if not pot.has_analytic_deriv(tr.potential, 1):
         x, _ = golden_section(_shifted_rate(tr), lo, hi)
@@ -199,6 +210,11 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
             h = 1e-7 * max(1.0, abs(x))
             return (yield from foc(x - h)), (yield from foc(x + h))
 
+        for kink in kinks:
+            if a <= kink <= b:
+                down, up = yield from sides(kink)
+                if down <= 0.0 <= up:
+                    return kink
         steps = 0
         while True:
             f = yield from foc(x)
@@ -215,11 +231,6 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
             else:
                 a = x
             if b - a <= REFINE_TOL * max(1.0, abs(a) + abs(b)):
-                for kink in kinks:
-                    if a <= kink <= b:
-                        down, up = yield from sides(kink)
-                        if down <= 0.0 <= up:
-                            return kink
                 return 0.5 * (a + b)
             if steps < NEWTON_STEPS:
                 up, down = (yield from foc(x + h)), (yield from foc(x - h))
@@ -305,24 +316,15 @@ class BadScanResult:
         return len(self.intervals) == 0
 
 
-def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, int]]]:
-    """Lower convex hull of the points (xs, g), xs increasing, at least three
-    of them, as (hull indices, bridging edges (i1, i2)).
-
-    The hull is Andrew's monotone chain with its decisions unchanged: point i
-    pops the stack top while cross(top two, i) <= 0. When the top two are
-    consecutive grid points (i-1, i), the next test is cross(i-1, i, i+1);
-    that is computed for every i at once, in the chain's operand order, so
-    each sign is the chain's bit for bit, and every run of points up to the
-    next test that pops is pushed as one slice. Only pops and the points of
-    non-convex stretches go through the scalar loop.
-
-    An edge bridges when it spans at least three grid steps and rises above
-    the samples between by more than max(1e-9, 3 x the max of |second
-    difference| within three points of the edge, clipped to the grid): the
-    second difference is the offset a grid makes where it straddles a
-    minimum."""
-    xa, ya = np.asarray(xs, dtype=float), np.asarray(g, dtype=float)
+def _chain(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    """Lower hull indices of the points (xa, ya), xa increasing, by Andrew's
+    monotone chain with its decisions unchanged: point i pops the stack top
+    while cross(top two, i) <= 0. When the top two are consecutive points
+    (i-1, i), the next test is cross(i-1, i, i+1); that is computed for every
+    i at once, in the chain's operand order, so each sign is the chain's bit
+    for bit, and every run of points up to the next test that pops is pushed
+    as one slice. Only pops and the points of non-convex stretches go
+    through the scalar loop."""
     n = xa.size
     c = (xa[1:-1] - xa[:-2]) * (ya[2:] - ya[:-2]) - (xa[2:] - xa[:-2]) * (ya[1:-1] - ya[:-2])
     stops = (np.flatnonzero(c <= 0.0) + 1).tolist() + [n - 1]  # middles whose test pops; n-1 ends the last run
@@ -342,8 +344,50 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
             stop = stops[bisect_left(stops, i - 1)]
             hull.frombytes(np.arange(i, stop + 1, dtype=np.int64).tobytes())
             i = stop + 1
+    return np.frombuffer(hull, dtype=np.int64)
 
-    h = np.frombuffer(hull, dtype=np.int64)
+
+def _kept(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    """Indices of the points that may be lower-hull vertices, increasing: all
+    but those above the chord of an edge of the sample's hull, the sample
+    being every isqrt(n)-th point and the last (Akl & Toussaint, Inf.
+    Process. Lett. 7, 1978). Only edges that skip a sample have points
+    above them. A point counts as above when its cross product with the
+    edge's ends, in the chain's operand order, is below -HULL_ROUNDING times
+    the sum of the two products' magnitudes, so rounding cannot place it
+    there; a point above the chord of two input points is never a strict
+    lower-hull vertex."""
+    n = xa.size
+    samples = np.append(np.arange(0, n - 1, math.isqrt(n)), n - 1)
+    sh = _chain(xa[samples], ya[samples])
+    wide = np.flatnonzero(np.diff(sh) >= 2)
+    keep = np.ones(n, dtype=bool)
+    for a, b in zip(samples[sh[wide]].tolist(), samples[sh[wide + 1]].tolist()):
+        under = slice(a + 1, b)
+        p1 = (xa[under] - xa[a]) * (ya[b] - ya[a])
+        p2 = (xa[b] - xa[a]) * (ya[under] - ya[a])
+        keep[under] = p1 - p2 >= -HULL_ROUNDING * (np.abs(p1) + np.abs(p2))
+    return np.flatnonzero(keep)
+
+
+def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Lower convex hull of the points (xs, g), xs increasing, at least three
+    of them, as (hull indices in an int64 ndarray, bridging edges (i1, i2)).
+
+    The points above a chord of a sparse sample's hull cannot be hull
+    vertices and are dropped first (_kept); Andrew's monotone chain (_chain)
+    runs on the rest, and its indices are mapped back. Under a bridge only
+    the few points near its contacts are left for the chain's scalar loop. A
+    convex g has no such chord, and the chain sees every point.
+
+    An edge bridges when it spans at least three grid steps and rises above
+    the samples between by more than max(1e-9, 3 x the max of |second
+    difference| within three points of the edge, clipped to the grid): the
+    second difference is the offset a grid makes where it straddles a
+    minimum."""
+    xa, ya = np.asarray(xs, dtype=float), np.asarray(g, dtype=float)
+    keep = _kept(xa, ya)
+    h = keep[_chain(xa[keep], ya[keep])]
     k = np.flatnonzero(np.diff(h) >= SEPARATION_STEPS)
     d2 = np.pad(np.abs(np.diff(ya, 2)), 1, mode="edge")
 
@@ -352,7 +396,7 @@ def lower_hull(xs: np.ndarray, g: np.ndarray) -> tuple[array, list[tuple[int, in
         chord = ya[i1] + (ya[i2] - ya[i1]) * (xa[between] - xa[i1]) / (xa[i2] - xa[i1])
         return float(np.max(ya[between] - chord)) > max(1e-9, 3.0 * float(d2[max(i1 - 3, 0) : i2 + 4].max()))
 
-    return hull, [(i1, i2) for i1, i2 in zip(h[k].tolist(), h[k + 1].tolist()) if rises(i1, i2)]
+    return h, [(i1, i2) for i1, i2 in zip(h[k].tolist(), h[k + 1].tolist()) if rises(i1, i2)]
 
 
 class _ConvexMinorant:
@@ -372,7 +416,7 @@ class _ConvexMinorant:
         self.spec, self.t = spec, t
         self.xs = np.linspace(*_window(spec, t, alphas), COARSE_GRID_N)
         g = np.asarray(pot.eval(spec, self.xs)) + (1.0 + t) / (2.0 * t) * self.xs**2
-        self.hull = np.asarray(lower_hull(self.xs, g)[0])
+        self.hull = lower_hull(self.xs, g)[0]
         self.slopes = np.diff(g[self.hull]) / np.diff(self.xs[self.hull])
         k = np.flatnonzero(np.diff(self.hull) >= SEPARATION_STEPS)
         self.i1, self.i2 = self.hull[k], self.hull[k + 1]

@@ -220,6 +220,21 @@ def test_exit_code_domain_error(zero_json, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bad-scan", "--t", "0.3", "--window=-1e200,1e200"],
+    ["limitpot", "--t", "0.3", "--window=-1e200,1e200"],
+    ["traj", "--t", "0.3", "--alpha", "1e300"],
+])
+def test_overflowing_truncation_window_exits_2(doublewell_json, tmp_path, capsys, recwarn, argv):
+    # r^4 overflows at the tilt centers: one line naming t and the alphas,
+    # and no numpy overflow warnings before it
+    assert cli.run([*argv, "--potential", doublewell_json, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gibbs-dyn: g_t overflows on the truncation window at t = 0.3")
+    assert "alpha in [" in err[0]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_unknown_flags_rejected(zero_json, tmp_path):
     with pytest.raises(SystemExit):
         cli.run(["tc", "--potential", zero_json, "--out", str(tmp_path), "--frobnicate"])

@@ -218,6 +218,32 @@ def test_kink_minimiser_is_the_kink_when_bisection_brackets_it(t):
     assert ms.locations == (0.0,) and ms.value == 0.0
 
 
+def test_kink_contact_is_returned_before_the_first_step(monkeypatch):
+    # at t = 2, U' = sign(r) + r + (r - alpha)/t turns from <= 0 to >= 0 at
+    # the kink r = 0 for |alpha| <= 2: those brackets return it after one
+    # pair of V' calls instead of bisecting ~45 rounds to REFINE_TOL; the
+    # others settle by Newton. Every row is the closed-form minimiser
+    calls = []
+    deriv = pot.deriv
+
+    def counting(spec, x, order=1):
+        calls.append(np.size(x))
+        return deriv(spec, x, order)
+
+    monkeypatch.setattr(pot, "deriv", counting)
+    t, alphas = 2.0, np.linspace(-5.0, 5.0, 201)
+    res = tilted.bad_set_scan(pot.absolute(), t, (-5.0, 5.0), alphas.size)
+    assert len(calls) <= 7 and res.empty
+    q = np.sign(alphas) * np.maximum(np.abs(alphas) - t, 0.0) / (1.0 + t)
+    value = np.abs(q) + q**2 / 2.0 + (q - alphas) ** 2 / (2.0 * t)
+    rows = res.rows
+    assert [r.alpha for r in rows] == alphas.tolist() and all(r.n_minimisers == 1 and r.q_min == r.q_max for r in rows)
+    kink = np.abs(alphas) <= t
+    assert [r.q_min for r, at_kink in zip(rows, kink) if at_kink] == [0.0] * int(kink.sum())
+    assert [r.q_min for r in rows] == pytest.approx(q.tolist(), abs=1e-12)
+    assert [r.value for r in rows] == pytest.approx(value.tolist(), rel=1e-13)
+
+
 @pytest.mark.parametrize("name", ["abs", "double_well", "glued_beta1"])
 def test_refine_kink_in_a_batch_leaves_the_others_alone(builtin_specs, name):
     # a bracket whose vertex is the kink of |r| returns it; every other
@@ -522,6 +548,24 @@ def _hull_inputs(builtin_specs):
     xs = np.linspace(-50.0, 50.0, 4 * tilted.COARSE_GRID_N)  # the finer hull of the wide-window scan
     yield "glued_beta1-4x", xs, np.asarray(pot.eval(builtin_specs["glued_beta1"], xs)) + xs**2
     rng = np.random.default_rng(3)
+    # the cases of the sample hull that lower_hull prunes by (tilted._kept)
+    xs = np.linspace(-1.0, 1.0, tilted.COARSE_GRID_N)
+    stride = math.isqrt(xs.size)
+    dip = xs[100 * stride + stride // 2]  # between two samples, 40 steps wide: no sample sees it
+    yield "narrow-dip", xs, xs**2 - 0.05 * np.exp(-(((xs - dip) / (20.0 * (xs[1] - xs[0]))) ** 2))
+    for window in ((-1.0, 2.0), (-2.0, 1.0)):  # a bridge from index 0, and one to n - 1
+        xs = np.linspace(*window, tilted.COARSE_GRID_N)
+        yield "bridge-at-end", xs, (xs**2 - 1.0) ** 2
+    xs = np.linspace(-1.3, 1.3, tilted.COARSE_GRID_N)
+    yield "two-bridges", xs, 0.01 * xs**2 - np.cos(2.0 * np.pi * xs)
+    xs = np.linspace(-3.0, 3.0, tilted.COARSE_GRID_N)
+    g = np.asarray(pot.eval(builtin_specs["glued_beta1"], xs)) + xs**2
+    flat = np.abs(xs) <= 1.0  # the flat piece's edge: rounding noise decides the cross products under it
+    g[flat] *= 1.0 + 1e-16 * rng.normal(size=int(flat.sum()))
+    yield "glued_beta1-noise", xs, g
+    for n in (64**2 - 1, 64**2, 64**2 + 1):  # the stride steps from 63 to 64
+        xs = np.linspace(-3.0, 3.0, n)
+        yield "double_well-stride", xs, np.asarray(pot.eval(builtin_specs["double_well"], xs)) + xs**2 * 1.3 / 0.6
     for n in (3, 4, 5, 7, 16, 100, 1000, 5000):
         for _ in range(4):
             xs = np.unique(rng.uniform(-2.0, 2.0, n))
@@ -547,7 +591,20 @@ def test_lower_hull_is_the_literal_chain(builtin_specs):
         want_hull, want_bridges = literal_lower_hull(xs, g)
         assert list(hull) == want_hull and bridges == want_bridges, (name, xs.size)
         checked += 1
-    assert checked == 9 * 6 + 1 + 8 * 4 * 5 + 2 * 40
+    assert checked == 9 * 6 + 1 + 8 + 8 * 4 * 5 + 2 * 40
+
+
+def test_lower_hull_chain_skips_the_points_under_the_bridge(double_well):
+    # the double well at t = 0.3 on the bad-scan window [-5, 5]: the sample
+    # hull's bridge chord drops the points under the bridge but the few
+    # between its ends and the true contacts, at most 2 strides of them
+    xs = tilted._ConvexMinorant(double_well, 0.3, np.linspace(-5.0, 5.0, 1001)).xs
+    g = np.asarray(pot.eval(double_well, xs)) + 1.3 / 0.6 * xs**2
+    hull, bridges = tilted.lower_hull(xs, g)
+    [(i1, i2)] = bridges
+    kept = tilted._kept(xs, g)
+    assert kept.size <= xs.size - (i2 - i1 - 1) + 2 * math.isqrt(xs.size)
+    assert np.isin(hull, kept).all()
 
 
 def test_end_edge_rise_threshold_stays_on_its_own_end():
