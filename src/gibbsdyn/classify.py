@@ -14,9 +14,9 @@ twice the Phi2 quotient of its consecutive triple (_table_curvature_infimum).
 
 Status at t = t_c depends on whether the curvature infimum is attained on an
 interval (flat piece -> not Gibbs at t_c) or only at isolated points
-(-> Gibbs at t_c). It is read off the convex minorant of V + b r^2 for b just
-below beta (see _status_at_tc): the widest bridging edge shrinks with
-beta - b around an isolated infimum and keeps the length of a flat piece.
+(-> Gibbs at t_c), which the potential states in closed form
+(potential.curvature_infimum_on_interval). It is unknown only where t_c is
+0 or +inf.
 
 Note: the direct two-layer scan (tilted.bad_set_scan) first reports bad
 magnetisations at t = 1/(2*beta - 1) (first_bad_time), a factor 2 below the
@@ -46,7 +46,7 @@ UNKNOWN = "unknown"
 METHOD_SECOND_DERIVATIVE = "second_derivative"
 METHOD_PHI2_SCAN = "phi2_scan"
 
-UNBOUNDED_SENTINEL = 1e6  # curvature below -2*this reports beta = +inf
+UNBOUNDED_SENTINEL = 1e6  # a table's scanned curvature below -2*this reports beta = +inf
 
 SCAN_POINTS = 32769  # points of a table's curvature scan
 CLASSIFICATION_CACHE_SIZE = 64  # potentials whose classification stays memoised
@@ -54,7 +54,7 @@ CLASSIFICATION_CACHE_SIZE = 64  # potentials whose classification stays memoised
 
 def _table_curvature_infimum(spec: pot.PotentialSpec) -> float:
     """inf V'' of a custom_table over its own range [-R, R]
-    (R = pot.window_radius) on SCAN_POINTS grid points.
+    (R the larger |node| of its two ends) on SCAN_POINTS grid points.
 
     Each interior point takes the smaller of the second difference of
     pot.deriv and twice the Phi2 quotient of its consecutive triple
@@ -62,7 +62,7 @@ def _table_curvature_infimum(spec: pot.PotentialSpec) -> float:
     kink that falls between grid points, where every second difference
     steps over it. A table cannot be extended past its range, so an
     infimum at the table edge is inconclusive."""
-    radius = pot.window_radius(spec)
+    radius = float(max(abs(spec.table_r[0]), abs(spec.table_r[-1])))
     xs = np.linspace(-radius, radius, SCAN_POINTS)
     vals = pot.deriv(spec, xs, 2)
     vals[1:-1] = np.fmin(vals[1:-1], 2.0 * _consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs))
@@ -94,7 +94,7 @@ def _consecutive_phi2(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
 class ClassificationReport:
     beta: float  # -inf Phi2(V); +inf when curvature is unbounded below
     t_c: float  # crossover time in [0, +inf]
-    gibbs_at_tc: str  # gibbs | non_gibbs | unknown
+    gibbs_at_tc: str  # gibbs | non_gibbs; unknown only when t_c is 0 or +inf
     method: str  # second_derivative | phi2_scan
     witness_alpha: float | None = None
     witness: tilted.MinimiserSet | None = None
@@ -129,33 +129,6 @@ def first_bad_time(beta: float) -> float:
     if beta <= 0.5:
         return math.inf
     return 1.0 / (2.0 * beta - 1.0)
-
-
-def _status_at_tc(spec: pot.PotentialSpec, beta: float) -> str:
-    """Gibbs status at t_c, read off the convex minorant of g_t = V + b r^2
-    with b = (1 + t)/(2t) just below beta: at t = (1 + eps) first_bad_time(beta)
-    for eps = 1e-2 and 1e-4, the widest polished edge of the tilted._ConvexMinorant
-    whose tilt centres span the working window [-R, R] (R = pot.window_radius;
-    0 when there is no edge).
-
-    At b = beta, V + b r^2 is convex, with an affine stretch exactly where the
-    curvature infimum is attained on an interval. Around an isolated infimum
-    of contact order 2k the width shrinks like eps^(1/(2k)), a ratio of 10,
-    3.16, 2.15, ... over the two decades; over a flat piece it tends to the
-    piece's length, a ratio near 1. Gibbs when the finer width is 0 or the
-    ratio is at least 2, non_gibbs at most 1.25, unknown in between."""
-
-    radius = pot.window_radius(spec)
-
-    def widest(eps):
-        t = (1.0 + eps) * first_bad_time(beta)
-        minorant = tilted._ConvexMinorant(spec, t, [-(1.0 + t) * radius, (1.0 + t) * radius])
-        return max((q2 - q1 for _, q1, q2, _, _ in minorant.edges), default=0.0)
-
-    coarse, fine = widest(1e-2), widest(1e-4)
-    if fine == 0.0 or coarse >= 2.0 * fine:
-        return GIBBS
-    return NON_GIBBS if coarse <= 1.25 * fine else UNKNOWN
 
 
 def crossover_time(
@@ -202,14 +175,18 @@ def _classification(spec: pot.PotentialSpec, float_bits: bytes):
     it. Errors such as InconclusiveError propagate and are not cached.
     _classification.cache_clear() empties the cache."""
     method = METHOD_SECOND_DERIVATIVE if spec.smoothness == pot.C2_ANALYTIC else METHOD_PHI2_SCAN
-    scan = spec.family == "custom_table"  # the one family without a closed form
-    beta = -0.5 * (_table_curvature_infimum(spec) if scan else pot.curvature_infimum(spec))
+    if spec.family == "custom_table":  # the one family without a closed form
+        beta = -0.5 * _table_curvature_infimum(spec)
+        beta = math.inf if beta > UNBOUNDED_SENTINEL else beta
+    else:
+        beta = -0.5 * pot.curvature_infimum(spec)
 
-    if beta > UNBOUNDED_SENTINEL:
-        return math.inf, 0.0, UNKNOWN, method
+    if beta == math.inf:
+        return beta, 0.0, UNKNOWN, method
     if beta <= 0.5:
         return beta, math.inf, UNKNOWN, method
-    return beta, 1.0 / (beta - 0.5), _status_at_tc(spec, beta), method
+    status = NON_GIBBS if pot.curvature_infimum_on_interval(spec) else GIBBS
+    return beta, 1.0 / (beta - 0.5), status, method
 
 
 def _find_bad_witness(spec, t_probe, tol):
@@ -229,15 +206,16 @@ def _find_bad_witness(spec, t_probe, tol):
 
 
 def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
-    """Sequential Gibbsianness at time t per the crossover classification:
-    True below t_c, False above, the t_c status at t_c (within 1e-9 relative).
+    """Sequential Gibbsianness at a finite time t per the crossover
+    classification: True below t_c, False above, the t_c status at t_c
+    (within 1e-9 relative).
 
     The classification is memoised per potential, so a sweep over many t
     classifies the potential once (see crossover_time).
     At t = 0 a continuously differentiable potential is sequentially Gibbs;
     otherwise the initial kernel is probed along selection sequences."""
-    if not t >= 0:  # NaN too
-        raise DomainError("gibbs_at requires t >= 0")
+    if not 0 <= t < math.inf:  # NaN too
+        raise DomainError("gibbs_at requires a finite t >= 0")
     if t == 0:
         if spec.smoothness in (pot.C2_ANALYTIC, pot.C1_ONLY):
             return True
@@ -246,11 +224,7 @@ def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
     if math.isinf(report.t_c):
         return True
     if abs(t - report.t_c) <= 1e-9 * max(t, report.t_c):
-        if report.gibbs_at_tc == GIBBS:
-            return True
-        if report.gibbs_at_tc == NON_GIBBS:
-            return False
-        raise InconclusiveError(f"status at t = t_c = {report.t_c} is unknown")
+        return report.gibbs_at_tc == GIBBS
     return t < report.t_c
 
 

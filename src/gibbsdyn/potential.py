@@ -13,6 +13,11 @@ A potential is a non-negative function of the magnetisation. Builtin families:
     abs             V(r) = |r|
     custom_table    linear interpolation of tabulated samples
 
+Every family but custom_table states inf V'' in closed form
+(curvature_infimum), every family whether that infimum is attained on an
+interval rather than at isolated points only (curvature_infimum_on_interval),
+and the families with an analytic V' where it fails to exist (kinks).
+
 The smoothness tag (C2_analytic / C1_only / lsc_only) selects which
 classification path downstream modules may use. Polynomials may dip below
 zero when not normalised; the model is invariant under constant shifts, so
@@ -36,10 +41,6 @@ C1_ONLY = "C1_only"
 LSC_ONLY = "lsc_only"
 
 FAMILIES = ("zero", "polynomial", "cosine_well", "cos_of_square", "glued_exp", "abs", "custom_table")
-
-# Working window of the status at t_c (classify._status_at_tc); all builtin
-# structure lives well inside it.
-DEFAULT_WINDOW_RADIUS = 20.0
 
 # Step rule for finite-difference derivatives.
 FD_STEP_SCALE = 1e-5
@@ -390,6 +391,29 @@ def curvature_infimum(spec: PotentialSpec) -> float:
     raise DomainError(f"family {fam!r} has no closed-form curvature infimum")
 
 
+def curvature_infimum_on_interval(spec: PotentialSpec) -> bool:
+    """Whether inf V'' is attained on an interval, not only at isolated
+    points: on the flat piece [-1, 1] of glued_exp, everywhere for zero and
+    polynomials of degree <= 2 (constant V''), and away from the kink for
+    abs. A polynomial of degree >= 4 has a non-constant V'' polynomial,
+    cosine_well's -2 beta cos r is minimal at isolated points, and
+    cos_of_square's infimum -inf is not attained. A custom_table is affine
+    on every cell: V'' = 0 there is the infimum exactly when no node slope
+    decreases (_table_slopes); a slope that decreases is a concave kink,
+    where the infimum -inf sits at a node."""
+    fam = spec.family
+    if fam == "custom_table":
+        return not np.any(np.diff(_table_slopes(spec)) < 0.0)
+    if fam == "polynomial":
+        return len(spec.coefficients) <= 3
+    return fam in ("zero", "abs", "glued_exp")
+
+
+def _table_slopes(spec: PotentialSpec) -> np.ndarray:
+    """The slopes of a custom_table's cells, one per pair of consecutive nodes."""
+    return np.diff(spec.table_v) / np.diff(spec.table_r)
+
+
 def deriv(spec: PotentialSpec, r, order: int = 1):
     """First or second derivative of V at r.
 
@@ -449,11 +473,3 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
         else:
             out = (vp - 2.0 * v0 + vm) / h**2
     return float(out[0]) if scalar else np.asarray(out)
-
-
-def window_radius(spec: PotentialSpec) -> float:
-    """Half-width of the working window: the table's range for
-    custom_table, else DEFAULT_WINDOW_RADIUS."""
-    if spec.family == "custom_table":
-        return float(max(abs(spec.table_r[0]), abs(spec.table_r[-1])))
-    return DEFAULT_WINDOW_RADIUS

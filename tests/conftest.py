@@ -127,6 +127,18 @@ def second_difference_curvature(spec, xs):
 
 MAX_SCAN_POINTS = 4_194_305  # grid-size cap of the doubling curvature scans
 
+# Working window of the builtin families' oracles; all builtin structure
+# lives well inside it.
+WINDOW_RADIUS = 20.0
+
+
+def window_radius(spec) -> float:
+    """Half-width of a spec's working window: the table's range for
+    custom_table, else WINDOW_RADIUS."""
+    if spec.family == "custom_table":
+        return float(max(abs(spec.table_r[0]), abs(spec.table_r[-1])))
+    return WINDOW_RADIUS
+
 
 def _scan_curvature_infimum(spec, radius: float, n_grid: int):
     """(inf of V'' on the n_grid-point grid of [-radius, radius], argmin).
@@ -151,14 +163,14 @@ def _scan_curvature_infimum(spec, radius: float, n_grid: int):
 
 def doubling_curvature_scan(spec):
     """Oracle for potential.curvature_infimum: inf V'' by a grid scan from
-    the working window pot.window_radius(spec), whose radius doubles until
+    the working window window_radius(spec), whose radius doubles until
     the infimum settles (within 1e-3 relative between doublings), or
     returns -inf once it dips under -2 classify.UNBOUNDED_SENTINEL. Each
     grid resolves oscillations whose local period shrinks like 1/r, up to
     MAX_SCAN_POINTS points. Raises InconclusiveError when neither happens
     within seven doublings. Returns (infimum, argmin)."""
     infima = []
-    radius = pot.window_radius(spec)
+    radius = window_radius(spec)
     for _ in range(7):
         spacing = math.pi / (10.0 * radius)
         n_grid = int(min(MAX_SCAN_POINTS, max(classify.SCAN_POINTS, 2.0 * radius / spacing)))
@@ -174,6 +186,35 @@ def doubling_curvature_scan(spec):
         "curvature infimum neither settled nor passed the unboundedness sentinel in seven doublings",
         diagnostics={"radius": radius / 2.0, "last_infima": infima[-2:]},
     )
+
+
+def minorant_status_at_tc(spec, beta):
+    """Oracle for the closed-form status at t_c (the classification's
+    gibbs_at_tc, from potential.curvature_infimum_on_interval): the status
+    read off the convex minorant of g_t = V + b r^2 with b = (1 + t)/(2t)
+    just below beta: at t = (1 + eps) first_bad_time(beta) for eps = 1e-2
+    and 1e-4, the widest polished edge of the tilted._ConvexMinorant whose
+    tilt centres span the working window [-R, R] (R = window_radius(spec);
+    0 when there is no edge).
+
+    At b = beta, V + b r^2 is convex, with an affine stretch exactly where the
+    curvature infimum is attained on an interval. Around an isolated infimum
+    of contact order 2k the width shrinks like eps^(1/(2k)), a ratio of 10,
+    3.16, 2.15, ... over the two decades; over a flat piece it tends to the
+    piece's length, a ratio near 1. Gibbs when the finer width is 0 or the
+    ratio is at least 2, non_gibbs at most 1.25, unknown in between."""
+
+    radius = window_radius(spec)
+
+    def widest(eps):
+        t = (1.0 + eps) * classify.first_bad_time(beta)
+        minorant = tilted._ConvexMinorant(spec, t, [-(1.0 + t) * radius, (1.0 + t) * radius])
+        return max((q2 - q1 for _, q1, q2, _, _ in minorant.edges), default=0.0)
+
+    coarse, fine = widest(1e-2), widest(1e-4)
+    if fine == 0.0 or coarse >= 2.0 * fine:
+        return classify.GIBBS
+    return classify.NON_GIBBS if coarse <= 1.25 * fine else classify.UNKNOWN
 
 
 def scalar_equivalence_sides(f, beta, window, grid_n=201):
@@ -513,7 +554,7 @@ def phi2_symmetric_form(f, x: float, y: float, z: float) -> float:
     return fx / ((x - y) * (x - z)) + fy / ((y - x) * (y - z)) + fz / ((z - x) * (z - y))
 
 
-def check_nonneg_on_grid(spec, radius: float = pot.DEFAULT_WINDOW_RADIUS, n: int = 20001) -> float:
+def check_nonneg_on_grid(spec, radius: float = WINDOW_RADIUS, n: int = 20001) -> float:
     """Minimum of V over a dense grid on [-radius, radius], to check the
     V >= 0 convention of the families that promise it."""
     xs = np.linspace(-radius, radius, n)

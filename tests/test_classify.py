@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_triples_phi2_min, doubling_curvature_scan, phi2, scalar_equivalence_sides
+import conftest
+from conftest import all_triples_phi2_min, doubling_curvature_scan, minorant_status_at_tc, phi2, scalar_equivalence_sides
 from gibbsdyn import classify, kernels, potential as pot, tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
@@ -91,24 +92,17 @@ def test_gibbs_at(builtin_specs):
     assert classify.gibbs_at(builtin_specs["abs"], 1.0) is True  # convex potential
     assert classify.gibbs_at(builtin_specs["cos_of_square"], 0.0) is True
     assert classify.gibbs_at(builtin_specs["cos_of_square"], 0.3) is False
-    for t in (-0.5, math.nan):  # NaN fails every comparison, `t < 0` too
+    for t in (-0.5, math.nan, math.inf):  # NaN fails every comparison, `t < 0` too
         with pytest.raises(DomainError):
             classify.gibbs_at(cw, t)
 
 
-def test_gibbs_at_reads_a_non_gibbs_status_at_tc(monkeypatch):
+def test_gibbs_at_reads_a_non_gibbs_status_at_tc():
     spec = pot.glued_exp(1.0)
     t_c = classify.crossover_time(spec, find_witness=False).t_c
     assert classify.gibbs_at(spec, t_c) is False
     assert classify.gibbs_at(spec, t_c * (1.0 - 5e-10)) is False  # inside the 1e-9 band
     assert classify.gibbs_at(spec, t_c * (1.0 - 2e-9)) is True
-    monkeypatch.setattr(classify, "_status_at_tc", lambda spec, beta: classify.UNKNOWN)
-    classify._classification.cache_clear()
-    try:
-        with pytest.raises(InconclusiveError):
-            classify.gibbs_at(spec, t_c)
-    finally:
-        classify._classification.cache_clear()
 
 
 def test_gibbs_at_monotone(builtin_specs):
@@ -119,12 +113,13 @@ def test_gibbs_at_monotone(builtin_specs):
         assert flags == sorted(flags, reverse=True), (name, flags)
 
 
-def _random_polynomials():
-    """20 seeded random normalised polynomials, quartics and sextics in turn."""
-    rng = np.random.default_rng(0)
+def _random_polynomials(count=20, sizes=(5, 7), seed=0):
+    """count seeded random normalised polynomials, with sizes coefficients in
+    turn: by default 20, quartics and sextics."""
+    rng = np.random.default_rng(seed)
     specs = []
-    for i in range(20):
-        c = rng.normal(size=(5, 7)[i % 2])
+    for i in range(count):
+        c = rng.normal(size=sizes[i % len(sizes)])
         c[-1] = abs(c[-1])
         specs.append(pot.polynomial(c.tolist(), normalize=True))
     return specs
@@ -155,6 +150,42 @@ def test_gibbs_at_tc(builtin_specs):
         classify.gibbs_at_tc(builtin_specs["cos_of_square"])  # t_c = 0
 
 
+def test_status_at_tc_matches_the_minorant_oracle(builtin_specs):
+    # the closed-form status against the convex-minorant decider it replaced,
+    # on every spec with a finite positive t_c (1/2 < beta < inf)
+    grid = np.linspace(-4.0, 4.0, 81)
+    quartic = (grid**2 - 16.0) ** 2 / 16.0
+    specs = [
+        *builtin_specs.values(), pot.glued_exp(0.8), pot.glued_exp(2.5), pot.cosine_well(2.5),
+        pot.polynomial([0, 0, -3, 0, 0, 0, 1], normalize=True), *_random_polynomials(),
+        *_random_polynomials(10, (7,), seed=1),
+        pot.custom_table(grid, quartic), pot.custom_table(grid, quartic, pot.LSC_ONLY),
+        pot.custom_table([-4.0, 0.05, 4.0], [0.0, 1.0, 0.0]),
+    ]
+    checked = 0
+    for spec in specs:
+        report = classify.crossover_time(spec, find_witness=False)
+        if 0.5 < report.beta < math.inf:
+            assert report.gibbs_at_tc == minorant_status_at_tc(spec, report.beta), spec.params
+            checked += 1
+    assert checked == 27
+
+
+def test_a_large_closed_form_beta_stays_finite():
+    # the unboundedness sentinel caps only a table's scanned curvature: a
+    # closed-form beta above it is exact, so t_c = 1/(beta - 1/2) is finite
+    cases = [
+        (pot.cosine_well(2e6), 2e6, classify.GIBBS),
+        (pot.glued_exp(3e6), 3e6, classify.NON_GIBBS),
+        (pot.polynomial([0, 0, -1e7, 0, 1]), 1e7, classify.GIBBS),
+    ]
+    for spec, beta, status in cases:
+        r = classify.crossover_time(spec)
+        assert r.beta == beta and r.t_c == 1.0 / (beta - 0.5), spec.params
+        assert r.gibbs_at_tc == status, spec.params
+        assert r.witness_alpha == 0.0 and r.witness.multiple, spec.params
+
+
 def test_first_bad_time_is_half_the_reported_crossover_time(builtin_specs):
     assert classify.first_bad_time(4.0) == 1.0 / 7.0
     assert classify.first_bad_time(math.inf) == 0.0
@@ -174,8 +205,8 @@ def test_kernel_route_agrees_with_the_status_at_the_first_bad_time(builtin_specs
     # around an isolated curvature infimum they shrink like n^(-1/6) (a factor
     # 0.71 per 8x in n), over a flat piece they grow towards a limit
     spec = builtin_specs[name]
-    beta = classify.crossover_time(spec, find_witness=False).beta
-    t = classify.first_bad_time(beta)
+    report = classify.crossover_time(spec, find_witness=False)
+    t = report.t_first_bad
     splits = []
     for n in (50, 400, 3200):
         a = 1.0 / math.sqrt(n)
@@ -187,7 +218,7 @@ def test_kernel_route_agrees_with_the_status_at_the_first_bad_time(builtin_specs
         status = classify.NON_GIBBS
     else:
         status = classify.UNKNOWN
-    assert status == classify._status_at_tc(spec, beta), (splits, ratios)
+    assert status == report.gibbs_at_tc, (splits, ratios)
 
 
 @given(st.integers(3, 40), st.booleans(), st.integers(0, 2**32 - 1))
@@ -253,7 +284,7 @@ def test_unsettled_curvature_scan_is_inconclusive(monkeypatch, radius):
     # unbounded curvature: V'' of 1 - cos(r^2) falls like -4 r^2, and from
     # these working-window radii seven doublings neither settle nor pass the
     # unboundedness sentinel, so the oracle reports no finite infimum
-    monkeypatch.setattr(pot, "DEFAULT_WINDOW_RADIUS", radius)
+    monkeypatch.setattr(conftest, "WINDOW_RADIUS", radius)
     with pytest.raises(InconclusiveError) as err:
         doubling_curvature_scan(pot.cos_of_square())
     assert err.value.diagnostics["radius"] == 64.0 * radius

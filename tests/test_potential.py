@@ -356,6 +356,31 @@ def test_embedded_specs_parse_back(builtin_specs):
     assert specs["normalised"].to_json_dict()["params"]["normalize"] is True
 
 
+def test_curvature_infimum_on_interval_per_family(builtin_specs):
+    # True where inf V'' holds on an interval: V'' constant (zero, r^2 and
+    # every polynomial of degree <= 2), V'' = 0 away from the kink of |r|,
+    # V'' = -2 beta on glued_exp's flat piece [-1, 1]
+    flat = {"zero", "r^2", "abs", "glued_beta1"}
+    for name, spec in builtin_specs.items():
+        assert pot.curvature_infimum_on_interval(spec) is (name in flat), name
+    assert pot.curvature_infimum_on_interval(pot.glued_exp(2.5))
+    for coefficients in ([2.0], [1.0, -3.0, 0.5]):
+        assert pot.curvature_infimum_on_interval(pot.polynomial(coefficients))
+    # a non-constant V'' polynomial: isolated infima, contact order 4 included
+    for coefficients in ([0, 0, -3, 0, 0, 0, 1], [1.0, 2.0, 0.0, 0.0, 3.0]):
+        assert not pot.curvature_infimum_on_interval(pot.polynomial(coefficients, normalize=True))
+    assert not pot.curvature_infimum_on_interval(pot.cosine_well(2.5))
+    # a table: V'' = 0 on every cell is the infimum unless some node slope
+    # decreases, a concave kink; the smoothness tag does not enter
+    grid = np.linspace(-4.0, 4.0, 81)
+    for tag in (pot.C1_ONLY, pot.LSC_ONLY):
+        assert pot.curvature_infimum_on_interval(pot.custom_table(grid, np.abs(grid), tag))
+        assert pot.curvature_infimum_on_interval(pot.custom_table(grid, grid + 4.0, tag))
+        assert not pot.curvature_infimum_on_interval(pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0, tag))
+    assert not pot.curvature_infimum_on_interval(pot.custom_table([-4.0, 0.05, 4.0], [0.0, 1.0, 0.0]))
+    assert pot.curvature_infimum_on_interval(pot.custom_table([-1.0, 1.0], [0.0, 0.0]))
+
+
 def test_custom_table_smoothness_tags():
     grid, values = [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]
     for tag in (pot.C1_ONLY, pot.LSC_ONLY):

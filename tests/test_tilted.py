@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimisers, golden_then_polish_refine, literal_lower_hull
+from conftest import WINDOW_RADIUS, brute_force_minimisers, golden_then_polish_refine, literal_lower_hull
 from gibbsdyn import classify, gridmin, potential as pot
 from gibbsdyn import tilted
 from gibbsdyn.errors import ConfigError, DomainError
@@ -278,7 +278,7 @@ def test_monotone_badness_in_time(builtin_specs):
     # window can lose them (pinned below for cos_of_square)
     ts = np.geomspace(0.05, 8.0, 7)
     for name, spec in builtin_specs.items():
-        spans = [(1.0 + t) * pot.window_radius(spec) for t in ts]
+        spans = [(1.0 + t) * WINDOW_RADIUS for t in ts]
         flags = [not tilted.bad_set_scan(spec, float(t), (-a, a), 65).empty for t, a in zip(ts, spans)]
         assert flags == sorted(flags), (name, flags)
     spec, t = builtin_specs["cos_of_square"], float(ts[5])
