@@ -16,7 +16,10 @@ Status at t = t_c depends on whether the curvature infimum is attained on an
 interval (flat piece -> not Gibbs at t_c) or only at isolated points
 (-> Gibbs at t_c), which the potential states in closed form
 (potential.curvature_infimum_on_interval). It is unknown only where t_c is
-0 or +inf.
+0 or +inf. At t = 0 the potential is sequentially Gibbs exactly when it has
+no kink (potential.kinks). The report's method is second_derivative where
+V'' is in closed form (potential.has_analytic_deriv at order 2), else
+phi2_scan.
 
 Note: the direct two-layer scan (tilted.bad_set_scan) first reports bad
 magnetisations at t = 1/(2*beta - 1) (first_bad_time), a factor 2 below the
@@ -37,7 +40,7 @@ from gibbsdyn import potential as pot
 from gibbsdyn import tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 from gibbsdyn.gridmin import golden_section  # unused: perfbench's selftest.Bindings requires the binding
-from gibbsdyn.kernels import initial_kernel
+from gibbsdyn.kernels import initial_kernel  # unused: perfbench's selftest.Bindings requires the binding
 
 GIBBS = "gibbs"
 NON_GIBBS = "non_gibbs"
@@ -174,7 +177,7 @@ def _classification(spec: pot.PotentialSpec, float_bits: bytes):
     The key is the spec's value; float_bits (see _float_bits) only sharpens
     it. Errors such as InconclusiveError propagate and are not cached.
     _classification.cache_clear() empties the cache."""
-    method = METHOD_SECOND_DERIVATIVE if spec.smoothness == pot.C2_ANALYTIC else METHOD_PHI2_SCAN
+    method = METHOD_SECOND_DERIVATIVE if pot.has_analytic_deriv(spec, 2) else METHOD_PHI2_SCAN
     if spec.family == "custom_table":  # the one family without a closed form
         beta = -0.5 * _table_curvature_infimum(spec)
         beta = math.inf if beta > UNBOUNDED_SENTINEL else beta
@@ -212,34 +215,19 @@ def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
 
     The classification is memoised per potential, so a sweep over many t
     classifies the potential once (see crossover_time).
-    At t = 0 a continuously differentiable potential is sequentially Gibbs;
-    otherwise the initial kernel is probed along selection sequences."""
+    At t = 0 the limit kernel is N(-V'(alpha), 1), so the bad magnetisations
+    are the kinks of V (potential.kinks), whatever the size of the slope
+    jump: the potential is sequentially Gibbs exactly when it has none."""
     if not 0 <= t < math.inf:  # NaN too
         raise DomainError("gibbs_at requires a finite t >= 0")
     if t == 0:
-        if spec.smoothness in (pot.C2_ANALYTIC, pot.C1_ONLY):
-            return True
-        return not _initial_kernel_probe_finds_bad(spec)
+        return not pot.kinks(spec)
     report = crossover_time(spec, find_witness=False)
     if math.isinf(report.t_c):
         return True
     if abs(t - report.t_c) <= 1e-9 * max(t, report.t_c):
         return report.gibbs_at_tc == GIBBS
     return t < report.t_c
-
-
-def _initial_kernel_probe_finds_bad(spec: pot.PotentialSpec) -> bool:
-    """Kernel-level probe for t = 0 and non-differentiable potentials: compare
-    initial-kernel means at n = 10000 along alpha_n = alpha +- (n-1)^(-1/2);
-    a persistent gap marks a bad magnetisation."""
-    n = 10_000
-    eps = 1.0 / math.sqrt(n - 1)
-    for a in np.linspace(-2.0, 2.0, 17):
-        m_plus = initial_kernel(spec, n, float(a) + eps).mean
-        m_minus = initial_kernel(spec, n, float(a) - eps).mean
-        if abs(m_plus - m_minus) > 0.2:
-            return True
-    return False
 
 
 def gibbs_at_tc(spec: pot.PotentialSpec) -> str:
@@ -263,7 +251,8 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
     side is exact over all triples of the grid (see _consecutive_phi2).
     The tilt side holds when f + beta x^2 on a grid 8x finer has a bridging
     hull edge (see tilted.lower_hull): a tilt alpha ties two separated global
-    minimisers exactly when a hull edge of slope alpha spans the gap."""
+    minimisers exactly when a hull edge of slope alpha spans the gap. Where
+    f + beta x^2 is not finite on a grid, DomainError."""
     lo, hi = float(window[0]), float(window[1])
     if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError("equivalence window must be finite with lo < hi")
@@ -272,17 +261,21 @@ def equivalence_sides(f, beta: float, window: tuple[float, float], grid_n: int =
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
 
-    def grid(n):  # n window points and f's values there
+    def grid(n):  # n window points, f's values there and f + beta x^2
         xs = np.linspace(lo, hi, n)
         fv = f(xs)
         if not isinstance(fv, np.ndarray) or fv.shape != xs.shape:
             raise ConfigError("equivalence_sides needs f to map a grid array to an array of its shape")
-        return xs, fv
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = fv + beta * xs**2
+        if not np.isfinite(g).all():
+            raise DomainError(f"f + beta x^2 is not finite on the equivalence grid at beta = {beta!r}")
+        return xs, fv, g
 
-    xs, fv = grid(int(grid_n))
+    xs, fv, _ = grid(int(grid_n))
     side_triple = bool(_consecutive_phi2(fv, xs).min() <= -beta + 1e-12)
-    xs, fv = grid(8 * int(grid_n) + 1)
-    _, bridges = tilted.lower_hull(xs, fv + beta * xs**2)
+    xs, _, g = grid(8 * int(grid_n) + 1)
+    _, bridges = tilted.lower_hull(xs, g)
     return bool(bridges), side_triple
 
 

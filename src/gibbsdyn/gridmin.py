@@ -7,8 +7,8 @@ iteration per bracket, written as a coroutine, and _drive steps them all
 together with one objective call per round. Golden section converges
 linearly with ratio 1/phi, about 50 rounds from a grid bracket to
 REFINE_TOL; tilted._refine therefore runs safeguarded Newton with bisection
-on the sign of U' through _drive wherever V' is in closed form, and golden
-section only on tabulated potentials.
+on the sign of U' through _drive for every potential, and golden section
+serves only global_minimum.
 """
 
 from __future__ import annotations

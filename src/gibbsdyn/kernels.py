@@ -467,16 +467,16 @@ def _s_law(machine: _GMachine) -> tuple[np.ndarray, np.ndarray]:
     S_PROBE_POINTS s rows, each on its call's r grid (_GMachine._grid), and
     the grid has the fewest odd rows whose step is at most
     S_STEP_PER_SD sqrt(t / (1 + t)), half the sd of the mixture's integrand
-    in s: 53-61 rows at t = 1, 91-93 at t = 0.2, 123-155 at t = 0.1."""
+    in s: 53-61 rows at t = 1, 91-93 at t = 0.2, 123-155 at t = 0.1. A t
+    so small that this needs more than GRID_N_MAX rows raises DomainError."""
     # support anchored at 0 and at the limit means -V'(q), then grown until
     # the edges are cold
     anchors = [0.0]
-    if pot.has_analytic_deriv(machine.spec, 1):
-        for q in machine.ms.locations:
-            try:
-                anchors.append(-float(pot.deriv(machine.spec, q, 1)))
-            except NotDifferentiableError:
-                pass
+    for q in machine.ms.locations:
+        try:
+            anchors.append(-float(pot.deriv(machine.spec, q, 1)))
+        except NotDifferentiableError:
+            pass
     pad = math.sqrt(2.0 * DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = expanding_localize(
         lambda s: machine.log_g(s) - s**2 / 2.0,
@@ -485,7 +485,11 @@ def _s_law(machine: _GMachine) -> tuple[np.ndarray, np.ndarray]:
         n_coarse=S_PROBE_POINTS,
     )
     ds_max = S_STEP_PER_SD * math.sqrt(machine.t / (1.0 + machine.t))
-    s = simpson_grid(s_lo, s_hi, math.ceil((s_hi - s_lo) / ds_max) + 1)  # odd, for _lattice
+    rows = odd_count(math.ceil((s_hi - s_lo) / ds_max) + 1)  # odd, for _lattice
+    if rows > GRID_N_MAX:
+        raise DomainError(f"the evolved kernel's s-law needs {rows:.3g} trapezoid rows at t = {machine.t!r}, "
+                          f"more than {GRID_N_MAX}")
+    s = simpson_grid(s_lo, s_hi, rows)
     log_w = machine.log_g(s) - s**2 / 2.0
     log_w[[0, -1]] -= math.log(2.0)  # trapezoid end weights; the step cancels in the normalisation
     return s, log_w - logsumexp(log_w)

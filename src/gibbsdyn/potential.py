@@ -13,15 +13,19 @@ A potential is a non-negative function of the magnetisation. Builtin families:
     abs             V(r) = |r|
     custom_table    linear interpolation of tabulated samples
 
-Every family but custom_table states inf V'' in closed form
-(curvature_infimum), every family whether that infimum is attained on an
-interval rather than at isolated points only (curvature_infimum_on_interval),
-and the families with an analytic V' where it fails to exist (kinks).
+Every family has one derivative model: V' in closed form, a custom_table's
+the slope of the cell holding r, and kinks names the points where V' does
+not exist (the kink of |r| at 0, a table's interior nodes where the cell
+slope changes), at which deriv raises NotDifferentiableError. V'' is in
+closed form for zero, polynomial, cosine_well and cos_of_square
+(has_analytic_deriv at order 2) and a central second difference otherwise.
 
-The smoothness tag (C2_analytic / C1_only / lsc_only) selects which
-classification path downstream modules may use. Polynomials may dip below
-zero when not normalised; the model is invariant under constant shifts, so
-the infimum is stored (v_floor) and quadrature windows compensate.
+Every family but custom_table states inf V'' in closed form
+(curvature_infimum), and every family whether that infimum is attained on an
+interval rather than at isolated points only (curvature_infimum_on_interval).
+Polynomials may dip below zero when not normalised; the model is invariant
+under constant shifts, so the infimum is stored (v_floor) and quadrature
+windows compensate.
 """
 
 from __future__ import annotations
@@ -36,13 +40,9 @@ import numpy as np
 from gibbsdyn.errors import DomainError, NotDifferentiableError
 from gibbsdyn.gridmin import global_minimum
 
-C2_ANALYTIC = "C2_analytic"
-C1_ONLY = "C1_only"
-LSC_ONLY = "lsc_only"
-
 FAMILIES = ("zero", "polynomial", "cosine_well", "cos_of_square", "glued_exp", "abs", "custom_table")
 
-# Step rule for finite-difference derivatives.
+# Step rule of the second difference (deriv at order 2 without a closed form).
 FD_STEP_SCALE = 1e-5
 
 # log-values are capped here before exponentiation to keep scans overflow-free
@@ -52,7 +52,6 @@ _EXP_CAP = 500.0
 @dataclass(frozen=True)
 class PotentialSpec:
     family: str
-    smoothness: str
     coefficients: tuple[float, ...] = ()
     beta: float = 0.0
     c_beta: float = 0.0
@@ -165,7 +164,7 @@ def _beta(family: str, beta) -> float:
 
 
 def zero() -> PotentialSpec:
-    return PotentialSpec("zero", C2_ANALYTIC, params={})
+    return PotentialSpec("zero", params={})
 
 
 def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
@@ -201,7 +200,6 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
         vmin = 0.0
     return PotentialSpec(
         "polynomial",
-        C2_ANALYTIC,
         coefficients=tuple(coeffs),
         v_floor=min(vmin, 0.0),
         params={"coefficients": list(coeffs), "normalize": normalize},
@@ -210,11 +208,11 @@ def polynomial(coefficients, normalize: bool = False) -> PotentialSpec:
 
 def cosine_well(beta: float) -> PotentialSpec:
     b = _beta("cosine_well", beta)
-    return PotentialSpec("cosine_well", C2_ANALYTIC, beta=b, params={"beta": b})
+    return PotentialSpec("cosine_well", beta=b, params={"beta": b})
 
 
 def cos_of_square() -> PotentialSpec:
-    return PotentialSpec("cos_of_square", C2_ANALYTIC, params={})
+    return PotentialSpec("cos_of_square", params={})
 
 
 def glued_exp(beta: float) -> PotentialSpec:
@@ -223,7 +221,7 @@ def glued_exp(beta: float) -> PotentialSpec:
     C_beta = inf_s [g(s) - beta*s^2] is computed once per beta in a process
     (_glued_c_beta); every call returns a fresh spec."""
     b = _beta("glued_exp", beta)
-    return PotentialSpec("glued_exp", C1_ONLY, beta=b, c_beta=_glued_c_beta(b), params={"beta": b})
+    return PotentialSpec("glued_exp", beta=b, c_beta=_glued_c_beta(b), params={"beta": b})
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,14 +241,13 @@ def _glued_c_beta(b: float) -> float:
 
 
 def absolute() -> PotentialSpec:
-    return PotentialSpec("abs", LSC_ONLY, params={})
+    return PotentialSpec("abs", params={})
 
 
-def custom_table(grid, values, smoothness: str = C1_ONLY) -> PotentialSpec:
-    """Linear interpolation of (grid, values). The interpolant has kinks at
-    the nodes, so it is C1_only at best; lsc_only marks it non-differentiable."""
-    if smoothness not in (C1_ONLY, LSC_ONLY):
-        raise DomainError(f"custom_table smoothness must be {C1_ONLY!r} or {LSC_ONLY!r}, got {smoothness!r}")
+def custom_table(grid, values) -> PotentialSpec:
+    """Linear interpolation of (grid, values), held at the end values beyond
+    the grid. V' is the cell slope; the interior nodes where it changes are
+    the table's kinks."""
     for name, samples in (("grid", grid), ("values", values)):
         if _has_bool(samples):
             raise DomainError(f"custom_table {name} must hold numbers, not booleans, got {samples!r}")
@@ -265,15 +262,13 @@ def custom_table(grid, values, smoothness: str = C1_ONLY) -> PotentialSpec:
     if v.min() < -1e-12:
         raise DomainError("custom_table values must be non-negative")
     params = {"grid": list(r), "values": list(v), "interpolation": "linear"}
-    if smoothness == LSC_ONLY:  # C1_only is the default: its JSON omits the key
-        params["smoothness"] = LSC_ONLY
-    return PotentialSpec("custom_table", smoothness, table_r=tuple(r), table_v=tuple(v), params=params)
+    return PotentialSpec("custom_table", table_r=tuple(r), table_v=tuple(v), params=params)
 
 
 def _table_from_params(p: dict) -> PotentialSpec:
     if p.get("interpolation", "linear") != "linear":
         raise DomainError(f"custom_table interpolation must be 'linear', got {p['interpolation']!r}")
-    return custom_table(p["grid"], p["values"], p.get("smoothness", C1_ONLY))
+    return custom_table(p["grid"], p["values"])
 
 
 # family -> (the params keys it reads, its builder); from_json rejects other keys
@@ -287,7 +282,7 @@ _BUILDERS = {
     "cos_of_square": ((), lambda p: cos_of_square()),
     "glued_exp": (("beta",), lambda p: glued_exp(p["beta"])),
     "abs": ((), lambda p: absolute()),
-    "custom_table": (("grid", "values", "smoothness", "interpolation"), _table_from_params),
+    "custom_table": (("grid", "values", "interpolation"), _table_from_params),
 }
 
 
@@ -361,15 +356,17 @@ def eval(spec: PotentialSpec, r):
 
 
 def has_analytic_deriv(spec: PotentialSpec, order: int) -> bool:
-    fam = spec.family
-    if order == 1:
-        return fam in ("zero", "polynomial", "cosine_well", "cos_of_square", "glued_exp", "abs")
-    return fam in ("zero", "polynomial", "cosine_well", "cos_of_square")
+    """Whether deriv is in closed form at this order: V' for every family (a
+    custom_table's is its cell slope), V'' for zero, polynomial, cosine_well
+    and cos_of_square; deriv takes a second difference for the others."""
+    return order == 1 or spec.family in ("zero", "polynomial", "cosine_well", "cos_of_square")
 
 
 def kinks(spec: PotentialSpec) -> tuple[float, ...]:
-    """The points where a family with an analytic V' (has_analytic_deriv at
-    order 1) has no V': the kink of |r| at 0."""
+    """The points where V' does not exist, increasing: 0 for abs, and a
+    custom_table's interior nodes where the cell slope changes."""
+    if spec.family == "custom_table":
+        return tuple(np.asarray(spec.table_r)[1:-1][np.diff(_table_slopes(spec)) != 0.0].tolist())
     return (0.0,) if spec.family == "abs" else ()
 
 
@@ -417,14 +414,17 @@ def _table_slopes(spec: PotentialSpec) -> np.ndarray:
 def deriv(spec: PotentialSpec, r, order: int = 1):
     """First or second derivative of V at r.
 
-    Analytic for closed-form families; central finite differences otherwise
-    (flagged by has_analytic_deriv), abs at order 2 included. The step is
-    h = FD_STEP_SCALE * max(1, |r|), and at order 2 also times
-    max(1, |V(r)|)^(1/4), so that the rounding noise 4 eps |V|/h^2 of the
-    second difference (V(r+h) - 2V(r) + V(r-h))/h^2 stays bounded where the
-    potential is superexponentially large. This is the package's only
-    second difference. order=1 at a point of kinks(spec) raises
-    NotDifferentiableError.
+    V' is analytic for every family. A custom_table's is the slope of the
+    cell holding r, an end node's that of its end cell, and 0 beyond the
+    ends, where eval holds the end values. order=1 at a point of
+    kinks(spec) raises NotDifferentiableError.
+
+    V'' is analytic where has_analytic_deriv says so, else the central
+    second difference (V(r+h) - 2V(r) + V(r-h))/h^2, abs and custom_table
+    included. The step is h = FD_STEP_SCALE * max(1, |r|) * max(1,
+    |V(r)|)^(1/4), so that its rounding noise 4 eps |V|/h^2 stays bounded
+    where the potential is superexponentially large. This is the package's
+    only second difference.
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
@@ -436,14 +436,15 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     fam = spec.family
 
     if order == 1:
-        for kink in kinks(spec):
-            if np.any(arr == kink):
-                raise NotDifferentiableError(f"family {fam!r} is not differentiable at r = {kink}")
+        ks = kinks(spec)
+        if ks:  # each point against its nearest kink at or above it; the one kink of abs directly
+            k = np.asarray(ks)
+            hit = arr == (ks[0] if k.size == 1 else k[np.searchsorted(k, arr).clip(max=k.size - 1)])
+            if hit.any():
+                raise NotDifferentiableError(f"family {fam!r} is not differentiable at r = {float(arr[hit][0])}")
     if fam == "abs" and order == 1:
         out = np.sign(arr)
         return float(out[0]) if scalar else out
-    if order == 1 and spec.smoothness == LSC_ONLY:
-        raise NotDifferentiableError(f"family {fam!r} does not admit a first derivative")
 
     if fam == "zero":
         out = np.zeros_like(arr)
@@ -460,16 +461,13 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
             out = 2.0 * np.sin(arr**2) + 4.0 * arr**2 * np.cos(arr**2)
     elif fam == "glued_exp" and order == 1:
         out = np.sign(arr) * _glue_d1(np.abs(arr) - 1.0) - 2.0 * spec.beta * arr
+    elif fam == "custom_table" and order == 1:
+        nodes, slopes = np.asarray(spec.table_r), _table_slopes(spec)
+        cell = np.searchsorted(nodes, arr, side="right").clip(1, slopes.size) - 1
+        out = np.where((arr < nodes[0]) | (arr > nodes[-1]), 0.0, slopes[cell])
     else:
-        # central finite differences with the step rule of the docstring
-        h = FD_STEP_SCALE * np.maximum(1.0, np.abs(arr))
-        if order == 2:
-            v0 = np.asarray(eval(spec, arr))
-            h = h * np.maximum(1.0, np.abs(v0)) ** 0.25
-        vp = np.asarray(eval(spec, arr + h))
-        vm = np.asarray(eval(spec, arr - h))
-        if order == 1:
-            out = (vp - vm) / (2.0 * h)
-        else:
-            out = (vp - 2.0 * v0 + vm) / h**2
+        # the second difference with the step rule of the docstring
+        v0 = np.asarray(eval(spec, arr))
+        h = FD_STEP_SCALE * np.maximum(1.0, np.abs(arr)) * np.maximum(1.0, np.abs(v0)) ** 0.25
+        out = (np.asarray(eval(spec, arr + h)) - 2.0 * v0 + np.asarray(eval(spec, arr - h))) / h**2
     return float(out[0]) if scalar else np.asarray(out)

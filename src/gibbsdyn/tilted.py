@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from gibbsdyn import potential as pot
 from gibbsdyn.errors import ConfigError, DomainError, NotDifferentiableError
-from gibbsdyn.gridmin import REFINE_TOL, _drive, golden_section, local_minima_indices
+from gibbsdyn.gridmin import REFINE_TOL, _drive, local_minima_indices
+from gibbsdyn.gridmin import golden_section  # unused: perfbench's selftest.Bindings requires the binding
 
 COARSE_GRID_N = 32768  # coarse scan resolution on the truncation window
 SEPARATION_STEPS = 3  # grid points fewer steps apart than this touch one minimiser
@@ -176,23 +177,21 @@ def _shifted_rate(tr: TiltedRate):
 def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, U(x)) arrays: for each j, the minimum for tr.alpha[j] in the basin
     of grid point idx[j], bracketed by its neighbours, all brackets in one
-    batch (_drive). When V' is analytic, each bracket runs rtsafe (Press et
-    al., Numerical Recipes 3rd ed., section 9.4) on U'(x) = V'(x) + x +
-    (x - alpha)/t: the signs of U' narrow the bracket; Newton from the grid
-    vertex (central-difference slope) while its steps stay inside the
-    bracket, for at most NEWTON_STEPS steps; then bisection on the sign of
-    U', until |U'| < NEWTON_RESIDUAL or the bracket is REFINE_TOL wide. The
-    bisection ends at a point where U' turns from <= 0 to > 0, or at a
-    bracket end where U is monotone. At a kink, where V' does not exist, the
-    signs of U' at x - h and x + h decide: the kink is the minimiser when
-    they turn from <= 0 to >= 0, else they pick the half. The same rule
-    returns a kink of pot.kinks that lies in the bracket, before the first
-    step, where bisection would stop a rounding residue away from it after
-    some 45 rounds. Without an analytic V', golden section alone."""
+    batch (_drive). Each bracket runs rtsafe (Press et al., Numerical
+    Recipes 3rd ed., section 9.4) on U'(x) = V'(x) + x + (x - alpha)/t: the
+    signs of U' narrow the bracket; Newton from the grid vertex
+    (central-difference slope) while its steps stay inside the bracket, for
+    at most NEWTON_STEPS steps; then bisection on the sign of U', until
+    |U'| < NEWTON_RESIDUAL or the bracket is REFINE_TOL wide. The bisection
+    ends at a point where U' turns from <= 0 to > 0, or at a bracket end
+    where U is monotone. At a kink, where V' does not exist, the signs of U'
+    at x - h and x + h decide: the kink is the minimiser when they turn from
+    <= 0 to >= 0, else they pick the half. The same rule returns a kink of
+    pot.kinks that lies in the bracket (found by bisect on the sorted
+    kinks), before the first step, where bisection would stop a rounding
+    residue away from it after some 45 rounds. Inside a custom_table's cell
+    U' is affine, so one Newton step lands on its root."""
     lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
-    if not pot.has_analytic_deriv(tr.potential, 1):
-        x, _ = golden_section(_shifted_rate(tr), lo, hi)
-        return x, eval_rate(tr, x)
 
     def deriv(x, j):  # V'(x), NaN where it does not exist
         try:
@@ -210,11 +209,10 @@ def _refine(tr: TiltedRate, xs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray
             h = 1e-7 * max(1.0, abs(x))
             return (yield from foc(x - h)), (yield from foc(x + h))
 
-        for kink in kinks:
-            if a <= kink <= b:
-                down, up = yield from sides(kink)
-                if down <= 0.0 <= up:
-                    return kink
+        for kink in kinks[bisect_left(kinks, a) : bisect_right(kinks, b)]:
+            down, up = yield from sides(kink)
+            if down <= 0.0 <= up:
+                return kink
         steps = 0
         while True:
             f = yield from foc(x)
@@ -251,8 +249,8 @@ def global_minimisers(tr: TiltedRate, tol: ToleranceConfig = DEFAULT_TOL) -> Min
     a coarse scan of the truncation window (_window); near-minimal grid
     candidates fewer than three grid steps apart form one run, whose lowest
     point is refined, and both ends too when the run spans three or more
-    steps (_refine: safeguarded Newton with bisection when V' is analytic,
-    golden section otherwise); the refined values that tie are clustered at
+    steps (_refine: safeguarded Newton with bisection, one loop for every
+    family); the refined values that tie are clustered at
     delta_cluster. A continuum of minimisers is reported by a few refined
     contacts, its two ends included."""
     xs = np.linspace(*_window(tr.potential, tr.t, [tr.alpha]), COARSE_GRID_N)

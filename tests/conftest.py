@@ -324,12 +324,11 @@ def _oracle_s_support(spec, n, t, alpha, cfg, log_g, n_coarse):
         return log_g(machine, s) - s**2 / 2.0
 
     anchors = [0.0]
-    if pot.has_analytic_deriv(spec, 1):
-        for q in machine.ms.locations:
-            try:
-                anchors.append(-float(pot.deriv(spec, q, 1)))
-            except NotDifferentiableError:
-                pass
+    for q in machine.ms.locations:
+        try:
+            anchors.append(-float(pot.deriv(spec, q, 1)))
+        except NotDifferentiableError:
+            pass
     pad = math.sqrt(2.0 * quadrature.DEFAULT_DROP) + 2.0
     s_lo, s_hi, _ = quadrature.expanding_localize(log_h, min(anchors) - pad, max(anchors) + pad, n_coarse=n_coarse)
     return log_h, s_lo, s_hi
@@ -493,14 +492,36 @@ def _newton_polish(tr, q, lo, hi, alpha):
 
 def golden_then_polish_refine(tr, xs, idx):
     """Slow oracle for tilted._refine: every bracket [xs[idx - 1], xs[idx + 1]]
-    by golden section on the shifted rate, then, when V' is analytic, the
-    Newton polish (_newton_polish) of the golden-section point. Returns
-    (x, U(x)) arrays."""
+    by golden section on the shifted rate, then the Newton polish
+    (_newton_polish) of the golden-section point. Returns (x, U(x)) arrays."""
     lo, hi = xs[np.maximum(idx - 1, 0)], xs[np.minimum(idx + 1, xs.size - 1)]
     x, _ = gridmin.golden_section(tilted._shifted_rate(tr), lo, hi)
-    if pot.has_analytic_deriv(tr.potential, 1):
-        x = np.array([_newton_polish(tr, *p) for p in zip(x.tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())])
+    x = np.array([_newton_polish(tr, *p) for p in zip(x.tolist(), lo.tolist(), hi.tolist(), tr.alpha.tolist())])
     return x, tilted.eval_rate(tr, x)
+
+
+def initial_kernel_probe_finds_bad(spec) -> bool:
+    """Kernel-level oracle for the status at t = 0 (classify.gibbs_at(spec,
+    0)): the gap between initial-kernel means along alpha_n = alpha +-
+    (n-1)^(-1/2), at 17 alphas of [-2, 2], for n = 10,000 and 100,000. At
+    t = 0 the limit kernel is N(-V'(alpha), 1), so curvature alone leaves a
+    gap of about 2 |V''(alpha)| (n-1)^(-1/2), which shrinks by sqrt(10)
+    between the two n (a ratio of 0.32), while a slope jump keeps its gap
+    (ratios 0.5 to 1 on the tables of the tests). A gap at n = 100,000 above
+    1e-9 and above 0.4 times the gap at 10,000 marks a bad magnetisation. A
+    fixed threshold on the gap at one n would read the curvature of the
+    double well (a gap of 0.8 at alpha = 2 for n = 10,000) as a kink and miss
+    slope jumps below it."""
+
+    def gap(n, a):
+        eps = 1.0 / math.sqrt(n - 1)
+        return abs(kernels.initial_kernel(spec, n, a + eps).mean - kernels.initial_kernel(spec, n, a - eps).mean)
+
+    for a in np.linspace(-2.0, 2.0, 17).tolist():
+        far = gap(100_000, a)
+        if far > 1e-9 and far > 0.4 * gap(10_000, a):
+            return True
+    return False
 
 
 def literal_lower_hull(xs, g):

@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import conftest
-from conftest import all_triples_phi2_min, doubling_curvature_scan, minorant_status_at_tc, phi2, scalar_equivalence_sides
+from conftest import (
+    all_triples_phi2_min,
+    doubling_curvature_scan,
+    initial_kernel_probe_finds_bad,
+    minorant_status_at_tc,
+    phi2,
+    scalar_equivalence_sides,
+)
 from gibbsdyn import classify, kernels, potential as pot, tilted
 from gibbsdyn.errors import ConfigError, DomainError, InconclusiveError
 
@@ -97,6 +104,21 @@ def test_gibbs_at(builtin_specs):
             classify.gibbs_at(cw, t)
 
 
+def test_gibbs_at_t0_matches_the_initial_kernel_probe(builtin_specs):
+    # at t = 0 the status is the closed form (no kink of V) against the
+    # kernel-level probe it replaced, on every builtin, glued_exp(2.5), an
+    # affine table with equal slopes bit for bit, and g**2 tables, whose every
+    # node is a convex kink with a slope jump of 0.2, 0.1 and 0.02 on 81, 161
+    # and 801 nodes: all three read False, whatever the size of the jump
+    tables = {n: pot.custom_table(np.linspace(-4.0, 4.0, n), np.linspace(-4.0, 4.0, n) ** 2) for n in (81, 161, 801)}
+    affine = pot.custom_table(np.linspace(-4.0, 4.0, 33), 0.5 * np.linspace(-4.0, 4.0, 33) + 2.0)
+    specs = {**builtin_specs, "glued_beta25": pot.glued_exp(2.5), "affine": affine, **tables}
+    for name, spec in specs.items():
+        assert classify.gibbs_at(spec, 0.0) is (not initial_kernel_probe_finds_bad(spec)), name
+    assert [classify.gibbs_at(spec, 0.0) for spec in tables.values()] == [False, False, False]
+    assert classify.gibbs_at(affine, 0.0) is True and not pot.kinks(affine)
+
+
 def test_gibbs_at_reads_a_non_gibbs_status_at_tc():
     spec = pot.glued_exp(1.0)
     t_c = classify.crossover_time(spec, find_witness=False).t_c
@@ -159,8 +181,7 @@ def test_status_at_tc_matches_the_minorant_oracle(builtin_specs):
         *builtin_specs.values(), pot.glued_exp(0.8), pot.glued_exp(2.5), pot.cosine_well(2.5),
         pot.polynomial([0, 0, -3, 0, 0, 0, 1], normalize=True), *_random_polynomials(),
         *_random_polynomials(10, (7,), seed=1),
-        pot.custom_table(grid, quartic), pot.custom_table(grid, quartic, pot.LSC_ONLY),
-        pot.custom_table([-4.0, 0.05, 4.0], [0.0, 1.0, 0.0]),
+        pot.custom_table(grid, quartic), pot.custom_table([-4.0, 0.05, 4.0], [0.0, 1.0, 0.0]),
     ]
     checked = 0
     for spec in specs:
@@ -168,7 +189,7 @@ def test_status_at_tc_matches_the_minorant_oracle(builtin_specs):
         if 0.5 < report.beta < math.inf:
             assert report.gibbs_at_tc == minorant_status_at_tc(spec, report.beta), spec.params
             checked += 1
-    assert checked == 27
+    assert checked == 26
 
 
 def test_a_large_closed_form_beta_stays_finite():
@@ -346,6 +367,17 @@ def test_cached_reports_equal_recomputation(builtin_specs):
 def test_equivalence_sides_rejects_degenerate_input(beta, window, grid_n, error):
     with pytest.raises(error):
         classify.equivalence_sides(lambda x: x**4 - 4 * x**2, beta, window, grid_n)
+
+
+@pytest.mark.parametrize("beta, f", [
+    (-1e308, lambda x: x**4), (1e308, lambda x: x**4), (1.0, lambda x: np.where(x > 5.0, np.inf, x**2)),
+], ids=["beta-1e308", "beta+1e308", "f-inf"])
+def test_equivalence_sides_rejects_a_non_finite_tilt(beta, f, recwarn):
+    # f + beta x^2 overflows on the grid: no hull arithmetic on inf or NaN,
+    # and no numpy warning before the error
+    with pytest.raises(DomainError, match="not finite"):
+        classify.equivalence_sides(f, beta, (-6, 6), 201)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("f", [lambda x: 0.0, lambda x: x[1:], lambda x: list(x)], ids=["scalar", "short", "list"])

@@ -235,6 +235,37 @@ def test_overflowing_truncation_window_exits_2(doublewell_json, tmp_path, capsys
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("beta", ["-1e308", "1e308"])
+def test_oracle_with_an_overflowing_beta_exits_2(doublewell_json, tmp_path, capsys, recwarn, beta):
+    # beta x^2 overflows on the grid: one line, no warnings, no agreement read
+    # off inf and NaN hull arithmetic
+    argv = ["oracle", "--potential", doublewell_json, f"--beta={beta}", "--window=-5,5", "--out", str(tmp_path)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gibbs-dyn: f + beta x^2 is not finite")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_kernel_at_a_vanishing_t_exits_2(doublewell_json, tmp_path, capsys):
+    # the s-law's rows grow like t^(-1/2): at t = 1e-300 they would not fit
+    # in memory; one line names t
+    argv = ["kernel", "--potential", doublewell_json, "--n", "2", "--alpha", "0", "--t", "1e-300", "--out", str(tmp_path)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "trapezoid rows at t = 1e-300" in err[0]
+
+
+def test_traj_on_a_table_starts_at_its_kink(tmp_path, capsys):
+    # at t = 1, alpha = 0 the minimiser is the table's kink at the node 0: the
+    # path starts there exactly
+    spec = tmp_path / "table.json"
+    spec.write_text(json.dumps(potential.custom_table([-4, -2, 0, 2, 4], [4, 1, 0, 1, 4]).to_json_dict()))
+    out = tmp_path / "out"
+    assert cli.run(["traj", "--potential", str(spec), "--t", "1", "--alpha", "0", "--out", str(out)]) == 0
+    results = json.loads((out / "traj.json").read_text())["results"]
+    assert results["starting_points"] == [0.0] and results["rates"] == [0.0]
+
+
 def test_unknown_flags_rejected(zero_json, tmp_path):
     with pytest.raises(SystemExit):
         cli.run(["tc", "--potential", zero_json, "--out", str(tmp_path), "--frobnicate"])
@@ -332,6 +363,16 @@ MALFORMED_SPECS = [
     pytest.param(
         '{"family": "custom_table", "params": {"grid": [-1, 0, 1], "values": [1, 0, 1], "smoothness": "C2_analytic"}}',
         id="table-smoothness-C2",
+    ),
+    # the smoothness tag is gone: a spec that still carries it, with a value
+    # that once was valid, is rejected rather than read with another answer
+    pytest.param(
+        '{"family": "custom_table", "params": {"grid": [-1, 0, 1], "values": [1, 0, 1], "smoothness": "lsc_only"}}',
+        id="table-smoothness-lsc",
+    ),
+    pytest.param(
+        '{"family": "custom_table", "params": {"grid": [-1, 0, 1], "values": [1, 0, 1], "smoothness": "C1_only"}}',
+        id="table-smoothness-C1",
     ),
     pytest.param(
         '{"family": "polynomial", "params": {"coefficients": [3, 0, -4, 0, 1], "normalise": true}}',

@@ -726,3 +726,15 @@ def test_g_bound_divergence_guard(zero):
     with pytest.raises(AccuracyError):
         g_bound_diagnostic(zero, 3, 1.0, 0.0)  # tilt curvature below growth
 
+
+
+def test_s_law_rows_stay_within_grid_n_max(double_well):
+    # the s-law's step is at most S_STEP_PER_SD sqrt(t / (1 + t)): at
+    # t = 1e-8 that is about 2e5 rows, more than GRID_N_MAX, and the error
+    # names t; at t = 1e-6 about 2e4 rows still fit
+    with pytest.raises(DomainError, match="rows at t = 1e-08"):
+        kernels.evolved_kernel(double_well, 2, 1e-8, 0.0)
+    machine = kernels._GMachine(double_well, 2, 1e-6, 0.0, kernels.DEFAULT_QUAD, tilted.DEFAULT_TOL)
+    s, log_w = kernels._s_law(machine)
+    assert 10_000 < s.size <= kernels.GRID_N_MAX
+    assert abs(quadrature.logsumexp(log_w)) < 1e-12

@@ -309,8 +309,6 @@ def test_second_derivative_is_the_one_second_difference(glued1):
 def test_deriv_matches_finite_differences(builtin_specs):
     rng = np.random.default_rng(11)
     for name, spec in builtin_specs.items():
-        if spec.smoothness == pot.LSC_ONLY:
-            continue
         for r in rng.uniform(-3, 3, size=5):
             h = 1e-6 * max(1.0, abs(r))
             fd = (pot.eval(spec, r + h) - pot.eval(spec, r - h)) / (2 * h)
@@ -319,10 +317,30 @@ def test_deriv_matches_finite_differences(builtin_specs):
 
 def test_custom_table_roundtrip():
     rs = np.linspace(-5, 5, 2001)
-    spec = pot.custom_table(rs, 2.0 * (1.0 + np.cos(rs)))
+    vs = 2.0 * (1.0 + np.cos(rs))
+    spec = pot.custom_table(rs, vs)
     assert pot.eval(spec, 0.0) == pytest.approx(4.0, abs=1e-5)
-    step_val = pot.deriv(spec, 1.0, 1)
-    assert step_val == pytest.approx(-2.0 * math.sin(1.0), abs=1e-3)
+    # V' inside a cell is the cell's slope, near -2 sin r; the node r = 1 is
+    # a kink, where V' does not exist
+    assert rs[1200] == 1.0
+    slope = (vs[1201] - vs[1200]) / (rs[1201] - rs[1200])
+    assert pot.deriv(spec, 1.0025, 1) == slope == pytest.approx(-2.0 * math.sin(1.0025), abs=1e-3)
+    with pytest.raises(NotDifferentiableError):
+        pot.deriv(spec, 1.0, 1)
+
+
+def test_table_deriv_is_the_cell_slope():
+    # slopes -3, 0, 1, 2, 2: the nodes -1, 0 and 1 are kinks, the node 2 is
+    # not (its two cells share a slope); an end node takes its end cell's
+    # slope, and beyond the ends, where eval holds the end values, V' = 0
+    spec = pot.custom_table([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [4.0, 1.0, 1.0, 2.0, 4.0, 6.0])
+    assert pot.kinks(spec) == (-1.0, 0.0, 1.0)
+    xs = [-5.0, -2.0, -1.5, -0.5, 0.5, 1.5, 2.0, 2.5, 3.0, 4.0]
+    assert pot.deriv(spec, xs, 1).tolist() == [0.0, -3.0, -3.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0]
+    assert pot.deriv(spec, -1.5, 1) == -3.0
+    for kink in pot.kinks(spec):
+        with pytest.raises(NotDifferentiableError, match=f"r = {kink}"):
+            pot.deriv(spec, [0.25, kink, 2.5], 1)
 
 
 def test_from_json_variants(tmp_path):
@@ -371,36 +389,38 @@ def test_curvature_infimum_on_interval_per_family(builtin_specs):
         assert not pot.curvature_infimum_on_interval(pot.polynomial(coefficients, normalize=True))
     assert not pot.curvature_infimum_on_interval(pot.cosine_well(2.5))
     # a table: V'' = 0 on every cell is the infimum unless some node slope
-    # decreases, a concave kink; the smoothness tag does not enter
+    # decreases, a concave kink
     grid = np.linspace(-4.0, 4.0, 81)
-    for tag in (pot.C1_ONLY, pot.LSC_ONLY):
-        assert pot.curvature_infimum_on_interval(pot.custom_table(grid, np.abs(grid), tag))
-        assert pot.curvature_infimum_on_interval(pot.custom_table(grid, grid + 4.0, tag))
-        assert not pot.curvature_infimum_on_interval(pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0, tag))
+    assert pot.curvature_infimum_on_interval(pot.custom_table(grid, np.abs(grid)))
+    assert pot.curvature_infimum_on_interval(pot.custom_table(grid, grid + 4.0))
+    assert not pot.curvature_infimum_on_interval(pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0))
     assert not pot.curvature_infimum_on_interval(pot.custom_table([-4.0, 0.05, 4.0], [0.0, 1.0, 0.0]))
     assert pot.curvature_infimum_on_interval(pot.custom_table([-1.0, 1.0], [0.0, 0.0]))
 
 
 def test_custom_table_smoothness_tags():
+    # a table's smoothness is read off its nodes (kinks), not set by a tag:
+    # a spec that still carries the old smoothness key is rejected, whatever
+    # its value, since ignoring it would hide an answer that changed
     grid, values = [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]
-    for tag in (pot.C1_ONLY, pot.LSC_ONLY):
-        assert pot.custom_table(grid, values, tag).smoothness == tag
-    # a piecewise-linear table has kinks, so it is never C2_analytic
-    for tag in (pot.C2_ANALYTIC, "bogus"):
-        with pytest.raises(DomainError):
-            pot.custom_table(grid, values, tag)
+    with pytest.raises(TypeError):
+        pot.custom_table(grid, values, "lsc_only")
+    for tag in ("C1_only", "lsc_only", "C2_analytic", "bogus"):
+        with pytest.raises(DomainError, match="smoothness"):
+            pot.from_json({"family": "custom_table", "params": {"grid": grid, "values": values, "smoothness": tag}})
 
 
 def test_custom_table_smoothness_survives_json():
-    # the spec a report embeds keeps an lsc_only table's tag, so the rebuilt
-    # spec classifies alike; a C1_only table, the default, writes no key
-    grid = np.linspace(-3.0, 3.0, 61)
-    for tag, gibbs in ((pot.C1_ONLY, True), (pot.LSC_ONLY, False)):
-        spec = pot.custom_table(grid, np.abs(grid), tag)
+    # the spec a report embeds rebuilds the same nodes, so the same kinks and
+    # the same status at t = 0; it writes no smoothness key. The grid step
+    # 0.25 keeps the affine table's slopes equal bit for bit: no kink
+    grid = np.linspace(-3.0, 3.0, 25)
+    for values, gibbs in ((0.5 * grid + 3.0, True), (np.abs(grid), False)):
+        spec = pot.custom_table(grid, values)
         back = pot.from_json(spec.to_json_dict())
-        assert back == spec and back.smoothness == tag
+        assert back == spec and pot.kinks(back) == pot.kinks(spec)
         assert classify.gibbs_at(spec, 0.0) is gibbs and classify.gibbs_at(back, 0.0) is gibbs
-    assert "smoothness" not in pot.custom_table(grid, np.abs(grid)).to_json_dict()["params"]
+        assert "smoothness" not in spec.to_json_dict()["params"]
 
 
 # --- second difference quotient ---------------------------------------------
@@ -488,7 +508,7 @@ def test_phi2_convexity_correspondence():
 def test_phi2_bounded_by_half_curvature(builtin_specs):
     # for twice differentiable V: min Phi2 over triples >= min V''/2 (up to tol)
     for name, spec in builtin_specs.items():
-        if spec.smoothness != pot.C2_ANALYTIC:
+        if not pot.has_analytic_deriv(spec, 2):
             continue
         xs = np.linspace(-6.0, 6.0, 101)
         vals = np.asarray(pot.eval(spec, xs))

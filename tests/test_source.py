@@ -39,6 +39,40 @@ def test_no_broad_except_in_package():
     assert offenders == []
 
 
+# imports kept only because the benchmark's tracer binds them
+# (perfbench/selftest.py Bindings); ROADMAP item 10 drops the bindings and
+# these imports together
+BINDING_ONLY_IMPORTS = {("tilted", "golden_section"), ("classify", "golden_section"), ("classify", "initial_kernel")}
+
+
+def test_every_import_is_used():
+    # a name imported from the package that its module never loads is a
+    # dependency left behind by a deleted path; __init__'s re-exports are
+    # loaded through __all__
+    unused, binding_only = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gibbsdyn":
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name in loads | exported:
+                        continue
+                    if (path.stem, name) in BINDING_ONLY_IMPORTS:
+                        binding_only.add((path.stem, name))
+                    else:
+                        unused.append(f"{path.stem}:{name}")
+    assert unused == []
+    assert binding_only == BINDING_ONLY_IMPORTS  # each exception is still needed
+
+
 def test_every_module_constant_is_used():
     # a threshold or setting that nothing reads has outlived its code
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}

@@ -77,14 +77,15 @@ def test_global_minimisers_double_well(double_well):
 def test_first_order_condition_residual(builtin_specs):
     rng = np.random.default_rng(17)
     for name, spec in builtin_specs.items():
-        # the stationarity contract applies to continuously differentiable V
-        if spec.smoothness == pot.LSC_ONLY:
-            continue
         for _ in range(4):
             t = rng.uniform(0.1, 3.0)
             a = rng.uniform(-3, 3)
             ms = tilted.global_minimisers(tilted.TiltedRate(spec, t, a))
             for q in ms.locations:
+                if q in pot.kinks(spec):  # no V' there: U' turns from <= 0 to >= 0 across the kink
+                    down, up = (pot.deriv(spec, x, 1) + x + (x - a) / t for x in (q - 1e-7, q + 1e-7))
+                    assert down <= 0.0 <= up, (name, t, a, q)
+                    continue
                 res = pot.deriv(spec, q, 1) + q + (q - a) / t
                 assert abs(res) < 1e-8, (name, t, a, q, res)
 
@@ -477,6 +478,26 @@ def _assert_same_contacts(tr, fast, slow, where):
         assert not _rate_curvature(tr, q) >= 1e-3 or abs(p - q) <= 1e-9, where
 
 
+def _assert_refines_like_golden_then_polish(spec, t, monkeypatch, where):
+    # global_minimisers at 13 alphas and a 25-row bad_set_scan of [-3, 3],
+    # with tilted._refine and with the oracle refinement
+    alphas = np.linspace(-3.0, 3.0, 13)
+    answers = []
+    for refine in (tilted._refine, golden_then_polish_refine):
+        monkeypatch.setattr(tilted, "_refine", refine)
+        minimisers = [tilted.global_minimisers(tilted.TiltedRate(spec, t, a)) for a in alphas]
+        answers.append((minimisers, tilted.bad_set_scan(spec, t, (-3.0, 3.0), 25)))
+    (fast, fast_scan), (slow, slow_scan) = answers
+    for a, f, s in zip(alphas, fast, slow):
+        sides = [(len(m.locations), m.indeterminate, m.value, m.locations) for m in (f, s)]
+        _assert_same_contacts(tilted.TiltedRate(spec, t, a), *sides, (where, t, a))
+    assert len(fast_scan.intervals) == len(slow_scan.intervals), (where, t)
+    assert np.ravel(fast_scan.intervals) == pytest.approx(np.ravel(slow_scan.intervals), abs=1e-12), (where, t)
+    for f, s in zip(fast_scan.rows, slow_scan.rows):
+        sides = [(r.n_minimisers, r.indeterminate, r.value, (r.q_min, r.q_max)) for r in (f, s)]
+        _assert_same_contacts(tilted.TiltedRate(spec, t, s.alpha), *sides, (where, t, s.alpha))
+
+
 @pytest.mark.parametrize("name", ["zero", "r^2", "double_well", "shallow_quartic", "cosine_beta1", "cosine_beta04",
                                   "cos_of_square", "glued_beta1", "abs", "glued_beta25"])
 def test_newton_first_contacts_equal_golden_then_polish(builtin_specs, name, monkeypatch):
@@ -486,22 +507,8 @@ def test_newton_first_contacts_equal_golden_then_polish(builtin_specs, name, mon
     # at the kink of |r| the oracle's polish cannot step, so it keeps golden
     # section's x-accuracy ~sqrt(eps))
     spec = builtin_specs[name] if name != "glued_beta25" else pot.glued_exp(2.5)
-    alphas = np.linspace(-3.0, 3.0, 13)
     for t in _first_bad_time_sides(spec):
-        answers = []
-        for refine in (tilted._refine, golden_then_polish_refine):
-            monkeypatch.setattr(tilted, "_refine", refine)
-            minimisers = [tilted.global_minimisers(tilted.TiltedRate(spec, t, a)) for a in alphas]
-            answers.append((minimisers, tilted.bad_set_scan(spec, t, (-3.0, 3.0), 25)))
-        (fast, fast_scan), (slow, slow_scan) = answers
-        for a, f, s in zip(alphas, fast, slow):
-            sides = [(len(m.locations), m.indeterminate, m.value, m.locations) for m in (f, s)]
-            _assert_same_contacts(tilted.TiltedRate(spec, t, a), *sides, (name, t, a))
-        assert len(fast_scan.intervals) == len(slow_scan.intervals), (name, t)
-        assert np.ravel(fast_scan.intervals) == pytest.approx(np.ravel(slow_scan.intervals), abs=1e-12), (name, t)
-        for f, s in zip(fast_scan.rows, slow_scan.rows):
-            sides = [(r.n_minimisers, r.indeterminate, r.value, (r.q_min, r.q_max)) for r in (f, s)]
-            _assert_same_contacts(tilted.TiltedRate(spec, t, s.alpha), *sides, (name, t, s.alpha))
+        _assert_refines_like_golden_then_polish(spec, t, monkeypatch, name)
 
 
 def test_newton_first_falls_back_where_it_does_not_settle(builtin_specs, monkeypatch):
@@ -537,6 +544,53 @@ def test_newton_first_falls_back_where_it_does_not_settle(builtin_specs, monkeyp
     # for |r| < 3e-4
     assert fast["cosine_beta1"].value == slow["cosine_beta1"].value
     assert len(fast["cosine_beta1"].locations) == 1 and abs(fast["cosine_beta1"].q_min) <= 1e-4
+
+
+def _bench_table():
+    grid = np.linspace(-4.0, 4.0, 81)
+    return grid, pot.custom_table(grid, (grid**2 - 16.0) ** 2 / 16.0)
+
+
+def test_table_witness_is_the_cell_root():
+    # V' on a cell of a table is its slope s, so U' = s + r + r/t has its root
+    # -s t/(1 + t) there: the witness at 1.05 t_c sits on the cells on either
+    # side of the node 0, each within 2 ulps of its cell's root (the rounding
+    # of U' alone is about 1.4 ulps of x at this U'' = 1 + 1/t ~ 9500)
+    grid, spec = _bench_table()
+    report = classify.crossover_time(spec)
+    t, v = 1.05 * report.t_c, spec.table_v
+    assert report.witness_alpha == 0.0
+    roots = [-(v[i + 1] - v[i]) / (grid[i + 1] - grid[i]) * t / (1.0 + t) for i in (39, 40)]
+    assert roots[0] < 0.0 < roots[1]
+    for x, root in zip(report.witness.locations, roots):
+        assert abs(x - root) <= 2.0 * np.spacing(abs(root)), (x, root)
+
+
+def test_table_minimiser_on_a_node_is_the_node():
+    # at t = 1, alpha = 0.3 the minimiser is the kink at the node grid[69]
+    # itself, not a rounding residue beside it
+    grid, spec = _bench_table()
+    ms = tilted.global_minimisers(tilted.TiltedRate(spec, 1.0, 0.3))
+    assert grid[69] in pot.kinks(spec)
+    assert ms.locations == (grid[69],) and grid[69] == 2.9000000000000004
+
+
+def _random_tables(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(5, 41))
+        grid = np.concatenate([[-4.0], np.sort(rng.uniform(-4.0, 4.0, m - 2)), [4.0]])
+        yield pot.custom_table(grid, rng.uniform(0.0, 1.0) * grid**2 + rng.uniform(0.0, 2.0, m))
+
+
+def test_table_contacts_equal_golden_then_polish(monkeypatch):
+    # one refinement loop for tables too: against the golden-section oracle,
+    # the same minimiser counts, near-tie flags and bad alphas, values within
+    # 1e-12 relative, locations within 1e-9 inside a cell; 332 of the 468
+    # minimisers sit on kinks
+    for k, spec in enumerate(_random_tables(12, seed=5)):
+        for t in (0.3, 1.0, 3.0):
+            _assert_refines_like_golden_then_polish(spec, t, monkeypatch, k)
 
 
 def _hull_inputs(builtin_specs):
