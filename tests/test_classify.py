@@ -110,8 +110,9 @@ def test_gibbs_at_t0_matches_the_initial_kernel_probe(builtin_specs):
     # affine table with equal slopes bit for bit, and g**2 tables, whose every
     # node is a convex kink with a slope jump of 0.2, 0.1 and 0.02 on 81, 161
     # and 801 nodes: all three read False, whatever the size of the jump
-    tables = {n: pot.custom_table(np.linspace(-4.0, 4.0, n), np.linspace(-4.0, 4.0, n) ** 2) for n in (81, 161, 801)}
-    affine = pot.custom_table(np.linspace(-4.0, 4.0, 33), 0.5 * np.linspace(-4.0, 4.0, 33) + 2.0)
+    grids = {n: np.linspace(-4.0, 4.0, n) for n in (33, 81, 161, 801)}
+    tables = {n: pot.custom_table(grids[n], grids[n] ** 2) for n in (81, 161, 801)}
+    affine = pot.custom_table(grids[33], 0.5 * grids[33] + 2.0)  # step 0.25
     specs = {**builtin_specs, "glued_beta25": pot.glued_exp(2.5), "affine": affine, **tables}
     for name, spec in specs.items():
         assert classify.gibbs_at(spec, 0.0) is (not initial_kernel_probe_finds_bad(spec)), name
