@@ -18,7 +18,7 @@ interval (flat piece -> not Gibbs at t_c) or only at isolated points
 (potential.curvature_infimum_on_interval). It is unknown only where t_c is
 0 or +inf. At t = 0 the potential is sequentially Gibbs exactly when it has
 no kink (potential.kinks). The report's method is second_derivative where
-V'' is in closed form (potential.has_analytic_deriv at order 2), else
+V'' is in closed form (potential.has_analytic_deriv), else
 phi2_scan.
 
 Note: the direct two-layer scan (tilted.bad_set_scan) first reports bad
@@ -129,9 +129,7 @@ def first_bad_time(beta: float) -> float:
     two-layer picture: the convex minorant of g_t = V + (1 + t)/(2t) r^2
     first bridges when (1 + t)/(2t) drops below beta, at t = 1/(2 beta - 1).
     +inf when beta <= 1/2 and 0 when beta = +inf."""
-    if beta <= 0.5:
-        return math.inf
-    return 1.0 / (2.0 * beta - 1.0)
+    return math.inf if beta <= 0.5 else 1.0 / (2.0 * beta - 1.0)
 
 
 def crossover_time(
@@ -147,18 +145,10 @@ def crossover_time(
     are computed once per potential (see _classification); only the witness
     search, which depends on tol, runs on every call."""
     beta, t_c, status, method = _classification(spec, _float_bits(spec))
-    witness_alpha = None
-    witness = None
+    witness_alpha, witness = None, None
     if find_witness and 0.0 < t_c < math.inf:
         witness_alpha, witness = _find_bad_witness(spec, 1.05 * t_c, tol)
-    return ClassificationReport(
-        beta=beta,
-        t_c=t_c,
-        gibbs_at_tc=status,
-        method=method,
-        witness_alpha=witness_alpha,
-        witness=witness,
-    )
+    return ClassificationReport(beta, t_c, status, method, witness_alpha, witness)
 
 
 def _float_bits(spec: pot.PotentialSpec) -> bytes:
@@ -177,7 +167,7 @@ def _classification(spec: pot.PotentialSpec, float_bits: bytes):
     The key is the spec's value; float_bits (see _float_bits) only sharpens
     it. Errors such as InconclusiveError propagate and are not cached.
     _classification.cache_clear() empties the cache."""
-    method = METHOD_SECOND_DERIVATIVE if pot.has_analytic_deriv(spec, 2) else METHOD_PHI2_SCAN
+    method = METHOD_SECOND_DERIVATIVE if pot.has_analytic_deriv(spec) else METHOD_PHI2_SCAN
     if spec.family == "custom_table":  # the one family without a closed form
         beta = -0.5 * _table_curvature_infimum(spec)
         beta = math.inf if beta > UNBOUNDED_SENTINEL else beta
@@ -217,7 +207,8 @@ def gibbs_at(spec: pot.PotentialSpec, t: float) -> bool:
     classifies the potential once (see crossover_time).
     At t = 0 the limit kernel is N(-V'(alpha), 1), so the bad magnetisations
     are the kinks of V (potential.kinks), whatever the size of the slope
-    jump: the potential is sequentially Gibbs exactly when it has none."""
+    jump: the potential is sequentially Gibbs exactly when it has none, a
+    custom_table only when it is constant (V' = 0 beyond its ends)."""
     if not 0 <= t < math.inf:  # NaN too
         raise DomainError("gibbs_at requires a finite t >= 0")
     if t == 0:

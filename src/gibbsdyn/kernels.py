@@ -576,24 +576,31 @@ def limit_kernel(
 ) -> KernelEstimate:
     """The limiting specification kernel N(-V'(q), 1+t) at a good alpha.
 
-    At a bad alpha raises BadMagnetisationError carrying the two extreme
+    At a kink q of V, -V'(q) is the subgradient for which U'(q) = V'(q) + q
+    + (q - alpha)/t vanishes; the evolved kernel's mean tends to it. At a
+    bad alpha raises BadMagnetisationError carrying the two extreme
     minimisers and their selection-limit kernels."""
     if not (t > 0):
         raise DomainError("limit_kernel requires t > 0")
+
+    def kernel_at(q):
+        try:
+            mean = -float(pot.deriv(spec, q, 1))
+        except NotDifferentiableError:
+            mean = q + (q - alpha) / t
+        return gaussian_kernel(mean, 1.0 + t, cfg)
+
     ms = tilted.global_minimisers(tilted.TiltedRate(spec, t, alpha), tol)
     if ms.multiple:
-        k_min = gaussian_kernel(-float(pot.deriv(spec, ms.q_min, 1)), 1.0 + t, cfg)
-        k_max = gaussian_kernel(-float(pot.deriv(spec, ms.q_max, 1)), 1.0 + t, cfg)
         raise BadMagnetisationError(
             f"alpha = {alpha} is a bad magnetisation at t = {t}: "
             f"minimisers {ms.q_min} and {ms.q_max} give distinct limit kernels",
             q_min=ms.q_min,
             q_max=ms.q_max,
-            kernel_min=k_min,
-            kernel_max=k_max,
+            kernel_min=kernel_at(ms.q_min),
+            kernel_max=kernel_at(ms.q_max),
         )
-    q = ms.locations[0]
-    return gaussian_kernel(-float(pot.deriv(spec, q, 1)), 1.0 + t, cfg)
+    return kernel_at(ms.locations[0])
 
 
 def w1_distance(a: KernelEstimate, b: KernelEstimate) -> float:

@@ -14,11 +14,11 @@ A potential is a non-negative function of the magnetisation. Builtin families:
     custom_table    linear interpolation of tabulated samples
 
 Every family has one derivative model: V' in closed form, a custom_table's
-the slope of the cell holding r, and kinks names the points where V' does
-not exist (the kink of |r| at 0, a table's interior nodes where the cell
-slope changes), at which deriv raises NotDifferentiableError. V'' is in
-closed form for zero, polynomial, cosine_well and cos_of_square
-(has_analytic_deriv at order 2) and a central second difference otherwise.
+the slope of the cell holding r (0 beyond its ends), and kinks names the
+points where V' does not exist (the kink of |r| at 0, a table's nodes where
+V' jumps by more than rounding), at which deriv raises NotDifferentiableError.
+V'' is in closed form for zero, polynomial, cosine_well and cos_of_square
+(has_analytic_deriv) and a central second difference otherwise.
 
 Every family but custom_table states inf V'' in closed form
 (curvature_infimum), and every family whether that infimum is attained on an
@@ -64,8 +64,7 @@ class PotentialSpec:
         return eval(self, r)
 
     def to_json_dict(self) -> dict:
-        d = {"family": self.family, "params": dict(self.params)}
-        return d
+        return {"family": self.family, "params": dict(self.params)}
 
 
 def _glue(u: np.ndarray) -> np.ndarray:
@@ -82,12 +81,8 @@ def _glue(u: np.ndarray) -> np.ndarray:
 def _glue_d1(u: np.ndarray) -> np.ndarray:
     """d/du exp(-1/u + u) = (1 + u^-2) exp(-1/u + u) for u > 0, 0 otherwise."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    if np.any(pos):
-        up = u[pos]
-        expo = np.minimum(-1.0 / up + up, _EXP_CAP)
-        out[pos] = (1.0 + up**-2) * np.exp(expo)
+    out, pos = _glue(u), u > 0
+    out[pos] *= 1.0 + u[pos] ** -2
     return out
 
 
@@ -246,8 +241,8 @@ def absolute() -> PotentialSpec:
 
 def custom_table(grid, values) -> PotentialSpec:
     """Linear interpolation of (grid, values), held at the end values beyond
-    the grid. V' is the cell slope; the interior nodes where it changes are
-    the table's kinks."""
+    the grid. V' is the cell slope; the nodes where it jumps are the
+    table's kinks."""
     for name, samples in (("grid", grid), ("values", values)):
         if _has_bool(samples):
             raise DomainError(f"custom_table {name} must hold numbers, not booleans, got {samples!r}")
@@ -355,18 +350,18 @@ def eval(spec: PotentialSpec, r):
     return np.array(out).reshape(arr.shape) if arr.size == 1 else out
 
 
-def has_analytic_deriv(spec: PotentialSpec, order: int) -> bool:
-    """Whether deriv is in closed form at this order: V' for every family (a
-    custom_table's is its cell slope), V'' for zero, polynomial, cosine_well
-    and cos_of_square; deriv takes a second difference for the others."""
-    return order == 1 or spec.family in ("zero", "polynomial", "cosine_well", "cos_of_square")
+def has_analytic_deriv(spec: PotentialSpec) -> bool:
+    """Whether V'' is in closed form: for zero, polynomial, cosine_well and
+    cos_of_square; deriv takes a second difference for the others."""
+    return spec.family in ("zero", "polynomial", "cosine_well", "cos_of_square")
 
 
 def kinks(spec: PotentialSpec) -> tuple[float, ...]:
-    """The points where V' does not exist, increasing: 0 for abs, and a
-    custom_table's interior nodes where the cell slope changes."""
+    """The points where V' does not exist, increasing: 0 for abs, and the
+    nodes of a custom_table where V' jumps (_table_slope_jumps), its end
+    nodes included when the end cell is not flat."""
     if spec.family == "custom_table":
-        return tuple(np.asarray(spec.table_r)[1:-1][np.diff(_table_slopes(spec)) != 0.0].tolist())
+        return tuple(np.asarray(spec.table_r)[_table_slope_jumps(spec) != 0.0].tolist())
     return (0.0,) if spec.family == "abs" else ()
 
 
@@ -395,29 +390,43 @@ def curvature_infimum_on_interval(spec: PotentialSpec) -> bool:
     abs. A polynomial of degree >= 4 has a non-constant V'' polynomial,
     cosine_well's -2 beta cos r is minimal at isolated points, and
     cos_of_square's infimum -inf is not attained. A custom_table is affine
-    on every cell: V'' = 0 there is the infimum exactly when no node slope
-    decreases (_table_slopes); a slope that decreases is a concave kink,
-    where the infimum -inf sits at a node."""
+    on every cell: V'' = 0 there is the infimum on the table's range exactly
+    when V' jumps down at no interior node (_table_slope_jumps); a jump down
+    is a concave kink, where the infimum -inf sits at a node."""
     fam = spec.family
     if fam == "custom_table":
-        return not np.any(np.diff(_table_slopes(spec)) < 0.0)
+        return not np.any(_table_slope_jumps(spec)[1:-1] < 0.0)
     if fam == "polynomial":
         return len(spec.coefficients) <= 3
     return fam in ("zero", "abs", "glued_exp")
 
 
 def _table_slopes(spec: PotentialSpec) -> np.ndarray:
-    """The slopes of a custom_table's cells, one per pair of consecutive nodes."""
-    return np.diff(spec.table_v) / np.diff(spec.table_r)
+    """A custom_table's V' on each cell, left to right, the slope 0 beyond
+    either end included: m + 1 values for m nodes."""
+    return np.pad(np.diff(spec.table_v) / np.diff(spec.table_r), 1)
+
+
+def _table_slope_jumps(spec: PotentialSpec) -> np.ndarray:
+    """The jumps of a custom_table's V' at its nodes (_table_slopes), 0 where
+    within the rounding of the two slopes: rounding of eps |v| in each sample
+    and eps |r| in each node moves a cell's slope s_i by up to eps (|v_i| +
+    |v_{i+1}| + |s_i| (|r_i| + |r_{i+1}|)) / (r_{i+1} - r_i). So an affine
+    table whose samples are rounded jumps at its end nodes only."""
+    r, v, slopes = np.abs(spec.table_r), np.abs(spec.table_v), _table_slopes(spec)
+    noise = np.finfo(float).eps * (v[:-1] + v[1:] + np.abs(slopes[1:-1]) * (r[:-1] + r[1:])) / np.diff(spec.table_r)
+    noise, jumps = np.pad(noise, 1), np.diff(slopes)
+    return np.where(np.abs(jumps) > noise[:-1] + noise[1:], jumps, 0.0)
 
 
 def deriv(spec: PotentialSpec, r, order: int = 1):
     """First or second derivative of V at r.
 
     V' is analytic for every family. A custom_table's is the slope of the
-    cell holding r, an end node's that of its end cell, and 0 beyond the
-    ends, where eval holds the end values. order=1 at a point of
-    kinks(spec) raises NotDifferentiableError.
+    cell holding r, a node taking the cell to its right, and 0 beyond the
+    ends, where eval holds the end values; an end node is a kink unless its
+    end cell is flat. order=1 at a point of kinks(spec) raises
+    NotDifferentiableError.
 
     V'' is analytic where has_analytic_deriv says so, else the central
     second difference (V(r+h) - 2V(r) + V(r-h))/h^2, abs and custom_table
@@ -437,16 +446,15 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
 
     if order == 1:
         ks = kinks(spec)
-        if ks:  # each point against its nearest kink at or above it; the one kink of abs directly
+        if ks:  # each point against its nearest kink at or above it
             k = np.asarray(ks)
-            hit = arr == (ks[0] if k.size == 1 else k[np.searchsorted(k, arr).clip(max=k.size - 1)])
+            hit = arr == k[np.searchsorted(k, arr).clip(max=k.size - 1)]
             if hit.any():
                 raise NotDifferentiableError(f"family {fam!r} is not differentiable at r = {float(arr[hit][0])}")
+
     if fam == "abs" and order == 1:
         out = np.sign(arr)
-        return float(out[0]) if scalar else out
-
-    if fam == "zero":
+    elif fam == "zero":
         out = np.zeros_like(arr)
     elif fam == "polynomial":
         # one point on a float, as in eval
@@ -462,9 +470,7 @@ def deriv(spec: PotentialSpec, r, order: int = 1):
     elif fam == "glued_exp" and order == 1:
         out = np.sign(arr) * _glue_d1(np.abs(arr) - 1.0) - 2.0 * spec.beta * arr
     elif fam == "custom_table" and order == 1:
-        nodes, slopes = np.asarray(spec.table_r), _table_slopes(spec)
-        cell = np.searchsorted(nodes, arr, side="right").clip(1, slopes.size) - 1
-        out = np.where((arr < nodes[0]) | (arr > nodes[-1]), 0.0, slopes[cell])
+        out = _table_slopes(spec)[np.searchsorted(spec.table_r, arr, side="right")]
     else:
         # the second difference with the step rule of the docstring
         v0 = np.asarray(eval(spec, arr))

@@ -148,7 +148,7 @@ def _scan_curvature_infimum(spec, radius: float, n_grid: int):
     two."""
     xs = np.linspace(-radius, radius, n_grid)
     vals = pot.deriv(spec, xs, 2)
-    analytic = pot.has_analytic_deriv(spec, 2)
+    analytic = pot.has_analytic_deriv(spec)
     if not analytic:
         vals[1:-1] = np.fmin(vals[1:-1], 2.0 * classify._consecutive_phi2(np.asarray(pot.eval(spec, xs)), xs))
     vals = np.where(np.isfinite(vals), vals, np.inf)
@@ -503,21 +503,22 @@ def golden_then_polish_refine(tr, xs, idx):
 def initial_kernel_probe_finds_bad(spec) -> bool:
     """Kernel-level oracle for the status at t = 0 (classify.gibbs_at(spec,
     0)): the gap between initial-kernel means along alpha_n = alpha +-
-    (n-1)^(-1/2), at 17 alphas of [-2, 2], for n = 10,000 and 100,000. At
-    t = 0 the limit kernel is N(-V'(alpha), 1), so curvature alone leaves a
-    gap of about 2 |V''(alpha)| (n-1)^(-1/2), which shrinks by sqrt(10)
-    between the two n (a ratio of 0.32), while a slope jump keeps its gap
-    (ratios 0.5 to 1 on the tables of the tests). A gap at n = 100,000 above
-    1e-9 and above 0.4 times the gap at 10,000 marks a bad magnetisation. A
-    fixed threshold on the gap at one n would read the curvature of the
-    double well (a gap of 0.8 at alpha = 2 for n = 10,000) as a kink and miss
-    slope jumps below it."""
+    (n-1)^(-1/2), at 17 alphas of [-2, 2] and a table's two end nodes, for
+    n = 10,000 and 100,000. At t = 0 the limit kernel is N(-V'(alpha), 1),
+    so curvature alone leaves a gap of about 2 |V''(alpha)| (n-1)^(-1/2),
+    which shrinks by sqrt(10) between the two n (a ratio of 0.32), while a
+    slope jump keeps its gap (ratios 0.5 to 1 on the tables of the tests). A
+    gap at n = 100,000 above 1e-9 and above 0.4 times the gap at 10,000 marks
+    a bad magnetisation. A fixed threshold on the gap at one n would read the
+    curvature of the double well (a gap of 0.8 at alpha = 2 for n = 10,000)
+    as a kink and miss slope jumps below it."""
 
     def gap(n, a):
         eps = 1.0 / math.sqrt(n - 1)
         return abs(kernels.initial_kernel(spec, n, a + eps).mean - kernels.initial_kernel(spec, n, a - eps).mean)
 
-    for a in np.linspace(-2.0, 2.0, 17).tolist():
+    ends = [spec.table_r[0], spec.table_r[-1]] if spec.family == "custom_table" else []
+    for a in np.linspace(-2.0, 2.0, 17).tolist() + ends:
         far = gap(100_000, a)
         if far > 1e-9 and far > 0.4 * gap(10_000, a):
             return True

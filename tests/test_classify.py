@@ -106,18 +106,23 @@ def test_gibbs_at(builtin_specs):
 
 def test_gibbs_at_t0_matches_the_initial_kernel_probe(builtin_specs):
     # at t = 0 the status is the closed form (no kink of V) against the
-    # kernel-level probe it replaced, on every builtin, glued_exp(2.5), an
-    # affine table with equal slopes bit for bit, and g**2 tables, whose every
-    # node is a convex kink with a slope jump of 0.2, 0.1 and 0.02 on 81, 161
-    # and 801 nodes: all three read False, whatever the size of the jump
+    # kernel-level probe it replaced, on every builtin, glued_exp(2.5), a
+    # constant table, affine tables on 33 and 81 nodes and g**2 tables, whose
+    # every node is a convex kink with a slope jump of 0.2, 0.1 and 0.02 on
+    # 81, 161 and 801 nodes: all three read False, whatever the size of the
+    # jump. An affine table's only kinks are its end nodes, where V' jumps
+    # to 0: on 81 nodes its rounded slopes differ by up to 7e-15, a rounding
+    # the kinks leave out, as the probe's split of about 1e-12 does
     grids = {n: np.linspace(-4.0, 4.0, n) for n in (33, 81, 161, 801)}
-    tables = {n: pot.custom_table(grids[n], grids[n] ** 2) for n in (81, 161, 801)}
-    affine = pot.custom_table(grids[33], 0.5 * grids[33] + 2.0)  # step 0.25
-    specs = {**builtin_specs, "glued_beta25": pot.glued_exp(2.5), "affine": affine, **tables}
+    tables = {f"square{n}": pot.custom_table(grids[n], grids[n] ** 2) for n in (81, 161, 801)}
+    affine = {f"affine{n}": pot.custom_table(grids[n], 0.3 * grids[n] + 2.0) for n in (33, 81)}
+    constant = pot.custom_table(grids[81], np.full(81, 2.0))
+    specs = {**builtin_specs, "glued_beta25": pot.glued_exp(2.5), "constant": constant, **affine, **tables}
     for name, spec in specs.items():
         assert classify.gibbs_at(spec, 0.0) is (not initial_kernel_probe_finds_bad(spec)), name
     assert [classify.gibbs_at(spec, 0.0) for spec in tables.values()] == [False, False, False]
-    assert classify.gibbs_at(affine, 0.0) is True and not pot.kinks(affine)
+    assert [pot.kinks(spec) for spec in affine.values()] == [(-4.0, 4.0), (-4.0, 4.0)]
+    assert classify.gibbs_at(constant, 0.0) is True and not pot.kinks(constant)
 
 
 def test_gibbs_at_reads_a_non_gibbs_status_at_tc():

@@ -667,6 +667,31 @@ def test_limit_kernel_bad_alpha_carries_both_branches(double_well):
     assert e.kernel_min.variance == pytest.approx(2.0, rel=1e-9)
 
 
+_QUARTIC_GRID = np.linspace(-4.0, 4.0, 81)
+
+
+@pytest.mark.parametrize(
+    ("grid", "values", "alpha", "q"),
+    [
+        # the 81-node quartic table: the minimiser is its interior node 2.9
+        (_QUARTIC_GRID, (_QUARTIC_GRID**2 - 16.0) ** 2 / 16.0, 0.3, 2.9000000000000004),
+        # the end cell falls to the end node 1, beyond which V' = 0
+        ([-1.0, 0.0, 1.0], [3.0, 3.0, 0.0], 0.0, 1.0),
+    ],
+)
+def test_limit_kernel_at_a_kink_minimiser(grid, values, alpha, q):
+    # at t = 1 the minimiser sits on a kink, where V' does not exist; the
+    # limit kernel's mean is the subgradient that makes U' vanish, q + (q -
+    # alpha)/t, which the evolved kernel's mean approaches (its gap is about
+    # 6.5/n), and neither cell slope's
+    spec = pot.custom_table(grid, values)
+    assert tilted.global_minimisers(tilted.TiltedRate(spec, 1.0, alpha)).locations == (q,)
+    k = kernels.limit_kernel(spec, 1.0, alpha)
+    assert k.mean == pytest.approx(q + (q - alpha), abs=1e-12)
+    assert k.variance == pytest.approx(2.0, rel=1e-10)
+    assert abs(kernels.evolved_kernel(spec, 100_000, 1.0, alpha).mean - k.mean) < 1e-4
+
+
 def test_weak_continuity_proxy(quadratic):
     # limit-kernel mean is -2 alpha/(3t+1); Lipschitz constant 2/(3t+1) at t=1
     t = 1.0

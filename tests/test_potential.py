@@ -280,7 +280,7 @@ def test_deriv_cos_of_square_second():
 def test_deriv_glued_second_inside(glued1):
     # V restricted to [-1, 1] is exactly -beta r^2 - C_beta, so V'' = -2
     assert pot.deriv(glued1, 0.0, 2) == pytest.approx(-2.0, abs=1e-4)
-    assert not pot.has_analytic_deriv(glued1, 2)
+    assert not pot.has_analytic_deriv(glued1)
 
 
 def test_deriv_abs():
@@ -302,7 +302,7 @@ def test_second_derivative_is_the_one_second_difference(glued1):
     xs = np.linspace(-4.0, 4.0, 4001)
     assert 0.0 in xs
     for spec in (glued1, pot.absolute(), table):
-        assert not pot.has_analytic_deriv(spec, 2)
+        assert not pot.has_analytic_deriv(spec)
         assert _same_bits(pot.deriv(spec, xs, 2), second_difference_curvature(spec, xs)), spec.family
 
 
@@ -331,16 +331,34 @@ def test_custom_table_roundtrip():
 
 def test_table_deriv_is_the_cell_slope():
     # slopes -3, 0, 1, 2, 2: the nodes -1, 0 and 1 are kinks, the node 2 is
-    # not (its two cells share a slope); an end node takes its end cell's
-    # slope, and beyond the ends, where eval holds the end values, V' = 0
+    # not (its two cells share a slope); beyond the ends, where eval holds
+    # the end values, V' = 0, so the end nodes -2 and 3 are kinks too
     spec = pot.custom_table([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [4.0, 1.0, 1.0, 2.0, 4.0, 6.0])
-    assert pot.kinks(spec) == (-1.0, 0.0, 1.0)
-    xs = [-5.0, -2.0, -1.5, -0.5, 0.5, 1.5, 2.0, 2.5, 3.0, 4.0]
-    assert pot.deriv(spec, xs, 1).tolist() == [0.0, -3.0, -3.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0]
+    assert pot.kinks(spec) == (-2.0, -1.0, 0.0, 1.0, 3.0)
+    xs = [-5.0, -1.5, -0.5, 0.5, 1.5, 2.0, 2.5, 4.0]
+    assert pot.deriv(spec, xs, 1).tolist() == [0.0, -3.0, 0.0, 1.0, 2.0, 2.0, 2.0, 0.0]
     assert pot.deriv(spec, -1.5, 1) == -3.0
     for kink in pot.kinks(spec):
         with pytest.raises(NotDifferentiableError, match=f"r = {kink}"):
             pot.deriv(spec, [0.25, kink, 2.5], 1)
+    # a flat end cell leaves its end node smooth, and it takes its end
+    # cell's slope
+    flat = pot.custom_table([-1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 0.0, 0.0])
+    assert pot.kinks(flat) == (0.0, 1.0)
+    assert pot.deriv(flat, [-1.0, 2.0], 1).tolist() == [0.0, 0.0]
+
+
+def test_table_kinks_leave_out_rounded_slopes():
+    # affine samples on a grid of step 0.1 have cell slopes that differ by
+    # rounding, up to 7e-15 here: no interior kink, and no concave one
+    grid = np.linspace(-4.0, 4.0, 81)
+    spec = pot.custom_table(grid, 0.3 * grid + 2.0)
+    assert len(set(np.diff(spec.table_v) / np.diff(grid))) > 1
+    assert pot.kinks(spec) == (-4.0, 4.0)
+    assert pot.curvature_infimum_on_interval(spec)
+    # a jump far below the slopes but far above their rounding stays a kink
+    values = 0.3 * grid + 2.0 + 1e-9 * np.abs(grid - grid[50])
+    assert pot.kinks(pot.custom_table(grid, values)) == (-4.0, grid[50], 4.0)
 
 
 def test_from_json_variants(tmp_path):
@@ -412,10 +430,10 @@ def test_custom_table_smoothness_tags():
 
 def test_custom_table_smoothness_survives_json():
     # the spec a report embeds rebuilds the same nodes, so the same kinks and
-    # the same status at t = 0; it writes no smoothness key. The grid step
-    # 0.25 keeps the affine table's slopes equal bit for bit: no kink
-    grid = np.linspace(-3.0, 3.0, 25)
-    for values, gibbs in ((0.5 * grid + 3.0, True), (np.abs(grid), False)):
+    # the same status at t = 0; it writes no smoothness key. Only a constant
+    # table is Gibbs at t = 0: any other jumps to V' = 0 at an end node
+    grid = np.linspace(-4.0, 4.0, 81)
+    for values, gibbs in ((0.3 * grid + 2.0, False), (np.abs(grid), False), (np.full(81, 2.0), True)):
         spec = pot.custom_table(grid, values)
         back = pot.from_json(spec.to_json_dict())
         assert back == spec and pot.kinks(back) == pot.kinks(spec)
@@ -508,7 +526,7 @@ def test_phi2_convexity_correspondence():
 def test_phi2_bounded_by_half_curvature(builtin_specs):
     # for twice differentiable V: min Phi2 over triples >= min V''/2 (up to tol)
     for name, spec in builtin_specs.items():
-        if not pot.has_analytic_deriv(spec, 2):
+        if not pot.has_analytic_deriv(spec):
             continue
         xs = np.linspace(-6.0, 6.0, 101)
         vals = np.asarray(pot.eval(spec, xs))

@@ -463,7 +463,7 @@ def _rate_curvature(tr, q):
     """U'' at q: from V'' where the family has it in closed form, else the
     central second difference at steps 1e-4 and 1e-5, NaN where the two
     differ by more than 1% (a kink of V within reach: U'' does not exist)."""
-    if pot.has_analytic_deriv(tr.potential, 2):
+    if pot.has_analytic_deriv(tr.potential):
         return float(pot.deriv(tr.potential, q, 2)) + 1.0 + 1.0 / tr.t
     d2 = [float((tilted.eval_rate(tr, q + h) - 2.0 * tilted.eval_rate(tr, q) + tilted.eval_rate(tr, q - h)) / h**2)
           for h in (1e-4, 1e-5)]
@@ -573,6 +573,14 @@ def test_table_minimiser_on_a_node_is_the_node():
     ms = tilted.global_minimisers(tilted.TiltedRate(spec, 1.0, 0.3))
     assert grid[69] in pot.kinks(spec)
     assert ms.locations == (grid[69],) and grid[69] == 2.9000000000000004
+
+
+def test_table_minimiser_on_an_end_node_is_the_node():
+    # V' jumps from -3 to 0 at the end node 1, and U' = V' + 2r at t = 1,
+    # alpha = 0 turns from -1 to 2 there: the minimiser is the node itself
+    spec = pot.custom_table([-1.0, 0.0, 1.0], [3.0, 3.0, 0.0])
+    assert pot.kinks(spec) == (0.0, 1.0)
+    assert tilted.global_minimisers(tilted.TiltedRate(spec, 1.0, 0.0)).locations == (1.0,)
 
 
 def _random_tables(count, seed):
